@@ -2,8 +2,8 @@
 
 Two claims about ``Engine.run_batch`` (`repro.core.engine`):
 
-1. **determinism** — for the same master seed, ``SerialExecutor`` and
-   ``ParallelExecutor`` produce bit-identical ``BatchResult``s (outputs,
+1. **determinism** — for the same master seed, ``SerialExecutor`` and a
+   ``WorkerPool`` produce bit-identical ``BatchResult``s (outputs,
    transcript keys, cost totals), and the two-sided
    ``estimate_protocol_advantage`` estimator built on top returns the
    exact same estimate either way;
@@ -29,9 +29,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import Engine, ParallelExecutor, RunSpec, SerialExecutor
+from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distinguish import estimate_protocol_advantage
 from repro.distributions import RankDeficientMatrix, UniformRows
+from repro.exec import WorkerPool
 from repro.lowerbounds import TopSubmatrixRankProtocol
 
 N = 16
@@ -67,11 +68,6 @@ def compute_table():
     rows = []
 
     est_serial, serial_s = _best_of_two(SerialExecutor())
-    est_parallel, parallel_s = _best_of_two(ParallelExecutor())
-    speedup = serial_s / parallel_s if parallel_s else float("inf")
-    rows.append(["serial", serial_s, 1.0, est_serial.advantage])
-    rows.append([f"parallel ({cores} cores)", parallel_s, speedup, est_parallel.advantage])
-
     # Bit-level determinism on the raw batch API.
     spec = RunSpec(
         protocol=TopSubmatrixRankProtocol(K),
@@ -79,7 +75,13 @@ def compute_table():
         seed=7,
     )
     batch_serial = Engine(SerialExecutor()).run_batch(spec, 64)
-    batch_parallel = Engine(ParallelExecutor()).run_batch(spec, 64)
+    with WorkerPool() as pool:
+        est_parallel, parallel_s = _best_of_two(pool)
+        batch_parallel = Engine(pool).run_batch(spec, 64)
+    speedup = serial_s / parallel_s if parallel_s else float("inf")
+    rows.append(["serial", serial_s, 1.0, est_serial.advantage])
+    rows.append([f"parallel ({cores} cores)", parallel_s, speedup, est_parallel.advantage])
+
     identical = (
         batch_serial.outputs == batch_parallel.outputs
         and batch_serial.transcript_keys == batch_parallel.transcript_keys

@@ -18,17 +18,13 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import Engine, ParallelExecutor, PublicCoins, RunSpec, run_protocol
+from repro.core import Engine, PublicCoins, RunSpec, run_protocol
+from repro.exec import WorkerPool
 from repro.protocols import (
     DeterministicEqualityProtocol,
     FingerprintEqualityProtocol,
     fingerprint_error_bound,
 )
-
-# The per-t error estimation is a 200-trial engine batch (each trial gets
-# a fresh protocol copy and fresh public coins from its spawned seed),
-# pooled across cores where available.
-EXECUTOR = ParallelExecutor()
 
 M = 128
 N = 8
@@ -47,21 +43,25 @@ def compute_table():
     assert result_eq.outputs[0] == 1 and result_ne.outputs[0] == 0
     rows.append(["deterministic", result_eq.cost.rounds, 0.0, 0])
 
-    engine = Engine(EXECUTOR)
-    for t in (2, 4, 8, 16):
-        trials = 200
-        spec = RunSpec(
-            protocol=FingerprintEqualityProtocol(M, t),
-            inputs=unequal_inputs,
-            seed=t,
-            public_coins=PublicCoins,  # fresh source per trial
-        )
-        batch = engine.run_batch(spec, trials)
-        errors = int(batch.decisions().sum())  # accepting unequal = error
-        public_bits = int(batch.public_bits[0])
-        rows.append(
-            [f"fingerprint t={t}", t, errors / trials, public_bits]
-        )
+    # The per-t error estimation is a 200-trial engine batch (each trial
+    # gets a fresh protocol copy and fresh public coins from its spawned
+    # seed), pooled across cores on one warm pool.
+    with WorkerPool() as pool:
+        engine = Engine(pool)
+        for t in (2, 4, 8, 16):
+            trials = 200
+            spec = RunSpec(
+                protocol=FingerprintEqualityProtocol(M, t),
+                inputs=unequal_inputs,
+                seed=t,
+                public_coins=PublicCoins,  # fresh source per trial
+            )
+            batch = engine.run_batch(spec, trials)
+            errors = int(batch.decisions().sum())  # accepting unequal = error
+            public_bits = int(batch.public_bits[0])
+            rows.append(
+                [f"fingerprint t={t}", t, errors / trials, public_bits]
+            )
     return rows
 
 def test_equality_separation(benchmark):

@@ -14,7 +14,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import FunctionProtocol, ParallelExecutor
+from repro.core import FunctionProtocol
 from repro.distinguish import (
     ProtocolSpec,
     estimate_transcript_distance,
@@ -22,15 +22,15 @@ from repro.distinguish import (
     transcript_distance,
 )
 from repro.distributions import PlantedClique, RandomDigraph
+from repro.exec import WorkerPool
 
 N = 6
 K = 3
 THRESHOLD = (N - 1) / 2 + 0.5
 
-# Sampling runs through the execution engine on a process pool (a no-op
-# on 1-core hosts, where the pool runs in-process).  The next-message
-# functions live at module level so the protocol pickles into pool workers.
-EXECUTOR = ParallelExecutor()
+# Sampling runs through the execution engine on a process pool.  The
+# next-message functions live at module level so the protocol pickles
+# into pool workers.
 
 def _vector_fn(i, rows, p):
     return (rows.sum(axis=1) >= THRESHOLD).astype(np.int64)
@@ -56,11 +56,12 @@ def compute_table():
     )
     rows = []
     rng = np.random.default_rng(99)
-    for samples in (100, 400, 1600, 6400):
-        ci = estimate_transcript_distance(
-            protocol, reference, mixture, samples, rng, executor=EXECUTOR
-        )
-        rows.append([samples, ci.estimate, exact, ci.estimate - exact])
+    with WorkerPool() as pool:
+        for samples in (100, 400, 1600, 6400):
+            ci = estimate_transcript_distance(
+                protocol, reference, mixture, samples, rng, executor=pool
+            )
+            rows.append([samples, ci.estimate, exact, ci.estimate - exact])
     return rows
 
 def test_exact_vs_sampling(benchmark):

@@ -2,17 +2,15 @@
 
 The claim behind ``repro.exec.WorkerPool``: a sweep or estimator that
 issues **many small batches** is dominated by process-pool start-up when
-every ``run_batch`` builds its own ``ProcessPoolExecutor`` (the
-:class:`~repro.core.engine.ParallelExecutor` behaviour, which is the
-right trade-off only for one big batch).  Keeping the workers warm
-amortizes start-up across the whole batch sequence, so the same workload
-must get faster — and stay *bit-identical*, because per-trial seeding
-never depends on the backend.
+every ``run_batch`` builds (and closes) its own pool.  Keeping the
+workers warm amortizes start-up across the whole batch sequence, so the
+same workload must get faster — and stay *bit-identical*, because
+per-trial seeding never depends on the backend.
 
 Running this file as a script (the CI smoke step) measures a sequence of
 ``BATCHES`` small ``run_batch`` calls on three backends — serial, cold
-``ParallelExecutor`` (fresh pool per batch), warm ``WorkerPool`` (one
-pool for the sequence) — asserts the warm pool beats the cold pool by
+``WorkerPool`` (a fresh pool per batch), warm ``WorkerPool`` (one pool
+for the sequence) — asserts the warm pool beats the cold pool by
 ``MIN_SPEEDUP``×, and writes the medians to ``BENCH_exec.json`` in the
 repo root (uploaded as a CI artifact).  Both pool backends are pinned to
 ``WORKERS`` processes so the comparison isolates start-up amortization
@@ -26,7 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table, write_bench_json
 
-from repro.core import Engine, ParallelExecutor, RunSpec, SerialExecutor
+from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import WorkerPool
 from repro.lowerbounds import TopSubmatrixRankProtocol
@@ -52,18 +50,18 @@ def spec(batch_index: int) -> RunSpec:
     )
 
 
-def run_sequence(engine: Engine) -> list[list[list[int]]]:
-    """The workload: BATCHES successive small batches on one engine."""
-    return [engine.run_batch(spec(b), TRIALS).outputs for b in range(BATCHES)]
+def run_sequence(run_batch) -> list[list[list[int]]]:
+    """The workload: BATCHES successive small ``run_batch`` calls."""
+    return [run_batch(spec(b), TRIALS).outputs for b in range(BATCHES)]
 
 
-def best_of(make_engine) -> tuple[list, float]:
+def best_of(make_run_batch) -> tuple[list, float]:
     """Best-of-REPEATS wall clock for the whole batch sequence."""
     outputs, best = None, float("inf")
     for _ in range(REPEATS):
-        engine, finalize = make_engine()
+        run_batch, finalize = make_run_batch()
         start = time.perf_counter()
-        outputs = run_sequence(engine)
+        outputs = run_sequence(run_batch)
         elapsed = time.perf_counter() - start
         if finalize is not None:
             finalize()
@@ -72,17 +70,21 @@ def best_of(make_engine) -> tuple[list, float]:
 
 
 def measure() -> tuple[list[list], list[dict], float, bool]:
-    serial_out, serial_s = best_of(lambda: (Engine(SerialExecutor()), None))
-    # Cold: ParallelExecutor builds (and tears down) a fresh process pool
-    # inside every run_batch call.
-    cold_out, cold_s = best_of(
-        lambda: (Engine(ParallelExecutor(max_workers=WORKERS)), None)
+    serial_out, serial_s = best_of(
+        lambda: (Engine(SerialExecutor()).run_batch, None)
     )
+
+    # Cold: a fresh WorkerPool is built (and closed) for every batch.
+    def cold_run_batch(batch_spec: RunSpec, trials: int):
+        with WorkerPool(max_workers=WORKERS) as pool:
+            return Engine(pool).run_batch(batch_spec, trials)
+
+    cold_out, cold_s = best_of(lambda: (cold_run_batch, None))
 
     # Warm: one WorkerPool for the whole sequence; start-up paid once.
     def make_warm():
         pool = WorkerPool(max_workers=WORKERS)
-        return Engine(pool), pool.close
+        return Engine(pool).run_batch, pool.close
 
     warm_out, warm_s = best_of(make_warm)
 
@@ -90,7 +92,7 @@ def measure() -> tuple[list[list], list[dict], float, bool]:
     speedup_vs_cold = cold_s / warm_s if warm_s else float("inf")
     rows = [
         ["serial", serial_s, serial_s / warm_s if warm_s else float("inf")],
-        [f"cold ParallelExecutor ({WORKERS} workers/batch)", cold_s, speedup_vs_cold],
+        [f"cold WorkerPool ({WORKERS} workers/batch)", cold_s, speedup_vs_cold],
         [f"warm WorkerPool ({WORKERS} workers)", warm_s, 1.0],
     ]
     records = [
@@ -105,7 +107,7 @@ def measure() -> tuple[list[list], list[dict], float, bool]:
         }
         for name, wall in [
             ("serial", serial_s),
-            ("parallel_cold", cold_s),
+            ("worker_pool_cold", cold_s),
             ("worker_pool_warm", warm_s),
         ]
     ]

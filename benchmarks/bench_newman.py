@@ -17,12 +17,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 from _util import print_table
 
-from repro.core import ParallelExecutor, Protocol
+from repro.core import Protocol
+from repro.exec import WorkerPool
 from repro.prg import NewmanCompiled, newman_public_bits, simulation_error
-
-# Both the fresh-randomness and compiled sample sets run through the
-# execution engine on a process pool (in-process on 1-core hosts).
-EXECUTOR = ParallelExecutor()
 
 class ParityNoisePayload(Protocol):
     """Two rounds of input-parity-plus-coin broadcasts."""
@@ -40,17 +37,20 @@ def compute_table():
     protocol = ParityNoisePayload()
     inputs = np.ones((2, 3), dtype=np.uint8)  # 4-bit transcript space
     rows = []
-    for t in (2, 8, 64, 512):
-        compiled = NewmanCompiled(protocol, t_family=t, master_seed=9)
-        error = simulation_error(
-            protocol,
-            compiled,
-            inputs,
-            n_samples=2500,
-            rng=np.random.default_rng(100 + t),
-            executor=EXECUTOR,
-        )
-        rows.append([t, newman_public_bits(t), error, (1 / t) ** 0.5])
+    # Both the fresh-randomness and compiled sample sets run through the
+    # execution engine on one warm process pool, closed after the table.
+    with WorkerPool() as pool:
+        for t in (2, 8, 64, 512):
+            compiled = NewmanCompiled(protocol, t_family=t, master_seed=9)
+            error = simulation_error(
+                protocol,
+                compiled,
+                inputs,
+                n_samples=2500,
+                rng=np.random.default_rng(100 + t),
+                executor=pool,
+            )
+            rows.append([t, newman_public_bits(t), error, (1 / t) ** 0.5])
     return rows
 
 def test_theorem_a_1(benchmark):

@@ -1,31 +1,18 @@
-"""E-WIRE — publish compression and steal-aware chunk sizing on the wire.
+"""E-WIRE — publish compression on the wire.
 
-Two claims behind the v2 wire protocol, measured end to end:
-
-1. **Published inputs compress.**  The repo's dominant payload is a
-   GF(2) matrix — ``uint8`` cells that are all 0/1 — and the negotiated
-   ``gf2pack`` codec bit-packs it to exactly one-eighth of the raw
-   C-order bytes.  This bench publishes a real input matrix through a
-   real authenticated session (LoopbackWorker fleet, MACs and all) and
-   reads the executor's ``exec_publish_bytes_total`` counter: the
-   on-wire byte count must equal ``workers × nbytes / 8``, and the
-   codec-level gf2pack/raw ratio must be exactly 8×.  Both assertions
-   are deterministic — compression is arithmetic, not luck.
-
-2. **Steal-aware chunk sizing.**  With ``scheduling="steal"`` the
-   executor now auto-sizes chunks with an 8×lanes divisor (finer grain)
-   instead of the fixed 4×lanes it uses for static placement, so a
-   straggler's in-flight chunk strands fewer items.  On a skewed
-   two-worker fleet this bench measures ``executor.map`` throughput
-   under the steal-aware automatic size vs the old fixed size.  Wall
-   clocks are recorded to ``BENCH_wire.json``; the assertion is a
-   no-catastrophic-regression bar (the finer grain must keep at least
-   ``MIN_RELATIVE``× of the fixed-size throughput) because the win
-   itself is workload-shaped, while the artifact tracks the trajectory.
+The claim behind the v2 wire protocol's negotiated ``gf2pack`` codec,
+measured end to end: the repo's dominant payload is a GF(2) matrix —
+``uint8`` cells that are all 0/1 — and ``gf2pack`` bit-packs it to
+exactly one-eighth of the raw C-order bytes.  This bench publishes a
+real input matrix through a real authenticated session (LoopbackWorker
+fleet, MACs and all) and reads the executor's
+``exec_publish_bytes_total`` counter: the on-wire byte count must equal
+``workers × nbytes / 8``, and the codec-level gf2pack/raw ratio must be
+exactly 8×.  Both assertions are deterministic — compression is
+arithmetic, not luck.
 """
 
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -35,27 +22,14 @@ from _util import print_table, write_bench_json
 
 from repro.core import Engine, RunSpec, SerialExecutor
 from repro.exec import DistributedExecutor, LoopbackWorker
-from repro.exec.wire import encode_array_payload, register_wire_function
+from repro.exec.wire import encode_array_payload
 from repro.lowerbounds import TopSubmatrixRankProtocol
 
 MATRIX_N = 64        # published GF(2) input matrix is MATRIX_N x MATRIX_N
 PUBLISH_WORKERS = 2  # each worker receives the publish once
 TRIALS = 12
 
-ITEMS = 64           # map items for the chunk-sizing comparison
-ITEM_SLEEP = 0.002   # per-item work: makes chunk cost proportional to size
-SLOW_DELAY = 0.03    # straggler's per-frame latency
-REPEATS = 3          # best-of-N wall clocks to damp scheduler jitter
-MIN_RELATIVE = 0.5   # steal-aware sizing must keep >= 50% of fixed throughput
-
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_wire.json"
-
-
-@register_wire_function
-def _busy_item(x):
-    """The map workload: fixed per-item cost, trivially checkable."""
-    time.sleep(ITEM_SLEEP)
-    return x * x
 
 
 def publish_spec() -> RunSpec:
@@ -84,8 +58,8 @@ def measure_publish() -> tuple[list[list], list[dict]]:
             share_inputs_min_bytes=1,
         ) as executor:
             batch = Engine(executor).run_batch(spec, TRIALS)
-            wire_bytes = executor.publish_bytes_sent
-            frames = executor.publish_frames_sent
+            wire_bytes = int(executor.registry.total("exec_publish_bytes_total"))
+            frames = int(executor.registry.total("exec_publish_frames_total"))
     finally:
         for worker in workers:
             worker.stop()
@@ -114,65 +88,6 @@ def measure_publish() -> tuple[list[list], list[dict]]:
     return rows, records
 
 
-def measure_map(chunksize: "int | None") -> tuple[list, float]:
-    """Best-of-REPEATS wall clock for one skewed-fleet map."""
-    result, best = None, float("inf")
-    for _ in range(REPEATS):
-        fast = LoopbackWorker()
-        slow = LoopbackWorker(request_delay=SLOW_DELAY)
-        try:
-            with DistributedExecutor(
-                [fast.endpoint, slow.endpoint],
-                chunksize=chunksize,
-                scheduling="steal",
-            ) as executor:
-                start = time.perf_counter()
-                result = executor.map(_busy_item, list(range(ITEMS)))
-                best = min(best, time.perf_counter() - start)
-        finally:
-            fast.stop()
-            slow.stop()
-    return result, best
-
-
-def measure_chunksizing() -> tuple[list[list], list[dict], float]:
-    """Steal-aware automatic sizing vs the old fixed 4x-lanes grain."""
-    lanes = 2
-    fixed = max(1, -(-ITEMS // (4 * lanes)))  # the pre-steal-aware default
-    expected = [x * x for x in range(ITEMS)]
-
-    auto_result, auto_s = measure_map(None)      # steal-aware: 8x lanes
-    fixed_result, fixed_s = measure_map(fixed)
-    assert auto_result == fixed_result == expected
-
-    relative = fixed_s / auto_s if auto_s else float("inf")
-    rows = [
-        [f"fixed grain (chunks of {fixed})", fixed_s, ITEMS / fixed_s, 1.0],
-        ["steal-aware grain (auto)", auto_s, ITEMS / auto_s, relative],
-    ]
-    records = [
-        {
-            "bench": "wire_chunksizing",
-            "sizing": name,
-            "items": ITEMS,
-            "item_sleep_s": ITEM_SLEEP,
-            "slow_delay_s": SLOW_DELAY,
-            "wall_s": wall,
-            "items_per_s": ITEMS / wall,
-        }
-        for name, wall in [("fixed", fixed_s), ("steal_aware", auto_s)]
-    ]
-    records.append(
-        {
-            "bench": "wire_chunksizing",
-            "metric": "steal_aware_throughput_vs_fixed",
-            "min_required": MIN_RELATIVE,
-            "relative": relative,
-        }
-    )
-    return rows, records, relative
-
-
 def main() -> None:
     publish_rows, publish_records = measure_publish()
     print_table(
@@ -181,33 +96,15 @@ def main() -> None:
         ["payload", "bytes", "x vs raw"],
         publish_rows,
     )
-    chunk_rows, chunk_records, relative = measure_chunksizing()
-    print_table(
-        f"E-WIRE chunk sizing: {ITEMS} items, skewed 2-worker fleet",
-        ["sizing", "wall-clock s", "items/s", "x vs fixed"],
-        chunk_rows,
-    )
-    write_bench_json(BENCH_JSON, publish_records + chunk_records)
+    write_bench_json(BENCH_JSON, publish_records)
     print(f"wrote {BENCH_JSON.name}")
-    assert relative >= MIN_RELATIVE, (
-        f"steal-aware chunk sizing kept only {relative:.2f}x of fixed-size "
-        f"throughput (bar {MIN_RELATIVE}x)"
-    )
-    print(
-        f"gf2pack publishes 8.00x smaller on the wire; steal-aware sizing "
-        f"at {relative:.2f}x the fixed-grain throughput (bar {MIN_RELATIVE}x)"
-    )
+    print("gf2pack publishes 8.00x smaller on the wire")
 
 
 def test_publish_compression_is_exact():
     """Pytest entry point: the deterministic compression claim."""
     _rows, records = measure_publish()
     assert records[0]["compression"] == 8.0
-
-
-def test_steal_aware_sizing_has_no_catastrophic_regression():
-    _rows, _records, relative = measure_chunksizing()
-    assert relative >= MIN_RELATIVE
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ class ParityPoll(Protocol):
 
 def main() -> None:
     rng = np.random.default_rng(0)
-    engine = Engine()  # SerialExecutor; Engine("parallel") uses all cores
+    engine = Engine()  # SerialExecutor; Engine(pool) on a WorkerPool uses all cores
 
     # --- 1/2: a tiny protocol over 8 processors with 16-bit inputs -----
     inputs = rng.integers(0, 2, size=(8, 16), dtype=np.uint8)

@@ -110,7 +110,9 @@ def main() -> None:
                 local_fallback=False,
             ) as executor:
                 batch = Engine(executor).run_batch(batch_spec(), TRIALS)
-                published = executor.publish_bytes_sent
+                published = int(
+                    executor.registry.total("exec_publish_bytes_total")
+                )
             assert batch.outputs == golden.outputs, "fleet diverged from serial"
             print(
                 f"authenticated batch of {TRIALS} trials bit-identical to "

@@ -30,6 +30,7 @@ run it through the :class:`~repro.core.Engine`::
 
     import numpy as np
     from repro.core import Engine, RunSpec
+    from repro.exec import WorkerPool
     from repro.prg import MatrixPRGProtocol
 
     prg = MatrixPRGProtocol(k=16, m=64)
@@ -40,9 +41,10 @@ run it through the :class:`~repro.core.Engine`::
     print(result.cost.summary())
     print(result.outputs[0])   # 64 pseudo-random bits for processor 0
 
-    # N independent trials; Engine("parallel") fans them out over a
-    # process pool with bit-identical results (SeedSequence.spawn seeding)
-    batch = Engine("parallel").run_batch(spec, trials=100)
+    # N independent trials; a WorkerPool fans them out over a process
+    # pool with bit-identical results (SeedSequence.spawn seeding)
+    with WorkerPool() as pool:
+        batch = Engine(pool).run_batch(spec, trials=100)
     print(batch.cost_summary())
 
 Specs can sample a fresh input per trial instead of fixing one

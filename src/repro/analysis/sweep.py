@@ -106,13 +106,11 @@ def run_sweep(
     ``measure`` returns a mapping of measured values; parameters and
     values are kept side by side in the result.  ``executor`` selects the
     engine backend grid points run on: the default runs them serially in
-    order, ``"parallel"`` / a
-    :class:`~repro.core.engine.ParallelExecutor` spreads independent
-    points over a process pool, and a warm
-    :class:`~repro.exec.pool.WorkerPool` amortizes process start-up
-    across repeated sweeps (``measure`` must be picklable for either —
-    module-level functions and :func:`functools.partial` are, closures
-    are not and fall back to serial with a warning).
+    order, and a :class:`~repro.exec.pool.WorkerPool` held in a ``with``
+    block spreads independent points over its warm process pool,
+    amortizing start-up across repeated sweeps (``measure`` must be
+    picklable — module-level functions and :func:`functools.partial`
+    are, closures are not and fall back to serial with a warning).
 
     ``checkpoint`` names a JSONL journal (shared format with
     :class:`~repro.exec.sweep.SweepDriver`): completed points are

@@ -11,7 +11,6 @@ from .engine import (
     BatchResult,
     Engine,
     Executor,
-    ParallelExecutor,
     RunSpec,
     SerialExecutor,
     TrialResult,
@@ -49,7 +48,6 @@ __all__ = [
     "BatchResult",
     "Engine",
     "Executor",
-    "ParallelExecutor",
     "RunSpec",
     "SerialExecutor",
     "TrialResult",

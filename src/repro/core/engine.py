@@ -18,8 +18,9 @@ the *N-trial execution* a first-class object instead:
   :meth:`Engine.run_batch` executes ``trials`` statistically independent
   trials and aggregates them into a :class:`BatchResult`.
 * :class:`Executor` backends — :class:`SerialExecutor` runs trials in the
-  calling process; :class:`ParallelExecutor` fans them out over a
-  ``concurrent.futures.ProcessPoolExecutor``.
+  calling process; :class:`repro.exec.WorkerPool` (one machine, a warm
+  process pool held in a ``with`` block) and
+  :class:`repro.exec.DistributedExecutor` (remote workers) fan them out.
 
 **Determinism.**  Batch trials are seeded with
 ``np.random.SeedSequence(seed).spawn(trials)``: trial ``t`` always receives
@@ -32,8 +33,8 @@ object, making trials independent even for protocols that cache state on
 **Picklability.**  The process-pool backend needs the spec (protocol,
 distribution, scheduler) to be picklable.  Library protocols are;
 :class:`~repro.core.protocol.FunctionProtocol` built from a lambda is not —
-:class:`ParallelExecutor` detects this up front and falls back to serial
-execution with a warning rather than failing.
+:class:`~repro.exec.WorkerPool` detects this up front and falls back to
+serial execution with a warning rather than failing.
 
 **Vectorized fast path.**  Protocols that declare
 ``supports_batch = True`` (their outputs are a deterministic function of
@@ -50,13 +51,13 @@ without batch/key support) fall back to the scalar path with a
 counts the downgrades.
 
 **Shared-memory inputs.**  When a batch has a fixed input matrix and runs
-on a :class:`ParallelExecutor`, large inputs are published once through
-``multiprocessing.shared_memory`` instead of being pickled into every
-worker task; workers attach read-only views on first use.  The lifecycle
-is owned by the executor (:meth:`Executor.publish_inputs` /
-:meth:`Executor.release_inputs`): the per-batch pool unlinks the segment
-when the batch ends, while :class:`repro.exec.WorkerPool` keeps segments
-(and the workers attached to them) alive across successive batches.
+on a :class:`repro.exec.WorkerPool`, large inputs are published once
+through ``multiprocessing.shared_memory`` instead of being pickled into
+every worker task; workers attach read-only views on first use.  The
+lifecycle is owned by the executor (:meth:`Executor.publish_inputs` /
+:meth:`Executor.release_inputs`): the pool keeps segments (and the
+workers attached to them) alive across successive batches and unlinks
+them when it closes or idles out.
 
 **Asynchronous batches.**  :meth:`Engine.submit_batch` schedules a batch
 on a background submission thread and returns a
@@ -75,7 +76,6 @@ import os
 import pickle
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from concurrent.futures import ThreadPoolExecutor as _ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory as _shared_memory
@@ -103,9 +103,7 @@ __all__ = [
     "BatchResult",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "Engine",
-    "FallbackCounts",
     "resolve_executor",
     "derive_seed",
 ]
@@ -389,9 +387,9 @@ class BatchResult:
 # Shared-memory input handles
 # ----------------------------------------------------------------------
 #: Process-local cache of attached shared-memory blocks, keyed by segment
-#: name.  Blocks stay attached for the life of the worker process (pool
-#: workers are recycled per batch); the parent unlinks the segment once the
-#: batch completes, which on POSIX is safe while mappings remain open.
+#: name.  Blocks stay attached for the life of the worker process; the
+#: parent unlinks the segment when its pool closes or idles out, which on
+#: POSIX is safe while mappings remain open.
 _SHARED_ATTACHMENTS: dict[str, tuple[Any, np.ndarray]] = {}
 
 
@@ -412,7 +410,7 @@ class _SharedInput:
             # Attaching re-registers the segment with the resource tracker
             # (bpo-38119), but fork-started pool workers share the parent's
             # tracker, so the registration is an idempotent set-add and the
-            # parent's unlink() after the batch removes the single entry.
+            # parent's unlink() at pool close removes the single entry.
             block = _shared_memory.SharedMemory(name=self.name)
             array = np.ndarray(self.shape, dtype=self.dtype_str, buffer=block.buf)
             array.flags.writeable = False
@@ -493,7 +491,7 @@ def _evict_shared_attachment(name: str) -> None:
 
     The parent may have attached its own view of a segment it published
     (serial fallback for unpicklable tasks); the mapping must be closed
-    before the segment is unlinked so it does not outlive its batch/pool.
+    before the segment is unlinked so it does not outlive its pool.
     """
     cached = _SHARED_ATTACHMENTS.pop(name, None)
     if cached is not None:
@@ -639,23 +637,21 @@ class Executor:
         return [fn(item) for item in items]
 
     @staticmethod
-    def _default_chunksize(n_items: int, lanes: int, stealing: bool = False) -> int:
+    def _default_chunksize(n_items: int, lanes: int) -> int:
         """~4 chunks per worker lane, amortizing IPC without starving anyone.
 
-        Under a work-stealing scheduler the right trade-off shifts: ~8
-        chunks per lane, so a straggler's queue still holds chunks worth
-        stealing when the fast lanes finish their share — with only
-        stragglers' chunks migrating, the finer granularity costs almost
-        no extra per-frame overhead on the healthy lanes.
+        Four chunks per lane leave the work-stealing scheduler enough
+        queued chunks to move off a straggler; a finer 8-per-lane grain
+        measured 0.89x the throughput of this one on a skewed loopback
+        fleet, because every extra chunk pays a frame round trip.
         """
-        return max(1, math.ceil(n_items / ((8 if stealing else 4) * lanes)))
+        return max(1, math.ceil(n_items / (4 * lanes)))
 
     # -- shared-memory input protocol -----------------------------------
     # Executors own the lifecycle of shared fixed-input segments because
-    # only they know how long workers live: a per-batch pool must unlink
-    # the segment when the batch ends, while a warm pool keeps workers
+    # only they know how long workers live: a warm pool keeps workers
     # (and their attachments) alive across batches and releases segments
-    # only when the pool closes.
+    # only when it closes or idles out.
 
     def wants_shared_inputs(self, inputs: np.ndarray) -> bool:
         """Whether a fixed input matrix should travel via shared memory."""
@@ -678,99 +674,21 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
-class ParallelExecutor(Executor):
-    """Fan items out over a process pool.
-
-    Results are returned in submission order, so any deterministic ``fn``
-    produces output identical to :class:`SerialExecutor`.  If ``fn`` (or
-    its captured state) cannot be pickled the executor falls back to
-    serial execution with a :class:`RuntimeWarning` instead of raising —
-    lambdas and closures stay usable everywhere, they just don't
-    parallelize.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    chunksize:
-        Items per task shipped to a worker; defaults to
-        ``ceil(len(items) / (4 * max_workers))`` to amortize IPC.
-    share_inputs_min_bytes:
-        Fixed input matrices at least this large are published to workers
-        through ``multiprocessing.shared_memory`` (one copy machine-wide)
-        instead of being pickled into every task.  Used by
-        ``Engine.run_batch``; set very large to disable.
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        chunksize: int | None = None,
-        share_inputs_min_bytes: int = 1 << 16,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if share_inputs_min_bytes < 1:
-            raise ValueError("share_inputs_min_bytes must be >= 1")
-        self.max_workers = max_workers or (os.cpu_count() or 1)
-        self.chunksize = chunksize
-        self.share_inputs_min_bytes = share_inputs_min_bytes
-        # Segments published for in-flight batches, keyed by name; needed
-        # to close+unlink in release_inputs.
-        self._live_segments: dict[str, _shared_memory.SharedMemory] = {}
-
-    def wants_shared_inputs(self, inputs: np.ndarray) -> bool:
-        return (
-            self.max_workers > 1
-            and inputs.nbytes >= self.share_inputs_min_bytes
-        )
-
-    def publish_inputs(self, inputs: np.ndarray) -> _SharedInput | None:
-        if not self.wants_shared_inputs(inputs):
-            return None
-        block, handle = _create_shared_segment(inputs)
-        self._live_segments[handle.name] = block
-        return handle
-
-    def release_inputs(self, handle: _SharedInput) -> None:
-        block = self._live_segments.pop(handle.name, None)
-        if block is None:
-            return
-        _evict_shared_attachment(handle.name)
-        block.close()
-        block.unlink()
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        items = list(items)
-        if len(items) <= 1 or self.max_workers == 1:
-            return [fn(item) for item in items]
-        probe_exc = self._pickle_probe(fn, items)
-        if probe_exc is not None:
-            return self._unpicklable_fallback(fn, items, probe_exc)
-        workers = min(self.max_workers, len(items))
-        chunksize = self.chunksize or self._default_chunksize(len(items), workers)
-        try:
-            with _PoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items, chunksize=chunksize))
-        except pickle.PicklingError as exc:
-            # A later item slipped past the sample pre-check.  Trials are
-            # pure, so rerunning from scratch in-process is safe.
-            return self._unpicklable_fallback(fn, items, exc)
-
-
 def resolve_executor(executor: Executor | str | None) -> Executor:
-    """Coerce ``None`` / ``"serial"`` / ``"parallel"`` / instance to an Executor."""
-    if executor is None:
+    """Coerce ``None`` / ``"serial"`` / an instance to an Executor.
+
+    Process backends own workers and shared segments, so they are never
+    built from a name: hold a :class:`repro.exec.WorkerPool` in a
+    ``with`` block and pass the pool itself.
+    """
+    if executor is None or executor == "serial":
         return SerialExecutor()
     if isinstance(executor, Executor):
         return executor
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "parallel":
-        return ParallelExecutor()
-    raise ValueError(f"unknown executor {executor!r}")
+    raise ValueError(
+        f"unknown executor {executor!r}: pass 'serial' or an Executor "
+        "instance, e.g. `with WorkerPool() as pool: Engine(pool)`"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -787,44 +705,6 @@ def _validate_batch_args(spec: RunSpec, trials: int) -> None:
         )
 
 
-class FallbackCounts(dict):
-    """Per-reason fallback counts that still compare like the old int.
-
-    ``Engine.batch_fallbacks`` was a bare int for several releases;
-    existing callers compare it against integers and monitors alert on
-    it.  This dict subclass keeps those reads working (``== 2``,
-    ``int(...)``) while exposing *why* each fallback happened, keyed by
-    the short reason code also carried in the paired
-    :class:`~repro.core.errors.BatchFallbackWarning`.
-
-    >>> counts = FallbackCounts({"no_batch_support": 1, "full_fidelity": 1})
-    >>> counts == 2 and counts.total == 2 and int(counts) == 2
-    True
-    >>> counts["full_fidelity"]
-    1
-    """
-
-    @property
-    def total(self) -> int:
-        return sum(self.values())
-
-    def __int__(self) -> int:
-        return self.total
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
-            return self.total == other
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # type: ignore[assignment]  # dicts are unhashable
-
-
 #: Registry series behind :attr:`Engine.batch_fallbacks`.
 FALLBACKS_METRIC = "engine_batch_fallbacks_total"
 
@@ -835,8 +715,8 @@ class Engine:
     Parameters
     ----------
     executor:
-        Backend trials run on (``None`` / ``"serial"`` / ``"parallel"`` /
-        an :class:`Executor` instance, e.g. a warm
+        Backend trials run on (``None`` / ``"serial"`` / an
+        :class:`Executor` instance, e.g. a warm
         :class:`repro.exec.WorkerPool`).
     max_inflight:
         Submission threads backing :meth:`submit_batch` — the number of
@@ -873,21 +753,18 @@ class Engine:
         self._submitter_lock = threading.Lock()
 
     @property
-    def batch_fallbacks(self) -> FallbackCounts:
+    def batch_fallbacks(self) -> dict[str, int]:
         """Vectorized→scalar downgrades, by reason code.
 
         Served from the unified registry
-        (``engine_batch_fallbacks_total{reason}``); compares equal to
-        the all-reasons total when read as an int, which is exactly the
-        old bare-int behaviour.
+        (``engine_batch_fallbacks_total{reason}``); the all-reasons total
+        is ``registry.total(FALLBACKS_METRIC)``.
         """
-        return FallbackCounts(
-            {
-                series.labels["reason"]: series.snapshot_value()
-                for series in self.registry.series(FALLBACKS_METRIC)
-                if series.snapshot_value()
-            }
-        )
+        return {
+            series.labels["reason"]: series.snapshot_value()
+            for series in self.registry.series(FALLBACKS_METRIC)
+            if series.snapshot_value()
+        }
 
     # -- asynchronous batches -------------------------------------------
     def submit_batch(self, spec: RunSpec, trials: int) -> "BatchFuture":

@@ -6,8 +6,9 @@ transcript keys or accept decisions, and estimate total-variation distance
 or distinguishing advantage with distribution-free confidence intervals.
 
 All estimators execute their trials through the unified engine
-(:mod:`repro.core.engine`): pass ``executor=ParallelExecutor()`` to fan
-the N trials out over a process pool, or ``vectorized=True`` (on the
+(:mod:`repro.core.engine`): pass ``executor=pool`` (a
+:class:`~repro.exec.WorkerPool` held in a ``with`` block) to fan the N
+trials out over a process pool, or ``vectorized=True`` (on the
 decision-based estimators) to evaluate the whole trial batch with one
 batched GF(2) kernel call when the protocol supports it — results are
 bit-identical to the serial default for the same ``rng`` state, just

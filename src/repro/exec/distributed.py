@@ -25,9 +25,8 @@ the connected workers through the shared work-stealing
 :class:`~repro.exec.stealing.ChunkScheduler` — one feeder thread per
 connection, each keeping one chunk in flight and stealing queued chunks
 from slower hosts once its own share is done, so a heterogeneous fleet
-finishes when the work runs out rather than when the slowest host does
-(``scheduling="static"`` restores the pure round-robin plan).  A worker
-that disconnects mid-batch has its unfinished chunks redistributed to
+finishes when the work runs out rather than when the slowest host does.
+A worker that disconnects mid-batch has its unfinished chunks stolen by
 the surviving workers, and when every worker is gone the remainder runs
 locally (with a loud :class:`~repro.exec.health.FleetDegradedWarning`) —
 a batch never fails because the fleet shrank.  Task exceptions, by
@@ -341,11 +340,7 @@ class DistributedExecutor(Executor):
         need them).
     chunksize:
         Items per task frame; defaults to
-        ``ceil(len(items) / (8 * n_workers))`` under the stealing
-        scheduler — small enough that a straggler's queue is worth
-        stealing from — and ``ceil(len(items) / (4 * n_workers))`` under
-        static scheduling, where chunks never migrate and per-frame
-        overhead dominates.
+        ``ceil(len(items) / (4 * n_workers))``.
     connect_timeout:
         Seconds to wait when (re)establishing a worker connection.
     task_timeout:
@@ -391,15 +386,6 @@ class DistributedExecutor(Executor):
         disconnected / unreachable).  ``False`` raises instead — for
         deployments where silent local execution would hide a fleet
         outage.
-    scheduling:
-        ``"steal"`` (the default) lets a worker that finished its dealt
-        share steal queued chunks from slower hosts — wall-clock is then
-        bounded by the total work, not by the slowest host's share.
-        ``"static"`` pins every chunk to the worker it was dealt to
-        (pure round-robin; the baseline ``bench_exec_steal.py`` measures
-        against).  Either way results are written back by chunk offset
-        and trials are seeded per-spec, so outputs are bit-identical to
-        :class:`~repro.core.engine.SerialExecutor`.
     share_inputs_min_bytes:
         Fixed input matrices at least this large are published to each
         worker once (content-digest keyed ``publish_inputs`` frame,
@@ -445,7 +431,6 @@ class DistributedExecutor(Executor):
         connect_timeout: float = 5.0,
         task_timeout: float | None = DEFAULT_TASK_TIMEOUT,
         local_fallback: bool = True,
-        scheduling: str = "steal",
         share_inputs_min_bytes: int = 1 << 16,
         max_cached_inputs: int = 32,
         heartbeat_interval: float | None = 5.0,
@@ -469,8 +454,6 @@ class DistributedExecutor(Executor):
             raise ValueError("chunksize must be >= 1")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
-        if scheduling not in ("steal", "static"):
-            raise ValueError("scheduling must be 'steal' or 'static'")
         if share_inputs_min_bytes < 1:
             raise ValueError("share_inputs_min_bytes must be >= 1")
         if max_cached_inputs < 1:
@@ -486,7 +469,6 @@ class DistributedExecutor(Executor):
         self.task_timeout = task_timeout
         self.chunksize = chunksize
         self.local_fallback = local_fallback
-        self.scheduling = scheduling
         self.share_inputs_min_bytes = share_inputs_min_bytes
         self.max_cached_inputs = max_cached_inputs
         self.heartbeat_interval = heartbeat_interval
@@ -495,7 +477,7 @@ class DistributedExecutor(Executor):
         self.secret = secret
         self.ssl_context = ssl_context
         #: Unified metrics home (shared when passed in, private
-        #: otherwise); every counter below is a view into it.
+        #: otherwise).
         self.registry = registry if registry is not None else MetricsRegistry()
         #: Span tracer; :data:`~repro.obs.trace.NULL_TRACER` (free) by
         #: default.  A real tracer renders each map call as per-lane
@@ -546,39 +528,6 @@ class DistributedExecutor(Executor):
     @property
     def addresses(self) -> list[tuple[str, int]]:
         return list(self._addresses)
-
-    # -- registry-backed counters ---------------------------------------
-    # The original bare-int telemetry attributes, now served from the
-    # unified registry so a run exports one metrics artifact.  Old
-    # attribute paths keep working and keep their int semantics.
-
-    @property
-    def publish_frames_sent(self) -> int:
-        """``publish_inputs`` frames actually sent (cumulative)."""
-        return int(self.registry.total("exec_publish_frames_total"))
-
-    @property
-    def publish_bytes_sent(self) -> int:
-        """Published-input payload bytes on the wire (cumulative, all
-        codecs — the per-codec split lives in the registry as
-        ``exec_publish_bytes_total{codec=...}``)."""
-        return int(self.registry.total("exec_publish_bytes_total"))
-
-    @property
-    def last_map_steals(self) -> int:
-        """Chunks acquired by stealing in the most recent map call."""
-        return int(self.registry.gauge("exec_last_map_steals").value)
-
-    @property
-    def last_map_requeues(self) -> int:
-        """Chunks requeued by failed lanes in the most recent map call."""
-        return int(self.registry.gauge("exec_last_map_requeues").value)
-
-    @property
-    def degraded_maps(self) -> int:
-        """Map calls that degraded to local execution (each also warns
-        with :class:`~repro.exec.health.FleetDegradedWarning`)."""
-        return int(self.registry.total("exec_degraded_maps_total"))
 
     def _fresh_links(self) -> list[_WorkerLink]:
         """Private connections for one conversation.
@@ -852,15 +801,9 @@ class DistributedExecutor(Executor):
         items: list[Any],
         links: list[_WorkerLink],
     ) -> list[Any]:
-        chunksize = self.chunksize or self._default_chunksize(
-            len(items), len(links), stealing=self.scheduling == "steal"
-        )
+        chunksize = self.chunksize or self._default_chunksize(len(items), len(links))
         scheduler = ChunkScheduler(
-            items,
-            chunksize,
-            lanes=len(links),
-            stealing=self.scheduling == "steal",
-            tracer=self.tracer,
+            items, chunksize, lanes=len(links), tracer=self.tracer
         )
         results: list[Any] = [None] * len(items)
         lock = threading.Lock()
@@ -873,34 +816,23 @@ class DistributedExecutor(Executor):
         handle = shared if isinstance(shared, PublishedInput) else None
 
         def kill_lane(index: int) -> None:
-            """Mark a lane dead and move its queued chunks to survivors.
-
-            The retire happens under the map lock so concurrent lane
-            deaths serialize: a later kill sees every chunk an earlier
-            one parked, and nothing is ever dealt onto a lane that is
-            already dead (which static mode would strand).  Re-killing
-            an already-dead lane retires again — a chunk requeued onto
-            it by a feeder that unblocked *after* the first kill must
-            still migrate to the survivors.
-            """
+            """Mark a lane dead; survivors steal its queued chunks."""
             with lock:
-                already_dead = index in dead
-                if not already_dead:
-                    dead.add(index)
-                    attempts[index] = attempts.get(index, 0) + 1
-                survivors = [i for i in range(len(links)) if i not in dead]
-                scheduler.retire_lane(index, survivors)
-            if not already_dead:
-                address = links[index].address
-                self.recorder.record(
-                    "lane_death",
-                    lane=index,
-                    worker=f"{address[0]}:{address[1]}",
-                    survivors=len(survivors),
-                )
-                self.tracer.instant(
-                    "lane_death", track=f"lane-{index}", survivors=len(survivors)
-                )
+                if index in dead:
+                    return
+                dead.add(index)
+                attempts[index] = attempts.get(index, 0) + 1
+                survivors = len(links) - len(dead)
+            address = links[index].address
+            self.recorder.record(
+                "lane_death",
+                lane=index,
+                worker=f"{address[0]}:{address[1]}",
+                survivors=survivors,
+            )
+            self.tracer.instant(
+                "lane_death", track=f"lane-{index}", survivors=survivors
+            )
 
         def heal_reply(link: _WorkerLink, frame: tuple[Any, ...], reply: Any) -> Any:
             """Resolve ``need`` / ``need_fn`` replies by re-uploading.
@@ -993,8 +925,8 @@ class DistributedExecutor(Executor):
                     # tasks are pure, so rerunning it elsewhere is safe.
                     # The failure is categorized into telemetry and
                     # counts as a liveness miss; the lane sits out until
-                    # (maybe) resurrected, and its queued chunks move to
-                    # the survivors.
+                    # (maybe) resurrected, and the survivors steal its
+                    # queued chunks.
                     category = _failure_category(exc)
                     self.telemetry.record(link.address, category)
                     self.health.record_miss(link.address, reason=category)
@@ -1061,11 +993,11 @@ class DistributedExecutor(Executor):
         # their retry budget (after the deterministic backoff delay),
         # then re-dispatches leftovers over the live links.  A lane
         # that fails to (re)connect is killed like any other link
-        # failure — critically, its dealt chunks move to the survivors,
-        # or static mode would spin forever on chunks pinned to a lane
-        # that never runs.  Every round either completes a chunk or
-        # permanently burns a lane attempt (``attempts`` only grows,
-        # bounded by ``lane_retries``), so the loop terminates.
+        # failure, and the live feeders steal its dealt chunks.  No
+        # feeder is in flight between rounds, so every queued chunk is
+        # claimable by any live lane: each round either completes a
+        # chunk or permanently burns a lane attempt (``attempts`` only
+        # grows, bounded by ``lane_retries``), so the loop terminates.
         try:
             while scheduler.pending and not task_error:
                 with lock:
@@ -1104,10 +1036,6 @@ class DistributedExecutor(Executor):
             stop_monitor.set()
             if monitor_thread is not None:
                 monitor_thread.join(timeout=1.0)
-        self.registry.gauge("exec_last_map_steals").set(scheduler.total_steals())
-        self.registry.gauge("exec_last_map_requeues").set(
-            scheduler.total_requeues()
-        )
         if scheduler.total_steals():
             self.registry.counter("exec_steals_total").inc(
                 scheduler.total_steals()
@@ -1208,7 +1136,7 @@ class LoopbackWorker:
     the client's mid-batch failover path.  ``request_delay`` sleeps
     that long before each map frame — latency injection turning this
     worker into the slow host of a synthetic heterogeneous fleet (how
-    ``benchmarks/bench_exec_steal.py`` builds its straggler).
+    the work-stealing tests build their straggler).
     ``fault_injector`` arms the serve loop with a full deterministic
     :class:`~repro.exec.faults.FaultPlan` schedule — crashes, torn and
     corrupt frames, refusals, lost publishes, hangs — which is how the

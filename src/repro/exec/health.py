@@ -82,8 +82,8 @@ class FleetDegradedWarning(RuntimeWarning):
     bit-identical to :class:`~repro.core.engine.SerialExecutor` — only
     the parallelism is lost.  Python's default warning filters display
     repeated warnings from one call site only once, so monitors should
-    read the paired counters (``DistributedExecutor.degraded_maps``,
-    ``WorkerPool.degraded_batches``), which count every degradation
+    read the paired registry counters (``exec_degraded_maps_total``,
+    ``pool_degraded_batches_total``), which count every degradation
     exactly.
     """
 

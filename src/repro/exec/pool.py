@@ -1,15 +1,14 @@
-"""``WorkerPool`` — a warm process pool reused across batches.
+"""``WorkerPool`` — the in-machine process backend, warm across batches.
 
-:class:`~repro.core.engine.ParallelExecutor` spins up a fresh
-``ProcessPoolExecutor`` for every ``map`` call, which is the right
-trade-off for one big batch but pays the full process start-up cost
-(fork, interpreter state, first-touch imports) on *every* call — sweeps
-and estimators that issue many small batches spend more time creating
-pools than running trials.  :class:`WorkerPool` keeps one pool alive
-across successive ``run_batch`` / ``submit_batch`` calls instead,
-amortizing start-up to zero after the first batch (the pooling-over-
-per-task-provisioning argument: provision the expensive resource once,
-share it across many small jobs).
+A fresh ``ProcessPoolExecutor`` per ``map`` call pays the full process
+start-up cost (fork, interpreter state, first-touch imports) on *every*
+call — sweeps and estimators that issue many small batches would spend
+more time creating pools than running trials.  :class:`WorkerPool` keeps
+one pool alive across successive ``run_batch`` / ``submit_batch`` calls
+instead, amortizing start-up to zero after the first batch (the
+pooling-over-per-task-provisioning argument: provision the expensive
+resource once, share it across many small jobs).  Hold it in a ``with``
+block so the workers and segments are released deterministically.
 
 Warm state the pool preserves across batches:
 
@@ -33,13 +32,12 @@ idle pool pins no resources; the next map transparently rebuilds the
 workers and republishes whatever inputs it needs.  :meth:`close` (or the
 context-manager exit) does the same, permanently.
 
-Scheduling: by default each map call runs through the shared
-work-stealing :class:`~repro.exec.stealing.ChunkScheduler` — one feeder
-thread per worker lane, one chunk in flight per lane, idle lanes
-stealing queued chunks from stragglers — so a slow worker (or an
-unlucky, expensive chunk) delays the batch by at most one chunk instead
-of its whole pre-assigned share.  ``scheduling="static"`` restores the
-pre-chunked ``ProcessPoolExecutor.map`` plan.
+Scheduling: each map call runs through the shared work-stealing
+:class:`~repro.exec.stealing.ChunkScheduler` — one feeder thread per
+worker lane, one chunk in flight per lane, idle lanes stealing queued
+chunks from stragglers — so a slow worker (or an unlucky, expensive
+chunk) delays the batch by at most one chunk instead of its whole
+pre-assigned share.
 """
 
 from __future__ import annotations
@@ -93,15 +91,6 @@ class WorkerPool(Executor):
         Fixed input matrices at least this large are published once into
         ``multiprocessing.shared_memory`` and kept mapped until the pool
         idles out (``idle_timeout``) or closes.
-    scheduling:
-        ``"steal"`` (the default) drives each map call through the
-        shared :class:`~repro.exec.stealing.ChunkScheduler`: one feeder
-        thread per worker lane keeps at most one chunk in flight at a
-        time, so chunks are claimed just-in-time and an idle lane steals
-        queued chunks from a straggler instead of waiting out a
-        pre-assigned share.  ``"static"`` restores the pre-chunked
-        ``ProcessPoolExecutor.map`` plan (the round-robin baseline that
-        ``benchmarks/bench_exec_steal.py`` measures against).
 
     Use as a context manager (or call :meth:`close`) to release workers
     and shared segments deterministically:
@@ -133,7 +122,6 @@ class WorkerPool(Executor):
         chunksize: int | None = None,
         idle_timeout: float | None = None,
         share_inputs_min_bytes: int = 1 << 16,
-        scheduling: str = "steal",
         registry: "MetricsRegistry | None" = None,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         recorder: "FlightRecorder | None" = None,
@@ -144,13 +132,10 @@ class WorkerPool(Executor):
             raise ValueError("idle_timeout must be positive")
         if share_inputs_min_bytes < 1:
             raise ValueError("share_inputs_min_bytes must be >= 1")
-        if scheduling not in ("steal", "static"):
-            raise ValueError("scheduling must be 'steal' or 'static'")
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.chunksize = chunksize
         self.idle_timeout = idle_timeout
         self.share_inputs_min_bytes = share_inputs_min_bytes
-        self.scheduling = scheduling
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.RLock()
         self._active_maps = 0
@@ -165,22 +150,12 @@ class WorkerPool(Executor):
         #: Memoizes content digests of fixed inputs across batches.
         self._digest_cache = _DigestCache()
         #: Unified metrics/trace/flight-recorder hooks (private instances
-        #: unless shared ones are passed in); the telemetry counters
-        #: below are registry-backed views.
+        #: unless shared ones are passed in).  ``pool_broken_total``
+        #: counts pools discarded because a worker died, and
+        #: ``pool_degraded_batches_total`` batches that ran serially.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
         self.recorder = recorder if recorder is not None else FlightRecorder()
-
-    @property
-    def broken_pools(self) -> int:
-        """Pools discarded because a worker process died (cumulative)."""
-        return int(self.registry.total("pool_broken_total"))
-
-    @property
-    def degraded_batches(self) -> int:
-        """Batches that degraded to in-process serial execution (each
-        also warns with :class:`~repro.exec.health.FleetDegradedWarning`)."""
-        return int(self.registry.total("pool_degraded_batches_total"))
 
     # -- pool lifecycle -------------------------------------------------
     @property
@@ -308,21 +283,16 @@ class WorkerPool(Executor):
     ) -> list[Any]:
         """One attempt at a batch on the current pool.
 
-        ``scheduling="static"`` is the pre-chunked ``pool.map`` plan.
-        ``scheduling="steal"`` runs one feeder thread per worker lane
-        over the shared :class:`ChunkScheduler`: each lane keeps exactly
-        one chunk in flight, so the pool's task queue never holds more
-        than ``lanes`` chunks and a lane that finishes early steals
-        queued chunks from a straggler instead of idling.  Task
-        exceptions and :class:`BrokenProcessPool` both propagate to
-        :meth:`map`, which owns the retry/fallback policy.
+        One feeder thread per worker lane runs over the shared
+        :class:`ChunkScheduler`: each lane keeps exactly one chunk in
+        flight, so the pool's task queue never holds more than ``lanes``
+        chunks and a lane that finishes early steals queued chunks from
+        a straggler instead of idling.  Task exceptions and
+        :class:`BrokenProcessPool` both propagate to :meth:`map`, which
+        owns the retry/fallback policy.
         """
-        if self.scheduling == "static":
-            return list(pool.map(fn, items, chunksize=chunksize))
         lanes = max(1, min(self.max_workers, math.ceil(len(items) / chunksize)))
-        scheduler = ChunkScheduler(
-            items, chunksize, lanes, stealing=True, tracer=self.tracer
-        )
+        scheduler = ChunkScheduler(items, chunksize, lanes, tracer=self.tracer)
         results: list[Any] = [None] * len(items)
         errors: list[BaseException] = []
 

@@ -226,7 +226,7 @@ class SweepDriver:
         ``(i, b)`` — so values on eventual success are bit-identical to
         an unfaulted run.  Task errors are never retried (a failing
         trial is deterministic; retrying cannot fix it).  The driver
-        counts resubmissions in :attr:`retried_batches`.
+        counts resubmissions on ``sweep_retried_batches_total``.
 
     A fixed-trials sweep over two grid points, smallest ``k`` first:
 
@@ -299,11 +299,6 @@ class SweepDriver:
         #: for the point/top-up lifecycle.
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer
-
-    @property
-    def retried_batches(self) -> int:
-        """Batches resubmitted after a ConnectionError (registry-backed)."""
-        return int(self.registry.total("sweep_retried_batches_total"))
 
     # -- seeding --------------------------------------------------------
     def _batch_spec(self, params: Mapping[str, Any], index: int, batch: int) -> RunSpec:

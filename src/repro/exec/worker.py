@@ -57,13 +57,6 @@ for the conformance suite; see ``docs/robustness.md``.
 :func:`serve` is also importable directly, which is how the in-process
 :class:`~repro.exec.distributed.LoopbackWorker` used by the test-suite
 hosts the same loop on a background thread.
-
->>> import socket
->>> left, right = socket.socketpair()
->>> send_frame(left, ("ping",))
->>> recv_frame(right)
-('ping',)
->>> left.close(); right.close()
 """
 
 from __future__ import annotations
@@ -92,8 +85,6 @@ from .wire import (
     decode_array_payload,
     decode_value,
     function_digest,
-    recv_frame,
-    send_frame,
 )
 
 logger = logging.getLogger(__name__)
@@ -102,14 +93,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import ssl
     from concurrent.futures import ProcessPoolExecutor
 
-#: ``send_frame`` / ``recv_frame`` are re-exported for backward
-#: compatibility; they live in :mod:`repro.exec.wire` (the schema codec
-#: module) together with the session machinery.
 __all__ = [
     "PublishedInput",
     "MAX_FRAME_BYTES",
-    "send_frame",
-    "recv_frame",
     "serve",
     "main",
 ]
@@ -388,7 +374,7 @@ def _handle_connection(
     hangs up after N frames exercises the client's mid-batch
     redistribution path deterministically.  ``request_delay`` sleeps
     that long before each map frame — latency injection modelling a
-    slow or overloaded host (see ``benchmarks/bench_exec_steal.py``).
+    slow or overloaded host (see ``tests/exec/test_stealing.py``).
     ``input_store`` / ``fn_store`` are the serve loop's digest-keyed
     stores of published inputs and registered callables, shared across
     this worker's connections.  ``fault_injector`` is consulted once per

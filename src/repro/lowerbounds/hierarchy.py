@@ -222,10 +222,11 @@ def accuracy_on_uniform(
     over uniform ``n × n`` input matrices.
 
     Trials run through the execution engine with per-trial inputs
-    recorded; pass ``executor="parallel"`` to spread them over cores, or
-    ``vectorized=True`` to evaluate the whole batch (both the protocol's
-    decisions and the default ``F_k`` target) with batched GF(2) kernels —
-    same seeds, bit-identical accuracy, no per-trial simulation.
+    recorded; pass a :class:`~repro.exec.WorkerPool` as ``executor`` to
+    spread them over cores, or ``vectorized=True`` to evaluate the whole
+    batch (both the protocol's decisions and the default ``F_k`` target)
+    with batched GF(2) kernels — same seeds, bit-identical accuracy, no
+    per-trial simulation.
     """
     if k > n:
         raise ValueError(f"block size {k} exceeds matrix size {n}")

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
-from repro.core import Engine, ParallelExecutor, RunSpec, SerialExecutor
+from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.distributions.undirected import (
     UndirectedPlantedClique,
@@ -44,11 +44,6 @@ def serial_executor():
 
 
 @contextlib.contextmanager
-def parallel_executor():
-    yield ParallelExecutor(max_workers=2)
-
-
-@contextlib.contextmanager
 def worker_pool():
     with WorkerPool(max_workers=2) as pool:
         yield pool
@@ -63,7 +58,6 @@ def distributed_executor():
 
 BACKENDS = {
     "serial": serial_executor,
-    "parallel": parallel_executor,
     "worker_pool": worker_pool,
     "distributed": distributed_executor,
 }

@@ -186,7 +186,7 @@ class TestSeededScheduleMatrix:
                     batch = Engine(executor).run_batch(
                         distribution_spec(), TRIALS
                     )
-                assert executor.degraded_maps == 1
+                assert executor.registry.total("exec_degraded_maps_total") == 1
             _assert_bit_identical(batch, goldens["distribution"])
         finally:
             for worker in workers:
@@ -363,11 +363,11 @@ class TestWorkerPoolCells:
             if breakages == 2:
                 with pytest.warns(RuntimeWarning, match="serially"):
                     batch = Engine(pool).run_batch(fixed_input_spec(), TRIALS)
-                assert pool.degraded_batches == 1
+                assert pool.registry.total("pool_degraded_batches_total") == 1
             else:
                 batch = Engine(pool).run_batch(fixed_input_spec(), TRIALS)
-                assert pool.degraded_batches == 0
-            assert pool.broken_pools == breakages
+                assert pool.registry.total("pool_degraded_batches_total") == 0
+            assert pool.registry.total("pool_broken_total") == breakages
         _assert_bit_identical(batch, goldens["fixed_inputs"])
 
 

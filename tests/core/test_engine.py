@@ -3,12 +3,11 @@
 The load-bearing claims:
 
 * batch trials are seeded by ``SeedSequence.spawn``, so the same master
-  seed produces bit-identical ``BatchResult``s on the serial and parallel
-  backends;
+  seed produces bit-identical ``BatchResult``s on the serial backend and
+  a ``WorkerPool``;
 * ``run_protocol`` remains an exact wrapper: for a fixed seed it still
   produces the pre-refactor outputs/transcripts (golden values recorded
-  against the seed revision);
-* unpicklable specs degrade gracefully to serial execution.
+  against the seed revision).
 """
 
 import numpy as np
@@ -17,8 +16,6 @@ import pytest
 from repro.core import (
     BatchResult,
     Engine,
-    FunctionProtocol,
-    ParallelExecutor,
     Protocol,
     PublicCoins,
     RunSpec,
@@ -27,6 +24,7 @@ from repro.core import (
     run_protocol,
 )
 from repro.distributions import UniformRows
+from repro.exec import WorkerPool
 from repro.lowerbounds import TopSubmatrixRankProtocol
 from repro.protocols import FingerprintEqualityProtocol
 
@@ -89,7 +87,8 @@ class TestDeterminism:
     def test_serial_equals_parallel(self):
         spec = rank_spec(record_inputs=True)
         serial = Engine(SerialExecutor()).run_batch(spec, 16)
-        parallel = Engine(ParallelExecutor(max_workers=2)).run_batch(spec, 16)
+        with WorkerPool(max_workers=2) as pool:
+            parallel = Engine(pool).run_batch(spec, 16)
         assert batches_identical(serial, parallel)
         assert all(
             (a.inputs == b.inputs).all() for a, b in zip(serial, parallel)
@@ -121,7 +120,8 @@ class TestDeterminism:
             public_coins=PublicCoins,
         )
         serial = Engine("serial").run_batch(spec, 10)
-        parallel = Engine(ParallelExecutor(max_workers=2)).run_batch(spec, 10)
+        with WorkerPool(max_workers=2) as pool:
+            parallel = Engine(pool).run_batch(spec, 10)
         assert batches_identical(serial, parallel)
         assert (serial.public_bits > 0).all()
 
@@ -190,20 +190,9 @@ class TestExecutors:
     def test_resolve_names(self):
         assert isinstance(resolve_executor(None), SerialExecutor)
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("parallel"), ParallelExecutor)
-        with pytest.raises(ValueError):
-            resolve_executor("gpu")
-
-    def test_unpicklable_spec_falls_back_to_serial(self):
-        spec = RunSpec(
-            protocol=FunctionProtocol(1, lambda i, row, p: int(row[0])),
-            distribution=UniformRows(3, 3),
-            seed=77,
-        )
-        serial = Engine(SerialExecutor()).run_batch(spec, 6)
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            parallel = Engine(ParallelExecutor(max_workers=2)).run_batch(spec, 6)
-        assert batches_identical(serial, parallel)
+        for name in ("gpu", "parallel"):
+            with pytest.raises(ValueError, match="WorkerPool"):
+                resolve_executor(name)
 
     def test_zero_trials(self):
         batch = Engine().run_batch(rank_spec(), 0)

@@ -196,9 +196,10 @@ class TestInstallation:
         assert not lock.locked()
 
     def test_exec_suite_edges_stay_acyclic(self, monitor):
-        """End-to-end: drive the thread-pool executor under the monitor."""
+        """End-to-end: drive a WorkerPool's feeder threads under the monitor."""
         from repro.exec.futures import BatchFuture  # noqa: F401  (import side effects)
         from repro.core import Engine, RunSpec
+        from repro.exec import WorkerPool
         from repro.protocols.equality import DeterministicEqualityProtocol
         import numpy as np
 
@@ -207,7 +208,7 @@ class TestInstallation:
             inputs=np.ones((3, 2), dtype=np.uint8),
             seed=7,
         )
-        engine = Engine("parallel")
-        batch = engine.run_batch(spec, 8)
+        with WorkerPool(max_workers=2) as pool:
+            batch = Engine(pool).run_batch(spec, 8)
         assert len(batch) == 8
         monitor.assert_no_cycles()

@@ -12,9 +12,12 @@ from repro.distributions import UniformRows
 from repro.exec import DistributedExecutor, LoopbackWorker
 from repro.exec.faults import FaultEvent, FaultInjector
 from repro.exec.health import DEAD, SUSPECT, FleetDegradedWarning
-from repro.exec.wire import register_wire_function
-from repro.exec.worker import PublishedInput, recv_frame, send_frame
+from repro.exec.wire import recv_frame, register_wire_function, send_frame
+from repro.exec.worker import PublishedInput
 from repro.lowerbounds import TopSubmatrixRankProtocol
+
+#: Registry series counting the ``publish_inputs`` frames actually sent.
+PUBLISH_FRAMES = "exec_publish_frames_total"
 
 
 @register_wire_function
@@ -252,8 +255,8 @@ class TestRobustness:
                     ]
                 counts = executor.telemetry.counts()[worker.address]
                 assert counts["timeout"] == 1
-                assert executor.degraded_maps == 1
-                assert executor.last_map_requeues >= 1
+                assert executor.registry.total("exec_degraded_maps_total") == 1
+                assert executor.registry.total("exec_requeues_total") >= 1
         finally:
             worker.stop()
 
@@ -347,7 +350,7 @@ class TestRobustness:
                 assert batch.outputs == golden.outputs
                 assert batch.transcript_keys == golden.transcript_keys
                 # Exactly one publish frame: the need-path refill.
-                assert executor.publish_frames_sent == 1
+                assert executor.registry.total(PUBLISH_FRAMES) == 1
                 assert executor.telemetry.counts()[worker.address][
                     "transport"
                 ] == 1
@@ -355,7 +358,7 @@ class TestRobustness:
                 # The next batch reuses the worker's cache: still one.
                 batch = engine.run_batch(spec, 12)
                 assert batch.outputs == golden.outputs
-                assert executor.publish_frames_sent == 1
+                assert executor.registry.total(PUBLISH_FRAMES) == 1
         finally:
             worker.stop()
 
@@ -441,7 +444,7 @@ class TestInputPublication:
             ) as executor:
                 engine = Engine(executor)
                 batches = [engine.run_batch(spec, 24) for _ in range(3)]
-                assert executor.publish_frames_sent == 2  # one per worker
+                assert executor.registry.total(PUBLISH_FRAMES) == 2  # one per worker
         for batch in batches:
             assert batch.outputs == golden.outputs
             assert batch.transcript_keys == golden.transcript_keys
@@ -452,7 +455,7 @@ class TestInputPublication:
             with DistributedExecutor([worker.endpoint]) as executor:
                 # Default threshold (64 KiB) far exceeds a 256-byte matrix.
                 Engine(executor).run_batch(spec, 8)
-                assert executor.publish_frames_sent == 0
+                assert executor.registry.total(PUBLISH_FRAMES) == 0
 
     def test_restarted_worker_is_refilled_via_need_reply(self):
         """A worker that lost its cache answers ("need", digest) and the
@@ -467,7 +470,7 @@ class TestInputPublication:
         try:
             batch = Engine(executor).run_batch(spec, 12)
             assert batch.outputs == golden.outputs
-            assert executor.publish_frames_sent == 1
+            assert executor.registry.total(PUBLISH_FRAMES) == 1
             first.stop()
             # A new worker process on a fresh port; rewire the executor's
             # address list to simulate the same host restarting with an
@@ -480,7 +483,7 @@ class TestInputPublication:
                 }
                 batch = Engine(executor).run_batch(spec, 12)
                 assert batch.outputs == golden.outputs
-                assert executor.publish_frames_sent == 2  # the refill
+                assert executor.registry.total(PUBLISH_FRAMES) == 2  # the refill
             finally:
                 second.stop()
         finally:
@@ -493,7 +496,7 @@ class TestInputPublication:
                 [worker.endpoint], share_inputs_min_bytes=1
             )
             Engine(executor).run_batch(spec, 8)
-            assert executor.publish_frames_sent == 1
+            assert executor.registry.total(PUBLISH_FRAMES) == 1
             executor.close()
             assert executor._inputs_by_digest == {}
             assert executor._acked == {}
@@ -502,7 +505,7 @@ class TestInputPublication:
                 [worker.endpoint], share_inputs_min_bytes=1
             )
             Engine(executor2).run_batch(spec, 8)
-            assert executor2.publish_frames_sent == 1
+            assert executor2.registry.total(PUBLISH_FRAMES) == 1
             executor2.close()
 
     def test_local_fallback_binds_published_inputs(self):
@@ -546,7 +549,7 @@ class TestInputPublication:
                 engine.run_batch(spec_b, 8)          # publish B, evict A
                 assert len(executor._inputs_by_digest) == 1
                 batch = engine.run_batch(spec_a, 8)  # A republished
-                assert executor.publish_frames_sent == 3
+                assert executor.registry.total(PUBLISH_FRAMES) == 3
         assert batch.outputs == golden_a.outputs
 
     def test_inflight_digests_are_never_evicted(self):
@@ -592,7 +595,7 @@ class TestInputPublication:
                 batch = engine.run_batch(spec_a, 8)  # need -> refill
                 # Client believed A was still acked, so the third
                 # publish happened through the need path.
-                assert executor.publish_frames_sent == 3
+                assert executor.registry.total(PUBLISH_FRAMES) == 3
         assert batch.outputs == golden_a.outputs
 
     def test_published_input_handle_pickles_asymmetrically(self):
@@ -653,7 +656,7 @@ class TestInputPublication:
             )
             with executor:
                 batch = Engine(executor).run_batch(spec, 8)
-                assert executor.publish_frames_sent == 1
+                assert executor.registry.total(PUBLISH_FRAMES) == 1
             assert batch.outputs == golden.outputs
         finally:
             proc.terminate()

@@ -108,8 +108,9 @@ class TestFailureRecovery:
             first = pool._pool
             assert pool.map(_exit_once, [str(sentinel)]) == ["recovered"]
             assert pool._pool is not first  # crash forced a rebuild
-            assert pool.broken_pools == 1  # the crash was counted
-            assert pool.degraded_batches == 0  # the retry succeeded
+            # the crash was counted, and the retry succeeded
+            assert pool.registry.total("pool_broken_total") == 1
+            assert pool.registry.total("pool_degraded_batches_total") == 0
             # And the rebuilt pool keeps serving.
             assert pool.map(_square, range(6)) == [x * x for x in range(6)]
 
@@ -128,8 +129,9 @@ class TestFailureRecovery:
             monkeypatch.setattr(pool, "_map_once", always_broken)
             with pytest.warns(FleetDegradedWarning, match="serially"):
                 assert pool.map(_square, range(4)) == [0, 1, 4, 9]
-            assert pool.broken_pools == 2  # original + rebuilt attempt
-            assert pool.degraded_batches == 1
+            # original + rebuilt attempt
+            assert pool.registry.total("pool_broken_total") == 2
+            assert pool.registry.total("pool_degraded_batches_total") == 1
 
     def test_closed_pool_refuses_work(self):
         pool = WorkerPool(max_workers=2)

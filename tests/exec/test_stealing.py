@@ -51,14 +51,6 @@ class TestChunkScheduler:
         assert stolen is not None
         assert sched.steals[0] == 1
 
-    def test_static_mode_never_steals(self):
-        sched = ChunkScheduler(list(range(12)), chunksize=2, lanes=3, stealing=False)
-        assert sched.next_chunk(0) is not None
-        assert sched.next_chunk(0) is not None
-        assert sched.next_chunk(0) is None  # own deque empty: stop
-        assert sched.total_steals() == 0
-        assert sched.queued == 4  # other lanes' chunks untouched
-
     def test_pending_tracks_completion(self):
         sched = ChunkScheduler(list(range(8)), chunksize=2, lanes=1)
         assert sched.pending == 4
@@ -77,17 +69,6 @@ class TestChunkScheduler:
         while (got := sched.next_chunk(1)) is not None:
             starts.add(got.start)
         assert chunk.start in starts
-
-    def test_retire_lane_moves_chunks_to_survivors(self):
-        sched = ChunkScheduler(
-            list(range(12)), chunksize=2, lanes=3, stealing=False
-        )
-        sched.retire_lane(0)
-        drained = []
-        for lane in (1, 2):
-            while (chunk := sched.next_chunk(lane)) is not None:
-                drained.append(chunk.start)
-        assert sorted(drained) == [0, 2, 4, 6, 8, 10]
 
     def test_drain_returns_queued_in_offset_order(self):
         sched = ChunkScheduler(list(range(9)), chunksize=2, lanes=2)
@@ -133,21 +114,9 @@ class TestWorkerPoolStealing:
     def test_steal_is_default_and_bit_identical_to_serial(self):
         golden = Engine(SerialExecutor()).run_batch(rank_spec(), 24)
         with WorkerPool(max_workers=2) as pool:
-            assert pool.scheduling == "steal"
             batch = Engine(pool).run_batch(rank_spec(), 24)
         assert batch.outputs == golden.outputs
         assert batch.transcript_keys == golden.transcript_keys
-
-    def test_static_mode_matches_steal_mode(self):
-        with WorkerPool(max_workers=2, scheduling="static") as static_pool:
-            static = Engine(static_pool).run_batch(rank_spec(), 24)
-        with WorkerPool(max_workers=2, scheduling="steal") as steal_pool:
-            steal = Engine(steal_pool).run_batch(rank_spec(), 24)
-        assert static.outputs == steal.outputs
-
-    def test_scheduling_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(scheduling="roulette")
 
     def test_task_error_propagates_and_pool_stays_warm(self):
         with WorkerPool(max_workers=2) as pool:
@@ -167,56 +136,17 @@ class TestDistributedStealing:
         """With one straggler, stealing moves chunks to the fast host."""
         with LoopbackWorker() as fast, LoopbackWorker(request_delay=0.05) as slow:
             with DistributedExecutor(
-                [fast.endpoint, slow.endpoint], chunksize=1, scheduling="steal"
+                [fast.endpoint, slow.endpoint], chunksize=1
             ) as executor:
                 assert executor.map(_square, range(10)) == [
                     x * x for x in range(10)
                 ]
-                assert executor.last_map_steals > 0
+                assert executor.registry.total("exec_steals_total") > 0
 
-    def test_static_mode_pins_chunks(self):
-        with LoopbackWorker() as w1, LoopbackWorker() as w2:
-            with DistributedExecutor(
-                [w1.endpoint, w2.endpoint], chunksize=1, scheduling="static"
-            ) as executor:
-                assert executor.map(_square, range(10)) == [
-                    x * x for x in range(10)
-                ]
-                assert executor.last_map_steals == 0
-
-    def test_steal_and_static_agree_on_skewed_fleet(self):
-        """Same results either way on a skewed fleet; the wall-clock
-        claim itself lives in benchmarks/bench_exec_steal.py (best-of-N
-        with a 1.3x bar), not in the unit suite where a single noisy
-        run would flake."""
-
-        def run(scheduling):
-            with LoopbackWorker() as fast, LoopbackWorker(
-                request_delay=0.04
-            ) as slow:
-                with DistributedExecutor(
-                    [fast.endpoint, slow.endpoint],
-                    chunksize=1,
-                    scheduling=scheduling,
-                ) as executor:
-                    result = executor.map(_square, range(12))
-                    return result, executor.last_map_steals
-
-        static_result, static_steals = run("static")
-        steal_result, steal_steals = run("steal")
-        assert static_result == steal_result == [x * x for x in range(12)]
-        assert static_steals == 0
-        assert steal_steals > 0  # the fast worker relieved the straggler
-
-    def test_scheduling_validation(self):
-        with pytest.raises(ValueError):
-            DistributedExecutor(["host:1"], scheduling="roulette")
-
-    def test_static_mode_with_unreachable_worker_completes(self):
-        """Regression: chunks dealt to a never-connectable lane must be
-        retired to the live workers — static mode used to spin forever
-        re-dispatching an empty round.  local_fallback=False proves the
-        orphaned chunks ran remotely."""
+    def test_unreachable_worker_completes(self):
+        """Chunks dealt to a never-connectable lane are stolen by the live
+        worker instead of spinning through empty dispatch rounds.
+        local_fallback=False proves the orphaned chunks ran remotely."""
         import socket as socket_mod
 
         with socket_mod.socket() as probe:
@@ -226,7 +156,6 @@ class TestDistributedStealing:
             with DistributedExecutor(
                 [good.endpoint, dead_endpoint],
                 chunksize=1,
-                scheduling="static",
                 connect_timeout=0.5,
                 local_fallback=False,
             ) as executor:
@@ -234,10 +163,10 @@ class TestDistributedStealing:
                     x * x for x in range(10)
                 ]
 
-    def test_static_mode_survives_two_worker_failures(self):
-        """Regression: the second dead lane's chunks must be retired onto
-        *live* lanes only — redistributing onto the first dead lane used
-        to strand them (and hang) in static mode."""
+    def test_survives_two_worker_failures(self):
+        """Two flaky lanes die mid-map; local_fallback=False proves that
+        their chunks, including ones requeued after a death, all ran on
+        a live worker instead of being stranded on a dead lane."""
         steady = LoopbackWorker()
         flaky_a = LoopbackWorker(max_requests_per_connection=1)
         flaky_b = LoopbackWorker(max_requests_per_connection=1)
@@ -245,7 +174,6 @@ class TestDistributedStealing:
             with DistributedExecutor(
                 [steady.endpoint, flaky_a.endpoint, flaky_b.endpoint],
                 chunksize=1,
-                scheduling="static",
                 local_fallback=False,
             ) as executor:
                 for _ in range(3):  # repeated maps re-roll the failure race
@@ -263,7 +191,7 @@ class TestDistributedStealing:
         steady = LoopbackWorker()
         try:
             with DistributedExecutor(
-                [flaky.endpoint, steady.endpoint], chunksize=2, scheduling="steal"
+                [flaky.endpoint, steady.endpoint], chunksize=2
             ) as executor:
                 assert executor.map(_square, range(16)) == [
                     x * x for x in range(16)

@@ -33,6 +33,9 @@ class CountingSpecFn:
 
 GRID = [{"k": k} for k in (2, 3, 4)]
 
+#: Registry series counting batches resubmitted after a ConnectionError.
+RETRIED = "sweep_retried_batches_total"
+
 
 class TestSweepDriverBasics:
     def test_runs_whole_grid(self):
@@ -174,7 +177,7 @@ class TestBatchRetries:
         assert [p.values for p in result.points] == [
             p.values for p in straight.points
         ]
-        assert driver.retried_batches == 1
+        assert driver.registry.total(RETRIED) == 1
 
     def test_retry_budget_exhaustion_raises_typed(self):
         driver = SweepDriver(
@@ -186,7 +189,7 @@ class TestBatchRetries:
         )
         with pytest.raises(ConnectionError, match="unreachable"):
             driver.run([{"k": 2}])  # one point: a deterministic retry count
-        assert driver.retried_batches == 1  # one retry, then give up
+        assert driver.registry.total(RETRIED) == 1  # one retry, then give up
 
     def test_zero_budget_fails_fast(self):
         driver = SweepDriver(
@@ -198,7 +201,7 @@ class TestBatchRetries:
         )
         with pytest.raises(ConnectionError):
             driver.run(GRID)
-        assert driver.retried_batches == 0
+        assert driver.registry.total(RETRIED) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -219,7 +222,7 @@ class TestBatchRetries:
         with pytest.raises(Exception) as excinfo:
             driver.run([{"k": 9}])
         assert not isinstance(excinfo.value, ConnectionError)
-        assert driver.retried_batches == 0
+        assert driver.registry.total(RETRIED) == 0
 
 
 class TestAdaptiveTrials:

@@ -48,7 +48,7 @@ def traced_fleet_payload(tmp_path):
             tracer=tracer,
         ) as executor:
             batch = Engine(executor, tracer=tracer).run_batch(spec(), TRIALS)
-            steals = executor.last_map_steals
+            steals = executor.registry.total("exec_steals_total")
     finally:
         for w in workers:
             w.stop()

@@ -56,7 +56,7 @@ class TestCompiled:
         sharing one instance across serial trials made them reuse trial
         1's probes while pool workers redrew them, breaking the
         serial/parallel bit-identity guarantee."""
-        from repro.core import ParallelExecutor
+        from repro.exec import WorkerPool
         from repro.protocols import FingerprintEqualityProtocol
 
         compiled = NewmanCompiled(
@@ -64,9 +64,8 @@ class TestCompiled:
         )
         inputs = np.ones((4, 16), dtype=np.uint8)
         serial = compiled.run_batch(inputs, 8, seed=3, executor="serial")
-        parallel = compiled.run_batch(
-            inputs, 8, seed=3, executor=ParallelExecutor(max_workers=2)
-        )
+        with WorkerPool(max_workers=2) as pool:
+            parallel = compiled.run_batch(inputs, 8, seed=3, executor=pool)
         assert [r.transcript.key() for r in serial] == [
             r.transcript.key() for r in parallel
         ]

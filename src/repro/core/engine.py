@@ -394,7 +394,12 @@ _SHARED_ATTACHMENTS: dict[str, tuple[Any, np.ndarray]] = {}
 
 
 class _SharedInput:
-    """Pickle-light handle to a fixed input matrix living in shared memory."""
+    """Pickle-light handle to a fixed input matrix living in shared memory.
+
+    It travels only into :class:`repro.exec.WorkerPool` processes on the
+    same machine.  It is not in the wire vocabulary, so no frame can make
+    a remote worker open a segment named by its client.
+    """
 
     __slots__ = ("name", "shape", "dtype_str")
 
@@ -430,7 +435,9 @@ def _content_digest(inputs: np.ndarray) -> str:
     The key under which executors cache published inputs — two arrays
     with the same digest are interchangeable, so repeated batches over
     the same matrix (the common sweep shape) publish it exactly once per
-    pool / per remote worker.
+    pool / per remote worker.  Executors hash at every publication, so a
+    buffer refilled in place between batches gets its new digest and is
+    never served from the copy published for its old contents.
     """
     import hashlib
 
@@ -438,42 +445,6 @@ def _content_digest(inputs: np.ndarray) -> str:
         repr((inputs.shape, np.dtype(inputs.dtype).str)).encode()
         + np.ascontiguousarray(inputs).tobytes()
     ).hexdigest()
-
-
-class _DigestCache:
-    """``id()``-keyed memo of content digests, bounded FIFO.
-
-    Hashing a large matrix on every batch would erase much of the win of
-    publishing it once; sweeps reuse the *same array object* across
-    batches, so memoizing by ``id`` (with the array reference pinning the
-    id against reuse) makes repeat publications O(1).  The bound keeps a
-    long-lived executor sweeping over many *distinct* matrices from
-    pinning every one of them forever — an evicted entry merely re-hashes
-    on next use.
-    """
-
-    def __init__(self, max_entries: int = 64) -> None:
-        self.max_entries = max_entries
-        self._entries: dict[int, tuple[np.ndarray, str]] = {}
-        # Callers publish from concurrent submission threads; the memo
-        # (and especially its eviction loop) must not race itself.
-        self._lock = threading.Lock()
-
-    def digest(self, inputs: np.ndarray) -> str:
-        with self._lock:
-            known = self._entries.get(id(inputs))
-            if known is not None and known[0] is inputs:
-                return known[1]
-        digest = _content_digest(inputs)  # hash outside the lock
-        with self._lock:
-            while len(self._entries) >= self.max_entries:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[id(inputs)] = (inputs, digest)
-        return digest
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 def _create_shared_segment(
@@ -653,12 +624,12 @@ class Executor:
     # (and their attachments) alive across batches and releases segments
     # only when it closes or idles out.
 
-    def wants_shared_inputs(self, inputs: np.ndarray) -> bool:
-        """Whether a fixed input matrix should travel via shared memory."""
-        return False
-
     def publish_inputs(self, inputs: np.ndarray) -> _SharedInput | None:
-        """Publish ``inputs`` to workers; ``None`` means "pickle per task"."""
+        """Publish ``inputs`` to workers once, for every task to share.
+
+        ``None`` means "ship the matrix inside every task": the default,
+        and what a backend returns for inputs below its size threshold.
+        """
         return None
 
     def release_inputs(self, handle: _SharedInput) -> None:
@@ -866,7 +837,7 @@ class Engine:
             seeds = spec.seed_sequence().spawn(trials)
             runner = _TrialRunner(spec)
             handle = None
-            if self._should_share_inputs(spec, trials):
+            if trials > 1 and spec.inputs is not None:
                 handle = self.executor.publish_inputs(spec.inputs)
                 runner.shared_input = handle
             try:
@@ -875,13 +846,6 @@ class Engine:
                 if handle is not None:
                     self.executor.release_inputs(handle)
             return BatchResult(trials=results)
-
-    def _should_share_inputs(self, spec: RunSpec, trials: int) -> bool:
-        return (
-            trials > 1
-            and spec.inputs is not None
-            and self.executor.wants_shared_inputs(spec.inputs)
-        )
 
     #: Trials evaluated per batched-kernel call on the vectorized fast
     #: path: bounds the (chunk, n, m) input stack (plus its packed copy

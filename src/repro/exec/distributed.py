@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from ..core.engine import Executor, _DigestCache
+from ..core.engine import Executor, _content_digest
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -506,12 +506,10 @@ class DistributedExecutor(Executor):
         #: array, LRU-bounded by ``max_cached_inputs``, for lazy
         #: per-worker publication and local fallback), and which workers
         #: acked which digests (address → digests).
-        self._digest_cache = _DigestCache()
         self._inputs_by_digest: dict[str, np.ndarray] = {}
         self._acked: dict[tuple[str, int], set[str]] = {}
         #: Which workers hold which registered callables (address →
-        #: function digests) — the ``register_fn`` twin of the
-        #: published-input ack table, healed the same way by
+        #: function digests), healed like ``_acked`` through
         #: ``("need_fn", digest)`` replies.
         self._fn_acks: dict[tuple[str, int], set[str]] = {}
         #: digest → number of in-flight batches using it; pinned digests
@@ -605,22 +603,23 @@ class DistributedExecutor(Executor):
         return alive
 
     # -- shared fixed-input publication ---------------------------------
-    def wants_shared_inputs(self, inputs: np.ndarray) -> bool:
-        return inputs.nbytes >= self.share_inputs_min_bytes
-
     def publish_inputs(self, inputs: np.ndarray) -> "PublishedInput | None":
         """Register ``inputs`` for digest-keyed publication to workers.
 
-        No network traffic happens here: the actual ``publish_inputs``
-        frame goes out lazily, once per worker, the first time a feeder
-        is about to send that worker a map frame referencing the digest
-        — and never again while the worker keeps its cache (the whole
-        point: consecutive batches over the same fixed inputs transmit
-        the matrix exactly once per worker).
+        A matrix under ``share_inputs_min_bytes`` returns ``None`` and
+        rides inside every map frame.  No network traffic happens here:
+        the actual ``publish_inputs`` frame goes out lazily, once per
+        worker, the first time a feeder is about to send that worker a
+        map frame referencing the digest — and never again while the
+        worker keeps its cache (the whole point: consecutive batches
+        over the same fixed inputs transmit the matrix exactly once per
+        worker).  The digest is taken on every call, so a buffer refilled
+        in place is published afresh instead of served from a worker's
+        copy of its old contents.
         """
-        if not self.wants_shared_inputs(inputs):
+        if inputs.nbytes < self.share_inputs_min_bytes:
             return None
-        digest = self._digest_cache.digest(inputs)
+        digest = _content_digest(inputs)
         with self._publish_lock:
             # Refresh the LRU position and pin the digest for the
             # duration of its batch, then evict beyond the bound —
@@ -663,18 +662,31 @@ class DistributedExecutor(Executor):
             else:
                 self._pinned.pop(handle.digest, None)
 
-    def _ensure_published(self, link: _WorkerLink, handle: "PublishedInput") -> None:
-        """Ship the handle's matrix to this link's worker unless acked.
+    def _ensure_uploaded(
+        self,
+        link: _WorkerLink,
+        acks: dict[tuple[str, int], set[str]],
+        digest: str,
+        build_frame: Callable[[], tuple[Any, ...]],
+    ) -> None:
+        """Send ``build_frame()`` to this link's worker unless it acked ``digest``.
 
-        The payload rides the best array codec the link's session
-        negotiated (``gf2pack`` bit-packs GF(2) matrices to an eighth of
-        the raw bytes) and the bytes actually written are counted per
-        codec on ``exec_publish_bytes_total``.
+        The one path for both content-addressed uploads: ``register_fn``
+        (the encoded task callable, acked in ``_fn_acks``) and
+        ``publish_inputs`` (a fixed input matrix, acked in ``_acked``).
+        ``build_frame`` runs only when a frame is due, so a matrix is
+        encoded — in the best codec the session negotiated, ``gf2pack``
+        for GF(2) matrices — once per (worker, digest), never per chunk;
+        published bytes are counted per codec on
+        ``exec_publish_bytes_total``.  The worker verifies every digest
+        against the bytes, and decodes a callable only against its own
+        registry — code never travels.
 
-        Serialized per address: concurrent map calls racing to publish
-        the same digest to the same worker take the address's send lock,
-        so the loser of the race finds the ack and sends nothing —
-        exactly one ``publish_inputs`` frame per (worker, digest).
+        Serialized per address: concurrent map calls racing to upload
+        the same digest to the same worker take the address's send lock
+        (then ``_publish_lock``, never the reverse), so the loser of the
+        race finds the ack and sends nothing — exactly one frame per
+        (worker, digest).
 
         Raises :class:`ConnectionError` on transport failure or a
         non-``ok`` reply; the caller treats that like any other link
@@ -682,68 +694,45 @@ class DistributedExecutor(Executor):
         """
         address = link.address
         with self._publish_lock:
-            if handle.digest in self._acked.setdefault(address, set()):
+            if digest in acks.setdefault(address, set()):
                 return
             send_lock = self._publish_send_locks.setdefault(
                 address, threading.Lock()
             )
         with send_lock:
             with self._publish_lock:
-                if handle.digest in self._acked.setdefault(address, set()):
-                    return  # another map call published while we waited
-                inputs = self._inputs_by_digest.get(handle.digest)
-            if inputs is None:  # pragma: no cover - engine publishes first
-                raise ConnectionError(
-                    f"unknown input digest {handle.digest[:12]}…"
-                )
-            codec, data = encode_array_payload(inputs, link.codecs)
-            reply = link.request(
-                (
-                    "publish_inputs",
-                    handle.digest,
-                    handle.shape,
-                    handle.dtype_str,
-                    codec,
-                    data,
-                )
-            )
+                if digest in acks.setdefault(address, set()):
+                    return  # another map call uploaded while we waited
+            frame = build_frame()
+            reply = link.request(frame)
             if reply[0] != "ok":
-                raise ConnectionError(f"publish_inputs rejected: {reply[0]!r}")
+                raise ConnectionError(f"{frame[0]} rejected: {reply[0]!r}")
             with self._publish_lock:
-                self._acked.setdefault(address, set()).add(handle.digest)
+                acks.setdefault(address, set()).add(digest)
+        if frame[0] == "publish_inputs":
+            codec, data = frame[4], frame[5]
             self.registry.counter("exec_publish_frames_total").inc()
             self.registry.counter(
                 "exec_publish_bytes_total", codec=codec
             ).inc(len(data))
 
-    def _ensure_registered(
-        self, link: _WorkerLink, fn_digest: str, fn_bytes: bytes
-    ) -> None:
-        """Ship the encoded task callable to this link's worker unless acked.
-
-        The ``register_fn`` twin of :meth:`_ensure_published`: same
-        per-address send lock, same ack table, same self-healing
-        (``("need_fn", digest)`` forgets the stale ack and re-registers).
-        The worker verifies the digest against the bytes and will only
-        ever *decode* them against its own registry — code never
-        travels, only references to code both ends already have.
-        """
-        address = link.address
+    def _publish_frame(
+        self, link: _WorkerLink, handle: "PublishedInput"
+    ) -> tuple[Any, ...]:
+        """The ``publish_inputs`` frame of ``handle``'s matrix for ``link``."""
         with self._publish_lock:
-            if fn_digest in self._fn_acks.setdefault(address, set()):
-                return
-            send_lock = self._publish_send_locks.setdefault(
-                address, threading.Lock()
-            )
-        with send_lock:
-            with self._publish_lock:
-                if fn_digest in self._fn_acks.setdefault(address, set()):
-                    return  # another map call registered while we waited
-            reply = link.request(("register_fn", fn_digest, fn_bytes))
-            if reply[0] != "ok":
-                raise ConnectionError(f"register_fn rejected: {reply[0]!r}")
-            with self._publish_lock:
-                self._fn_acks.setdefault(address, set()).add(fn_digest)
+            inputs = self._inputs_by_digest.get(handle.digest)
+        if inputs is None:  # pragma: no cover - engine publishes first
+            raise ConnectionError(f"unknown input digest {handle.digest[:12]}…")
+        codec, data = encode_array_payload(inputs, link.codecs)
+        return (
+            "publish_inputs",
+            handle.digest,
+            handle.shape,
+            handle.dtype_str,
+            codec,
+            data,
+        )
 
     def _bind_local(self, fn: Callable[[Any], Any]) -> None:
         """Give a locally-run task its published inputs back.
@@ -834,6 +823,22 @@ class DistributedExecutor(Executor):
                 "lane_death", track=f"lane-{index}", survivors=survivors
             )
 
+        def upload(link: _WorkerLink) -> None:
+            """Ship the callable, and the matrix, unless the worker acked them."""
+            self._ensure_uploaded(
+                link,
+                self._fn_acks,
+                fn_digest,
+                lambda: ("register_fn", fn_digest, fn_bytes),
+            )
+            if handle is not None:
+                self._ensure_uploaded(
+                    link,
+                    self._acked,
+                    handle.digest,
+                    lambda: self._publish_frame(link, handle),
+                )
+
         def heal_reply(link: _WorkerLink, frame: tuple[Any, ...], reply: Any) -> Any:
             """Resolve ``need`` / ``need_fn`` replies by re-uploading.
 
@@ -846,23 +851,19 @@ class DistributedExecutor(Executor):
             for _ in range(3):
                 kind = reply[0]
                 if kind == "need":
-                    with self._publish_lock:
-                        self._acked.get(link.address, set()).discard(reply[1])
-                    if handle is None or reply[1] != handle.digest:
-                        raise ConnectionError(
-                            f"worker demanded unknown inputs {reply[1]!r}"
-                        )
-                    self._ensure_published(link, handle)
+                    acks = self._acked
+                    expected = handle.digest if handle is not None else None
                 elif kind == "need_fn":
-                    with self._publish_lock:
-                        self._fn_acks.get(link.address, set()).discard(reply[1])
-                    if reply[1] != fn_digest:
-                        raise ConnectionError(
-                            f"worker demanded unknown callable {reply[1]!r}"
-                        )
-                    self._ensure_registered(link, fn_digest, fn_bytes)
+                    acks, expected = self._fn_acks, fn_digest
                 else:
                     break
+                with self._publish_lock:
+                    acks.get(link.address, set()).discard(reply[1])
+                if reply[1] != expected:
+                    raise ConnectionError(
+                        f"worker demanded unknown digest {reply[1]!r}"
+                    )
+                upload(link)
                 reply = link.request(frame)
             return reply
 
@@ -901,9 +902,7 @@ class DistributedExecutor(Executor):
                     # a lane that never claims a chunk never gets the
                     # callable or the matrix.  O(1) after the first
                     # chunk (ack tables).
-                    self._ensure_registered(link, fn_digest, fn_bytes)
-                    if handle is not None:
-                        self._ensure_published(link, handle)
+                    upload(link)
                     reply = heal_reply(link, frame, link.request(frame))
                     kind = reply[0]
                     if kind == "err":
@@ -1087,7 +1086,6 @@ class DistributedExecutor(Executor):
             self._fn_acks.clear()
             self._inputs_by_digest.clear()
             self._pinned.clear()
-            self._digest_cache.clear()
         for address, digests in acked.items():
             if not digests:
                 continue
@@ -1131,16 +1129,11 @@ class LoopbackWorker:
     loopback development secret, like the client); ``registry`` receives
     the worker-side handshake and rejected-frame counters.
 
-    ``max_requests_per_connection`` makes the worker hang up after that
-    many frames on each connection — deterministic fault injection for
-    the client's mid-batch failover path.  ``request_delay`` sleeps
-    that long before each map frame — latency injection turning this
-    worker into the slow host of a synthetic heterogeneous fleet (how
-    the work-stealing tests build their straggler).
-    ``fault_injector`` arms the serve loop with a full deterministic
+    ``fault_injector`` arms the serve loop with a deterministic
     :class:`~repro.exec.faults.FaultPlan` schedule — crashes, torn and
-    corrupt frames, refusals, lost publishes, hangs — which is how the
-    fault-matrix conformance suite drives in-process chaos.
+    corrupt frames, refusals, slow replies, lost publishes, hangs —
+    which is how the tests build flaky and straggling workers and how
+    the fault-matrix conformance suite drives in-process chaos.
     ``tracer`` arms the serve loop with a (shared, in-process)
     :class:`~repro.obs.trace.Tracer`, so worker-side chunk-execution
     spans — tagged with the context id each map frame carries — land in
@@ -1149,8 +1142,6 @@ class LoopbackWorker:
 
     def __init__(
         self,
-        max_requests_per_connection: int | None = None,
-        request_delay: float = 0.0,
         max_cached_inputs: int = 32,
         fault_injector: "FaultInjector | None" = None,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
@@ -1173,8 +1164,6 @@ class LoopbackWorker:
                 port=0,
                 stop_event=self._stop,
                 ready_callback=on_ready,
-                max_requests_per_connection=max_requests_per_connection,
-                request_delay=request_delay,
                 max_cached_inputs=max_cached_inputs,
                 fault_injector=fault_injector,
                 tracer=tracer,

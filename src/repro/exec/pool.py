@@ -55,7 +55,7 @@ import numpy as np
 
 from ..core.engine import (
     Executor,
-    _DigestCache,
+    _content_digest,
     _SharedInput,
     _create_shared_segment,
     _evict_shared_attachment,
@@ -147,8 +147,6 @@ class WorkerPool(Executor):
         self._closed = False
         #: digest -> (segment block, handle), alive until close/idle-reap
         self._segments: dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]] = {}
-        #: Memoizes content digests of fixed inputs across batches.
-        self._digest_cache = _DigestCache()
         #: Unified metrics/trace/flight-recorder hooks (private instances
         #: unless shared ones are passed in).  ``pool_broken_total``
         #: counts pools discarded because a worker died, and
@@ -209,7 +207,6 @@ class WorkerPool(Executor):
         self,
     ) -> dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]]:
         segments, self._segments = self._segments, {}
-        self._digest_cache.clear()
         return segments
 
     @staticmethod
@@ -331,26 +328,23 @@ class WorkerPool(Executor):
         return results
 
     # -- shared-memory input protocol -----------------------------------
-    def wants_shared_inputs(self, inputs: np.ndarray) -> bool:
-        return (
-            self.max_workers > 1
-            and inputs.nbytes >= self.share_inputs_min_bytes
-        )
-
     def publish_inputs(self, inputs: np.ndarray) -> _SharedInput | None:
         """Publish once per distinct matrix; reuse the segment afterwards.
 
         Keyed by content digest (plus shape/dtype), so every batch over
         the same fixed inputs — the common sweep shape — shares a single
         machine-wide copy, and warm workers keep their attachment from
-        one batch to the next.
+        one batch to the next.  The digest is taken on every call, so a
+        buffer refilled in place gets a fresh segment.  A one-worker
+        pool, or a matrix under ``share_inputs_min_bytes``, returns
+        ``None``: the matrix then rides inside every task.
         """
-        if not self.wants_shared_inputs(inputs):
+        if self.max_workers == 1 or inputs.nbytes < self.share_inputs_min_bytes:
             return None
+        digest = _content_digest(inputs)
         with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
-            digest = self._digest_cache.digest(inputs)
             cached = self._segments.get(digest)
             if cached is None:
                 cached = _create_shared_segment(inputs)

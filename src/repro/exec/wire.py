@@ -313,12 +313,7 @@ def _ensure_registry(resweep: bool = False) -> None:
                     importlib.import_module(module_name)
                 except ImportError:  # pragma: no cover - optional subpackage
                     continue
-        from ..core.engine import (
-            RunSpec,
-            TrialResult,
-            _SharedInput,
-            _TrialRunner,
-        )
+        from ..core.engine import RunSpec, TrialResult, _TrialRunner
         from ..core.errors import BroadcastCliqueError
         from ..core.network import CostReport
         from ..core.processor import ProcessorContext
@@ -342,7 +337,6 @@ def _ensure_registry(resweep: bool = False) -> None:
             RunSpec,
             TrialResult,
             _TrialRunner,
-            _SharedInput,
             CostReport,
             ProcessorContext,
             ExecutionResult,

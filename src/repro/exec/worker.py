@@ -44,14 +44,14 @@ Authentication is mandatory; the shared secret comes from
 
 Run a worker from the command line::
 
-    python -m repro.exec.worker --host 0.0.0.0 --port 9123 --processes 4 \\
+    python -m repro.exec.worker --host 0.0.0.0 --port 9123 \\
         --secret-file /run/secrets/repro-wire
 
-``--processes k`` executes tasks through one local process pool of ``k``
-workers shared by every connection, so one remote host contributes up to
-``k`` cores in total; the default runs tasks inline in each connection's
-serving thread.  ``--fault-plan plan.json`` (with ``--fault-site``)
-arms the serve loop with a deterministic
+A worker runs each chunk inline in its connection's serving thread, so
+one worker process computes on one core.  To use a many-core host, run
+one worker process per core and list every address in the client's
+``DistributedExecutor``.  ``--fault-plan plan.json`` (with
+``--fault-site``) arms the serve loop with a deterministic
 :class:`~repro.exec.faults.FaultPlan` schedule — real-subprocess chaos
 for the conformance suite; see ``docs/robustness.md``.
 :func:`serve` is also importable directly, which is how the in-process
@@ -71,7 +71,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from ..core.engine import _content_digest, _create_shared_segment, _SharedInput
+from ..core.engine import _content_digest
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .faults import MANGLE_KINDS, FaultEvent, FaultInjector, FaultPlan, send_mangled
@@ -91,7 +91,6 @@ logger = logging.getLogger(__name__)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import ssl
-    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "PublishedInput",
@@ -100,29 +99,25 @@ __all__ = [
     "main",
 ]
 
+#: LRU bound on the task callables one serve loop keeps registered.
+MAX_CACHED_FNS = 64
+
 
 class PublishedInput:
     """Wire-protocol handle to a fixed input matrix cached on a worker.
 
-    The distributed twin of the shared-memory ``_SharedInput`` handle:
-    instead of encoding a large fixed input matrix into every map frame,
+    Instead of encoding a large fixed input matrix into every map frame,
     the client publishes it once per worker (``publish_inputs`` frame,
     keyed by content ``digest``) and subsequent frames carry only this
     handle.  The serve loop *binds* the handle to its cached array
     before executing the chunk — :meth:`attach` (called by the engine's
     trial runner) then returns the bound array.
 
-    Serialization is asymmetric on purpose: an **unbound** handle
-    serializes to digest + metadata only (what travels over the wire).
-    On the worker, the serve loop binds the handle before executing the
-    chunk — either to the cached array directly (inline execution), or
-    to a shared-memory segment (:meth:`bind_shared`) when the chunk is
-    headed for the worker's optional local process pool, so a large
-    matrix is **not** re-serialized into every chunk of the
-    serve-to-pool hop.
+    The wire codec ships the slots as they are, and the client's handle
+    is unbound: it travels as digest + metadata, with no array.
     """
 
-    __slots__ = ("digest", "shape", "dtype_str", "_array", "_shared")
+    __slots__ = ("digest", "shape", "dtype_str", "_array")
 
     def __init__(
         self,
@@ -135,189 +130,63 @@ class PublishedInput:
         self.shape = tuple(shape)
         self.dtype_str = dtype_str
         self._array = array
-        self._shared: _SharedInput | None = None
 
     @property
     def bound(self) -> bool:
         """True once the worker resolved the digest to its cached matrix."""
-        return self._array is not None or self._shared is not None
+        return self._array is not None
 
     def bind(self, array: np.ndarray) -> None:
         """Resolve the handle to the worker's cached matrix."""
         self._array = array
 
-    def bind_shared(self, shared: "_SharedInput") -> None:
-        """Resolve the handle to a shared-memory segment of the matrix.
-
-        A handle bound this way serializes as the segment reference, so
-        a worker's local process pool attaches the one machine-wide copy
-        instead of receiving the bytes inside every chunk.
-        """
-        self._shared = shared
-
     def attach(self) -> np.ndarray:
         """The bound input matrix (the trial runner's accessor)."""
         if self._array is None:
-            if self._shared is None:
-                raise LookupError(
-                    f"inputs {self.digest[:12]}… were never published to "
-                    "this worker (protocol error: expected a "
-                    "('need', digest) reply)"
-                )
-            self._array = self._shared.attach()
+            raise LookupError(
+                f"inputs {self.digest[:12]}… were never published to "
+                "this worker (protocol error: expected a "
+                "('need', digest) reply)"
+            )
         return self._array
 
-    def __getstate__(self) -> tuple[Any, ...]:
-        # Prefer the segment reference when present: the array itself
-        # must not ride along too.
-        array = None if self._shared is not None else self._array
-        return (self.digest, self.shape, self.dtype_str, array, self._shared)
 
-    def __setstate__(self, state: tuple[Any, ...]) -> None:
-        (self.digest, self.shape, self.dtype_str, self._array, self._shared) = state
+class _DigestLRU:
+    """One serve loop's digest-keyed LRU cache, shared by its connections.
 
-
-class _InputStore:
-    """One serve loop's cache of published input matrices.
-
-    LRU-bounded (a worker serving many clients — or one client sweeping
-    over many distinct matrices — must not grow without limit; eviction
-    is safe because a map referencing an evicted digest gets a
-    ``("need", digest)`` reply and the client republishes).  For workers
-    running a local process pool, the store also materialises a
-    shared-memory segment per digest on demand, so pool tasks attach one
-    machine-wide copy instead of deserializing the matrix per chunk.
+    Used twice: for published input matrices and for registered task
+    callables, which stay **encoded** — each map frame decodes a fresh
+    callable, so a ``PublishedInput`` bound for one chunk never leaks
+    into the next.  The bound keeps a worker serving many clients (or
+    one client sweeping over many matrices) from growing without limit.
+    Eviction is safe: a map naming an evicted digest is answered
+    ``("need", digest)`` or ``("need_fn", digest)`` and the client
+    uploads it again.
     """
 
-    def __init__(self, max_entries: int = 32):
+    def __init__(self, max_entries: int):
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._arrays: dict[str, np.ndarray] = {}
-        self._segments: dict[str, tuple[Any, _SharedInput]] = {}
-        #: digest → chunks currently executing against its segment; an
-        #: unlink requested while users remain is deferred (``_doomed``)
-        #: until the last user finishes — unlinking earlier would make a
-        #: queued pool task's ``SharedMemory(name=...)`` attach fail.
-        self._users: dict[str, int] = {}
-        self._doomed: set[str] = set()
+        self._entries: dict[str, Any] = {}
 
-    def put(self, digest: str, array: np.ndarray) -> None:
-        """Store a decoded ``publish_inputs`` matrix under its digest."""
+    def put(self, digest: str, value: Any) -> None:
         with self._lock:
-            self._arrays.pop(digest, None)
-            self._arrays[digest] = array
-            while len(self._arrays) > self.max_entries:
-                oldest = next(iter(self._arrays))
-                del self._arrays[oldest]
-                self._unlink(oldest)
+            self._entries.pop(digest, None)
+            self._entries[digest] = value
+            while len(self._entries) > self.max_entries:
+                del self._entries[next(iter(self._entries))]
 
-    def get(self, digest: str) -> "np.ndarray | None":
+    def get(self, digest: str) -> Any:
+        """The value cached under ``digest`` (now most recent), or ``None``."""
         with self._lock:
-            return self._arrays.get(digest)
-
-    def shared_handle(self, digest: str) -> "_SharedInput | None":
-        """A shared-memory handle to the matrix, created lazily.
-
-        Registers the caller as a segment user; pair every successful
-        call with :meth:`done_with_shared` once the chunk finished.
-        """
-        with self._lock:
-            array = self._arrays.get(digest)
-            if array is None:
-                return None
-            cached = self._segments.get(digest)
-            if cached is None:
-                cached = _create_shared_segment(np.ascontiguousarray(array))
-                self._segments[digest] = cached
-                self._doomed.discard(digest)
-            self._users[digest] = self._users.get(digest, 0) + 1
-            return cached[1]
-
-    def done_with_shared(self, digest: str) -> None:
-        """Drop a chunk's claim on a segment; unlink if doomed and idle."""
-        with self._lock:
-            count = self._users.get(digest, 0) - 1
-            if count > 0:
-                self._users[digest] = count
-                return
-            self._users.pop(digest, None)
-            if digest in self._doomed:
-                self._doomed.discard(digest)
-                self._unlink(digest)
+            value = self._entries.pop(digest, None)
+            if value is not None:
+                self._entries[digest] = value
+            return value
 
     def release(self, digest: str) -> None:
         with self._lock:
-            self._arrays.pop(digest, None)
-            self._unlink(digest)
-
-    def _unlink(self, digest: str) -> None:
-        # Caller holds the lock.  Already-attached pool views survive a
-        # POSIX unlink; a chunk that has not attached *yet* would fail,
-        # so segments with live users are doomed instead and unlinked by
-        # the last done_with_shared.
-        if self._users.get(digest):
-            if digest in self._segments:
-                self._doomed.add(digest)
-            return
-        cached = self._segments.pop(digest, None)
-        if cached is not None:
-            block, _handle = cached
-            block.close()
-            block.unlink()
-
-    def close(self) -> None:
-        with self._lock:
-            self._arrays.clear()
-            self._users.clear()  # serve is exiting; force the unlinks
-            for digest in list(self._segments):
-                self._unlink(digest)
-
-
-class _FnStore:
-    """One serve loop's cache of registered task callables, **encoded**.
-
-    Bytes in, bytes out: the store never holds decoded callables — each
-    map frame decodes a fresh instance, so per-chunk binding semantics
-    (a ``PublishedInput`` bound for one chunk) never leak across frames,
-    and eviction is as safe as for inputs (a map naming an evicted
-    digest gets ``("need_fn", digest)`` and the client re-registers).
-    """
-
-    def __init__(self, max_entries: int = 64):
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._encoded: dict[str, bytes] = {}
-
-    def put(self, digest: str, fn_bytes: bytes) -> None:
-        if function_digest(fn_bytes) != digest:
-            raise SchemaViolationError(
-                f"register_fn digest mismatch for {digest[:12]}…"
-            )
-        with self._lock:
-            self._encoded.pop(digest, None)
-            self._encoded[digest] = fn_bytes
-            while len(self._encoded) > self.max_entries:
-                del self._encoded[next(iter(self._encoded))]
-
-    def get(self, digest: str) -> "bytes | None":
-        with self._lock:
-            encoded = self._encoded.get(digest)
-            if encoded is not None:
-                # Refresh the LRU position: a hot callable must not be
-                # the one evicted under churn.
-                self._encoded.pop(digest)
-                self._encoded[digest] = encoded
-            return encoded
-
-
-def _run_chunk(
-    fn: Callable[[Any], Any],
-    items: list[Any],
-    pool: "ProcessPoolExecutor | None",
-) -> list[Any]:
-    if pool is None:
-        return [fn(item) for item in items]
-    return list(pool.map(fn, items))
+            self._entries.pop(digest, None)
 
 
 #: Frame kind → the fault scope its replies are scheduled under.
@@ -352,34 +221,25 @@ def _task_error_reply(exc: BaseException) -> tuple[Any, ...]:
 
 def _handle_connection(
     conn: socket.socket,
-    pool: "ProcessPoolExecutor | None",
-    max_requests: int | None,
-    input_store: _InputStore,
-    fn_store: _FnStore,
-    request_delay: float = 0.0,
+    input_store: _DigestLRU,
+    fn_store: _DigestLRU,
     fault_injector: "FaultInjector | None" = None,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
     secret: "bytes | str | None" = None,
     ssl_context: "ssl.SSLContext | None" = None,
     registry: "MetricsRegistry | None" = None,
 ) -> None:
-    """Serve one client until it disconnects (or ``max_requests`` frames).
+    """Serve one client until it disconnects.
 
     The connection is TLS-wrapped first (when the serve loop has a
     server context) and then authenticated with the
     :class:`~repro.exec.wire.WireSession` handshake; a failed handshake
     is logged, counted (``worker_handshakes_total{outcome=...}``), and
-    closed without serving a single frame.  ``max_requests`` counts
-    post-handshake frames — fault-injection for tests: a worker that
-    hangs up after N frames exercises the client's mid-batch
-    redistribution path deterministically.  ``request_delay`` sleeps
-    that long before each map frame — latency injection modelling a
-    slow or overloaded host (see ``tests/exec/test_stealing.py``).
-    ``input_store`` / ``fn_store`` are the serve loop's digest-keyed
-    stores of published inputs and registered callables, shared across
-    this worker's connections.  ``fault_injector`` is consulted once per
-    received frame and applies the richer planned-fault vocabulary of
-    :mod:`repro.exec.faults`.
+    closed without serving a single frame.  ``input_store`` /
+    ``fn_store`` are the serve loop's caches of published inputs and
+    registered callables, shared across this worker's connections.
+    ``fault_injector`` is consulted once per received frame and applies
+    the planned-fault vocabulary of :mod:`repro.exec.faults`.
     """
     try:
         try:
@@ -402,8 +262,7 @@ def _handle_connection(
             return
         if registry is not None:
             registry.counter("worker_handshakes_total", outcome="ok").inc()
-        served = 0
-        while max_requests is None or served < max_requests:
+        while True:
             if fault_injector is not None and fault_injector.hung:
                 # A wedged process answers nothing on any connection —
                 # including this one, mid-session.
@@ -466,6 +325,10 @@ def _handle_connection(
                         fn_bytes, bytes
                     ):
                         raise SchemaViolationError("malformed register_fn frame")
+                    if function_digest(fn_bytes) != digest:
+                        raise SchemaViolationError(
+                            f"register_fn digest mismatch for {digest[:12]}…"
+                        )
                     if fault is None or fault.kind != "lose_publish":
                         fn_store.put(digest, fn_bytes)
                     reply: tuple[Any, ...] = ("ok", None)
@@ -473,7 +336,6 @@ def _handle_connection(
                     reply = _task_error_reply(exc)
                 if not _reply(session, reply, fault):
                     return
-                served += 1
                 continue
             if kind == "publish_inputs":
                 try:
@@ -500,14 +362,12 @@ def _handle_connection(
                     reply = _task_error_reply(exc)
                 if not _reply(session, reply, fault):
                     return
-                served += 1
                 continue
             if kind == "release_inputs":
                 if len(message) == 2 and isinstance(message[1], str):
                     input_store.release(message[1])
                 if not _reply(session, ("ok", None), fault):
                     return
-                served += 1
                 continue
             if kind != "map":
                 session.send(
@@ -545,7 +405,6 @@ def _handle_connection(
                 session.send(_task_error_reply(exc))
                 continue
             handle = getattr(fn, "shared_input", None)
-            shared = None
             if isinstance(handle, PublishedInput) and not handle.bound:
                 cached = input_store.get(handle.digest)
                 if cached is None:
@@ -555,32 +414,16 @@ def _handle_connection(
                     if not _reply(session, ("need", handle.digest), fault):
                         return
                     continue
-                shared = (
-                    input_store.shared_handle(handle.digest)
-                    if pool is not None
-                    else None
-                )
-                if shared is not None:
-                    handle.bind_shared(shared)
-                else:
-                    handle.bind(cached)
-            if request_delay > 0.0:
-                time.sleep(request_delay)
-            closing = False
+                handle.bind(cached)
             try:
                 with tracer.span(
                     "exec_chunk", track="worker", items=len(items), ctx=ctx
                 ):
-                    payload = _run_chunk(fn, items, pool)
-                closing = not _reply(session, ("ok", payload), fault)
+                    payload = [fn(item) for item in items]
+                if not _reply(session, ("ok", payload), fault):
+                    return
             except Exception as exc:  # noqa: BLE001 - shipped to the client
                 session.send(_task_error_reply(exc))
-            finally:
-                if shared is not None:
-                    input_store.done_with_shared(handle.digest)
-            if closing:
-                return
-            served += 1
     finally:
         conn.close()
 
@@ -588,13 +431,9 @@ def _handle_connection(
 def serve(
     host: str = "127.0.0.1",
     port: int = 0,
-    processes: int = 0,
     stop_event: threading.Event | None = None,
     ready_callback: Callable[[tuple[str, int]], None] | None = None,
-    max_requests_per_connection: int | None = None,
-    request_delay: float = 0.0,
     max_cached_inputs: int = 32,
-    max_cached_fns: int = 64,
     fault_injector: "FaultInjector | None" = None,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
     secret: "bytes | str | None" = None,
@@ -605,19 +444,18 @@ def serve(
 
     ``port=0`` binds an OS-assigned port; ``ready_callback`` receives the
     actual ``(host, port)`` once listening — how in-process loopback
-    workers discover their address.  ``processes > 0`` fans each chunk
-    out over a local process pool.  ``request_delay`` injects that many
-    seconds of latency before each map frame (a synthetic slow host).
-    ``fault_injector`` arms the loop with a deterministic
-    :class:`~repro.exec.faults.FaultPlan` schedule: it is consulted on
-    every accepted connection (any ``accept``-scope fault closes the
-    connection immediately — the observable shape of a refused or reset
-    connection injected from inside a listening process) and on every
-    received frame; the loop releases any hung connections when it
-    exits.  Accept-scope faults fire *before* the handshake — a refused
-    connection refuses everyone equally — while frame faults mangle
-    authenticated traffic **after** the MAC is computed, so chaos cells
-    exercise the client's verification path.
+    workers discover their address.  Each connection gets a serving
+    thread that runs its chunks inline.  ``fault_injector`` arms the
+    loop with a deterministic :class:`~repro.exec.faults.FaultPlan`
+    schedule: it is consulted on every accepted connection (any
+    ``accept``-scope fault closes the connection immediately — the
+    observable shape of a refused or reset connection injected from
+    inside a listening process) and on every received frame; the loop
+    releases any hung connections when it exits.  Accept-scope faults
+    fire *before* the handshake — a refused connection refuses everyone
+    equally — while frame faults mangle authenticated traffic **after**
+    the MAC is computed, so chaos cells exercise the client's
+    verification path.
 
     ``secret`` is this worker's shared authentication secret
     (:func:`~repro.exec.wire.resolve_secret` semantics: explicit value,
@@ -626,26 +464,20 @@ def serve(
     wraps every accepted connection in TLS.  ``registry`` receives the
     worker-side handshake / rejected-frame counters.
 
-    Published fixed inputs live in a digest-keyed store scoped to this
-    serve call: shared by all its connections, LRU-bounded at
-    ``max_cached_inputs`` distinct matrices (clients refill evicted
-    digests via the ``("need", digest)`` reply), mirrored into
-    shared-memory segments for the local process pool when
-    ``processes > 0``, and released when the loop returns.  Registered
-    task callables live in a twin store (``max_cached_fns``, healed via
-    ``("need_fn", digest)``), kept as verified encoded bytes and decoded
-    fresh per map frame.
+    Published fixed inputs and registered task callables live in two
+    digest-keyed LRU caches scoped to this serve call and shared by all
+    its connections: at most ``max_cached_inputs`` distinct matrices and
+    :data:`MAX_CACHED_FNS` encoded callables.  Clients refill an evicted
+    digest through the ``("need", digest)`` / ``("need_fn", digest)``
+    replies.
 
     ``tracer`` records a ``worker``-track span per executed chunk,
     tagged with the span-context id the client's map frame carried (if
     any) — for in-process loopback workers this is typically the
     *client's* tracer, so both sides land in one timeline.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=processes) if processes > 0 else None
-    input_store = _InputStore(max_cached_inputs)
-    fn_store = _FnStore(max_cached_fns)
+    input_store = _DigestLRU(max_cached_inputs)
+    fn_store = _DigestLRU(MAX_CACHED_FNS)
     server = socket.create_server((host, port))
     server.settimeout(0.1)
     threads: list[threading.Thread] = []
@@ -671,11 +503,8 @@ def serve(
                 target=_handle_connection,
                 args=(
                     conn,
-                    pool,
-                    max_requests_per_connection,
                     input_store,
                     fn_store,
-                    request_delay,
                     fault_injector,
                     tracer,
                     secret,
@@ -694,9 +523,6 @@ def serve(
             fault_injector.stop()
         for thread in threads:
             thread.join(timeout=1.0)
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        input_store.close()
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -711,13 +537,6 @@ def main(argv: list[str] | None = None) -> None:
         default=9123,
         help="TCP port to listen on (0 = OS-assigned; the actual port is "
         "printed once listening)",
-    )
-    parser.add_argument(
-        "--processes",
-        type=int,
-        default=0,
-        help="size of the local process pool shared by all connections "
-        "(0 = run tasks inline in each connection's thread)",
     )
     parser.add_argument(
         "--max-cached-inputs",
@@ -809,10 +628,9 @@ def main(argv: list[str] | None = None) -> None:
         # (logging goes to stderr and is reconfigurable, this is not).
         print(f"repro.exec worker listening on {bound[0]}:{bound[1]}", flush=True)
         logger.info(
-            "serving on %s:%s (processes=%d, max_cached_inputs=%d, tls=%s)",
+            "serving on %s:%s (max_cached_inputs=%d, tls=%s)",
             bound[0],
             bound[1],
-            args.processes,
             args.max_cached_inputs,
             "on" if ssl_context is not None else "off",
         )
@@ -820,7 +638,6 @@ def main(argv: list[str] | None = None) -> None:
     serve(
         args.host,
         args.port,
-        processes=args.processes,
         ready_callback=announce,
         max_cached_inputs=args.max_cached_inputs,
         fault_injector=injector,

@@ -273,9 +273,9 @@ class TestSharedMemoryInputs:
         spec = RunSpec(protocol=SupportMembershipAttack(k=3), inputs=inputs, seed=2)
         serial = Engine().run_batch(spec, 8)
         with WorkerPool(max_workers=2) as pool:
-            engine = Engine(pool)
-            assert not engine._should_share_inputs(spec, 8)
-            parallel = engine.run_batch(spec, 8)
+            assert pool.publish_inputs(inputs) is None
+            parallel = Engine(pool).run_batch(spec, 8)
+            assert pool._segments == {}
         assert serial.outputs == parallel.outputs
 
     def test_distribution_specs_never_share(self):
@@ -285,4 +285,5 @@ class TestSharedMemoryInputs:
             seed=2,
         )
         with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
-            assert not Engine(pool)._should_share_inputs(spec, 8)
+            Engine(pool).run_batch(spec, 8)
+            assert pool._segments == {}

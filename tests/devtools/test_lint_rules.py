@@ -8,7 +8,11 @@ the linter quiet on the real tree.
 
 from __future__ import annotations
 
+import ast
 import textwrap
+from pathlib import Path
+
+import pytest
 
 from repro.devtools.lint import Finding, lint_paths, lint_source
 
@@ -431,6 +435,82 @@ class TestEXC01:
                 return pickle.dumps(obj)
         """
         assert "EXC01" not in rules_fired(src, path="src/repro/exec/worker.py")
+
+
+# ----------------------------------------------------------------------
+# One in-machine process backend
+# ----------------------------------------------------------------------
+#: Names that start processes, by the module exporting them.
+PROCESS_STARTERS = {
+    "concurrent.futures": {"ProcessPoolExecutor"},
+    "concurrent.futures.process": {"ProcessPoolExecutor"},
+    "multiprocessing": {"Pool", "Process"},
+}
+
+
+def process_starters(source: str) -> list[str]:
+    """``module.name`` of every process starter ``source`` imports or uses."""
+    tree = ast.parse(source)
+    modules: dict[str, str] = {}  # local name -> the module it is bound to
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if alias.name in PROCESS_STARTERS.get(node.module, ()):
+                    found.append(f"{node.module}.{alias.name}")
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = ast.unparse(node.value)
+            module = modules.get(base, base)
+            if node.attr in PROCESS_STARTERS.get(module, ()):
+                found.append(f"{module}.{node.attr}")
+    return found
+
+
+class TestOneProcessBackend:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from concurrent.futures import ProcessPoolExecutor",
+            "from multiprocessing import Pool",
+            "import multiprocessing\nmultiprocessing.Process(target=print)",
+            "import multiprocessing as mp\nmp.Pool(2)",
+            "import concurrent.futures\nconcurrent.futures.ProcessPoolExecutor()",
+            "from concurrent import futures\nfutures.ProcessPoolExecutor()",
+        ],
+    )
+    def test_flags_process_starters(self, src):
+        assert process_starters(src)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from multiprocessing import shared_memory",
+            "from concurrent.futures import ThreadPoolExecutor",
+            "import concurrent.futures\nconcurrent.futures.wait([])",
+        ],
+    )
+    def test_allows_threads_and_shared_memory(self, src):
+        assert process_starters(src) == []
+
+    def test_only_the_pool_module_starts_processes(self):
+        """``WorkerPool`` is the one in-machine process backend: no other
+        module under ``src/repro`` may start a process pool or a process
+        (a wire worker runs its chunks inline; many-core hosts run one
+        worker per core)."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        found = {
+            path.relative_to(src).as_posix(): starters
+            for path in sorted((src / "repro").rglob("*.py"))
+            if (starters := process_starters(path.read_text()))
+        }
+        pool = found.pop("repro/exec/pool.py", [])
+        assert "concurrent.futures.ProcessPoolExecutor" in pool
+        assert found == {}
 
 
 # ----------------------------------------------------------------------

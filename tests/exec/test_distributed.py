@@ -12,7 +12,13 @@ from repro.distributions import UniformRows
 from repro.exec import DistributedExecutor, LoopbackWorker
 from repro.exec.faults import FaultEvent, FaultInjector
 from repro.exec.health import DEAD, SUSPECT, FleetDegradedWarning
-from repro.exec.wire import recv_frame, register_wire_function, send_frame
+from repro.exec.wire import (
+    decode_value,
+    encode_value,
+    recv_frame,
+    register_wire_function,
+    send_frame,
+)
 from repro.exec.worker import PublishedInput
 from repro.lowerbounds import TopSubmatrixRankProtocol
 
@@ -35,6 +41,19 @@ def rank_spec(seed=7):
         protocol=TopSubmatrixRankProtocol(5),
         distribution=UniformRows(8, 8),
         seed=seed,
+    )
+
+
+def flaky_worker():
+    """A worker that hangs up instead of answering every other map frame.
+
+    Its first chunk is lost mid-batch; each time the client resurrects
+    the lane, it serves one chunk and hangs up again.
+    """
+    return LoopbackWorker(
+        fault_injector=FaultInjector(
+            [FaultEvent("map", op, "crash") for op in range(0, 64, 2)]
+        )
     )
 
 
@@ -146,7 +165,7 @@ class TestDistributedMap:
 class TestFailover:
     def test_disconnect_mid_batch_redistributes(self):
         """A worker hanging up mid-batch must not lose or reorder results."""
-        flaky = LoopbackWorker(max_requests_per_connection=1)
+        flaky = flaky_worker()
         steady = LoopbackWorker()
         try:
             with DistributedExecutor(
@@ -163,7 +182,7 @@ class TestFailover:
         """A chunk re-queued after the survivors' feeders exited must be
         re-dispatched to the live fleet, not spuriously declared
         undeliverable (local_fallback=False would then raise)."""
-        flaky = LoopbackWorker(max_requests_per_connection=1)
+        flaky = flaky_worker()
         steady = LoopbackWorker()
         try:
             with DistributedExecutor(
@@ -180,7 +199,7 @@ class TestFailover:
             steady.stop()
 
     def test_all_workers_gone_falls_back_locally(self):
-        flaky = LoopbackWorker(max_requests_per_connection=1)
+        flaky = flaky_worker()
         try:
             with DistributedExecutor([flaky.endpoint], chunksize=2) as executor:
                 with pytest.warns(RuntimeWarning, match="running .* locally|locally"):
@@ -211,7 +230,7 @@ class TestFailover:
 
     def test_engine_batch_survives_flaky_worker(self):
         golden = Engine(SerialExecutor()).run_batch(rank_spec(), 20)
-        flaky = LoopbackWorker(max_requests_per_connection=1)
+        flaky = flaky_worker()
         steady = LoopbackWorker()
         try:
             with DistributedExecutor(
@@ -514,7 +533,12 @@ class TestInputPublication:
         own store)."""
         spec = fixed_input_spec()
         golden = Engine(SerialExecutor()).run_batch(spec, 8)
-        flaky = LoopbackWorker(max_requests_per_connection=0)
+        # Hangs up on every upload, so no chunk ever reaches it.
+        flaky = LoopbackWorker(
+            fault_injector=FaultInjector(
+                [FaultEvent("publish", op, "crash") for op in range(64)]
+            )
+        )
         try:
             with DistributedExecutor(
                 [flaky.endpoint], share_inputs_min_bytes=1, chunksize=2
@@ -598,20 +622,39 @@ class TestInputPublication:
                 assert executor.registry.total(PUBLISH_FRAMES) == 3
         assert batch.outputs == golden_a.outputs
 
-    def test_published_input_handle_pickles_asymmetrically(self):
-        import pickle
-
+    def test_published_input_handle_travels_unbound(self):
+        """The client's handle crosses the wire as digest + metadata, with
+        no array; the worker binds it to its cached matrix."""
         array = np.arange(6, dtype=np.uint8).reshape(2, 3)
         handle = PublishedInput("d" * 64, (2, 3), "|u1")
         assert not handle.bound
-        wire = pickle.loads(pickle.dumps(handle))
+        wire = decode_value(encode_value(handle))
         assert not wire.bound and wire.digest == handle.digest
+        assert (wire.shape, wire.dtype_str) == ((2, 3), "|u1")
         with pytest.raises(LookupError):
             wire.attach()
         wire.bind(array)
-        rebound = pickle.loads(pickle.dumps(wire))
-        assert rebound.bound
-        np.testing.assert_array_equal(rebound.attach(), array)
+        np.testing.assert_array_equal(wire.attach(), array)
+
+    def test_buffer_refilled_in_place_is_republished(self):
+        """A fixed-input buffer refilled between batches is published
+        under its new digest; the worker never runs the second batch on
+        the matrix it cached for the first."""
+        buffer = np.zeros((16, 16), dtype=np.uint8)
+        spec = RunSpec(
+            protocol=TopSubmatrixRankProtocol(5), inputs=buffer, seed=3
+        )
+        with LoopbackWorker() as worker:
+            with DistributedExecutor(
+                [worker.endpoint], share_inputs_min_bytes=1, chunksize=4
+            ) as executor:
+                engine = Engine(executor)
+                engine.run_batch(spec, 8)
+                buffer[:] = np.eye(16, dtype=np.uint8)
+                batch = engine.run_batch(spec, 8)
+                golden = Engine(SerialExecutor()).run_batch(spec, 8)
+                assert batch.outputs == golden.outputs
+                assert executor.registry.total(PUBLISH_FRAMES) == 2
 
     def test_real_cli_worker_binds_published_inputs(self):
         """Regression: `python -m repro.exec.worker` runs worker.py as
@@ -661,44 +704,3 @@ class TestInputPublication:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
-
-    def test_worker_with_local_process_pool_uses_published_inputs(self):
-        """The serve loop binds the cached matrix before handing chunks
-        to its local process pool, so --processes workers see real
-        inputs."""
-        import threading
-
-        from repro.exec.worker import serve
-
-        stop = threading.Event()
-        ready = threading.Event()
-        address = []
-
-        def on_ready(bound):
-            address.append(bound)
-            ready.set()
-
-        thread = threading.Thread(
-            target=serve,
-            kwargs=dict(
-                host="127.0.0.1",
-                port=0,
-                processes=2,
-                stop_event=stop,
-                ready_callback=on_ready,
-            ),
-            daemon=True,
-        )
-        thread.start()
-        assert ready.wait(timeout=10)
-        spec = fixed_input_spec()
-        golden = Engine(SerialExecutor()).run_batch(spec, 8)
-        try:
-            with DistributedExecutor(
-                ["%s:%d" % address[0]], share_inputs_min_bytes=1, chunksize=2
-            ) as executor:
-                batch = Engine(executor).run_batch(spec, 8)
-            assert batch.outputs == golden.outputs
-        finally:
-            stop.set()
-            thread.join(timeout=10)

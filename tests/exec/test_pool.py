@@ -230,6 +230,21 @@ class TestSharedInputs:
             assert engine.run_batch(spec, 6).outputs == golden.outputs
             assert len(pool._segments) == 1
 
+    def test_buffer_refilled_in_place_is_republished(self):
+        """A fixed-input buffer refilled between batches gets a fresh
+        segment; workers never run the second batch on the segment
+        published for the first."""
+        buffer = np.zeros((16, 16), dtype=np.uint8)
+        spec = rank_spec(distribution=None, inputs=buffer)
+        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
+            engine = Engine(pool)
+            engine.run_batch(spec, 8)
+            buffer[:] = np.eye(16, dtype=np.uint8)
+            batch = engine.run_batch(spec, 8)
+            golden = Engine(SerialExecutor()).run_batch(spec, 8)
+            assert batch.outputs == golden.outputs
+            assert len(pool._segments) == 2
+
     def test_distinct_matrices_get_distinct_segments(self, rng):
         with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
             engine = Engine(pool)

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
-from repro.exec import DistributedExecutor, LoopbackWorker, WorkerPool
+from repro.exec import (
+    DistributedExecutor,
+    FaultEvent,
+    FaultInjector,
+    LoopbackWorker,
+    WorkerPool,
+)
 from repro.exec.stealing import Chunk, ChunkScheduler
 from repro.exec.wire import register_wire_function
 from repro.lowerbounds import TopSubmatrixRankProtocol
@@ -22,6 +28,24 @@ def rank_spec(seed=7):
         protocol=TopSubmatrixRankProtocol(5),
         distribution=UniformRows(8, 8),
         seed=seed,
+    )
+
+
+def slow_worker(delay):
+    """A straggler: every map frame is answered ``delay`` seconds late."""
+    return LoopbackWorker(
+        fault_injector=FaultInjector(
+            [FaultEvent("map", op, "slow", delay=delay) for op in range(64)]
+        )
+    )
+
+
+def flaky_worker():
+    """A worker that hangs up instead of answering every other map frame."""
+    return LoopbackWorker(
+        fault_injector=FaultInjector(
+            [FaultEvent("map", op, "crash") for op in range(0, 64, 2)]
+        )
     )
 
 
@@ -134,7 +158,7 @@ def _boom_global(x):
 class TestDistributedStealing:
     def test_steal_mode_rebalances_off_slow_worker(self):
         """With one straggler, stealing moves chunks to the fast host."""
-        with LoopbackWorker() as fast, LoopbackWorker(request_delay=0.05) as slow:
+        with LoopbackWorker() as fast, slow_worker(0.05) as slow:
             with DistributedExecutor(
                 [fast.endpoint, slow.endpoint], chunksize=1
             ) as executor:
@@ -168,8 +192,8 @@ class TestDistributedStealing:
         their chunks, including ones requeued after a death, all ran on
         a live worker instead of being stranded on a dead lane."""
         steady = LoopbackWorker()
-        flaky_a = LoopbackWorker(max_requests_per_connection=1)
-        flaky_b = LoopbackWorker(max_requests_per_connection=1)
+        flaky_a = flaky_worker()
+        flaky_b = flaky_worker()
         try:
             with DistributedExecutor(
                 [steady.endpoint, flaky_a.endpoint, flaky_b.endpoint],
@@ -187,7 +211,7 @@ class TestDistributedStealing:
 
     def test_failover_with_stealing(self):
         """A dying worker's chunks are stolen/redistributed, not lost."""
-        flaky = LoopbackWorker(max_requests_per_connection=1)
+        flaky = flaky_worker()
         steady = LoopbackWorker()
         try:
             with DistributedExecutor(
@@ -202,7 +226,7 @@ class TestDistributedStealing:
 
     def test_engine_batch_on_skewed_fleet_bit_identical(self):
         golden = Engine(SerialExecutor()).run_batch(rank_spec(), 20)
-        with LoopbackWorker() as fast, LoopbackWorker(request_delay=0.02) as slow:
+        with LoopbackWorker() as fast, slow_worker(0.02) as slow:
             with DistributedExecutor(
                 [fast.endpoint, slow.endpoint], chunksize=2
             ) as executor:

@@ -130,6 +130,20 @@ class TestValueCodec:
         with pytest.raises(UnencodableError):
             encode_value(Private())
 
+    def test_shared_memory_handle_never_travels(self):
+        """A ``_SharedInput`` names a segment on the local machine.  It is
+        not in the wire vocabulary, so no frame can make a worker open a
+        segment its client names (and echo its bytes back)."""
+        from repro.core.engine import _SharedInput
+
+        with pytest.raises(UnencodableError):
+            encode_value(_SharedInput("psm_any", (2, 2), np.dtype(np.uint8)))
+        name = b"repro.core.engine:_SharedInput"
+        state = (None, {"name": "psm_any", "shape": (2, 2), "dtype_str": "|u1"})
+        forged = b"O" + _LENGTH.pack(len(name)) + name + encode_value(state)
+        with pytest.raises(CorruptFrameError):
+            decode_value(forged)
+
     def test_unencodable_is_not_a_connection_error(self):
         """Executors treat this as "run locally", never "requeue"."""
         assert not issubclass(UnencodableError, ConnectionError)

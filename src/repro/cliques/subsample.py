@@ -67,6 +67,13 @@ def expected_rounds(n: int, k: int, factor: float = 1.0) -> float:
     return 2.0 + n * activation_probability(n, k, factor)
 
 
+def _volunteers(transcript: Transcript) -> tuple[int, ...]:
+    """Senders of a 1 in round 0, in increasing order."""
+    return tuple(
+        sorted(e.sender for e in transcript.messages_in_round(0) if e.message == 1)
+    )
+
+
 class PlantedCliqueSubsampleProtocol(Protocol):
     """Executable Appendix B protocol.
 
@@ -112,7 +119,6 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         self.activation_factor = activation_factor
         self.support_fraction = support_fraction
         self.clique_threshold_factor = clique_threshold_factor
-        self._clique_cache: dict[tuple, frozenset[int] | None] = {}
 
     # ------------------------------------------------------------------
     # Round structure
@@ -124,13 +130,13 @@ class PlantedCliqueSubsampleProtocol(Protocol):
     def _activation_cap(self, n: int) -> float:
         return 2.0 * n * activation_probability(n, self.k, self.activation_factor)
 
-    def _active_set(self, transcript: Transcript) -> list[int]:
-        return sorted(
-            e.sender for e in transcript.messages_in_round(0) if e.message == 1
-        )
+    def _active_set(self, transcript: Transcript, n: int) -> tuple[int, ...]:
+        """The processors that activated in round 0 (its ``n`` turns),
+        computed once per execution and shared by every processor."""
+        return transcript.derived(_volunteers, min(n, len(transcript)))
 
     def _aborted_after_activation(self, n: int, transcript: Transcript) -> bool:
-        active = self._active_set(transcript)
+        active = self._active_set(transcript, n)
         return len(active) > self._activation_cap(n) or len(active) < 2
 
     def finished(self, n: int, transcript: Transcript, completed_rounds: int) -> bool:
@@ -138,7 +144,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
             return False
         if self._aborted_after_activation(n, transcript):
             return True
-        return completed_rounds >= len(self._active_set(transcript)) + 2
+        return completed_rounds >= len(self._active_set(transcript, n)) + 2
 
     # ------------------------------------------------------------------
     # Broadcasts
@@ -150,7 +156,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
             active = int(draw < p * (1 << _COIN_PRECISION))
             proc.memory["active"] = bool(active)
             return active
-        active = self._active_set(proc.transcript)
+        active = self._active_set(proc.transcript, proc.n)
         if round_index <= len(active):
             # Edge-broadcast phase: my edge toward the t-th activated vertex.
             if proc.memory.get("active"):
@@ -160,40 +166,42 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         # Membership round.
         return self._membership_claim(proc)
 
-    def _activated_subgraph(self, proc: ProcessorContext) -> np.ndarray:
+    @staticmethod
+    def _activated_subgraph(
+        transcript: Transcript, active: tuple[int, ...]
+    ) -> np.ndarray:
         """The activated induced directed subgraph from the transcript."""
-        active = self._active_set(proc.transcript)
         size = len(active)
         position = {v: t for t, v in enumerate(active)}
         sub = np.zeros((size, size), dtype=np.uint8)
-        for event in proc.transcript:
+        for event in transcript:
             if 1 <= event.round_index <= size and event.sender in position:
                 sub[position[event.sender], event.round_index - 1] = event.message
         np.fill_diagonal(sub, 0)
         return sub
 
-    def _active_clique(self, proc: ProcessorContext) -> frozenset[int] | None:
+    def _active_clique(
+        self, transcript: Transcript, n: int
+    ) -> frozenset[int] | None:
         """Max clique of the activated bidirected subgraph (None if the
-        abort threshold is missed).  Deterministic, so every processor
-        computes the same set; cached per transcript prefix."""
-        active = self._active_set(proc.transcript)
-        cache_key = proc.transcript.prefix((len(active) + 1) * proc.n).key()
-        if cache_key in self._clique_cache:
-            return self._clique_cache[cache_key]
-        sub = self._activated_subgraph(proc)
-        skeleton = sub & sub.T
-        local = max_clique(skeleton)
-        p = activation_probability(proc.n, self.k, self.activation_factor)
-        threshold = self.clique_threshold_factor * p * self.k
-        if len(local) < threshold:
-            result: frozenset[int] | None = None
-        else:
-            result = frozenset(active[t] for t in local)
-        self._clique_cache[cache_key] = result
-        return result
+        abort threshold is missed).  It reads the activation and edge
+        rounds only, so it is computed once per execution and shared by
+        every processor."""
+        active = self._active_set(transcript, n)
+        return transcript.derived(self._clique_of_edges, (len(active) + 1) * n)
+
+    def _clique_of_edges(self, transcript: Transcript) -> frozenset[int] | None:
+        n = len(transcript.messages_in_round(0))  # everyone speaks in round 0
+        active = self._active_set(transcript, n)
+        sub = self._activated_subgraph(transcript, active)
+        local = max_clique(sub & sub.T)
+        p = activation_probability(n, self.k, self.activation_factor)
+        if len(local) < self.clique_threshold_factor * p * self.k:
+            return None
+        return frozenset(active[t] for t in local)
 
     def _membership_claim(self, proc: ProcessorContext) -> int:
-        clique = self._active_clique(proc)
+        clique = self._active_clique(proc.transcript, proc.n)
         if clique is None:
             return 0
         others = [v for v in clique if v != proc.proc_id]
@@ -208,9 +216,9 @@ class PlantedCliqueSubsampleProtocol(Protocol):
     def output(self, proc: ProcessorContext) -> frozenset[int] | None:
         if self._aborted_after_activation(proc.n, proc.transcript):
             return None
-        if self._active_clique(proc) is None:
+        if self._active_clique(proc.transcript, proc.n) is None:
             return None
-        active = self._active_set(proc.transcript)
+        active = self._active_set(proc.transcript, proc.n)
         membership_round = len(active) + 1
         claimants = frozenset(
             e.sender

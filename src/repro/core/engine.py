@@ -1077,6 +1077,9 @@ def _execute(
     for round_index in range(n_rounds):
         if rounds is None and protocol.finished(n, transcript, round_index):
             break
+        # The round's sender → payload map, filled as the round is
+        # published; every processor's receive() gets this one dict.
+        round_messages: dict[int, int] = {}
         if scheduler.sees_current_round:
             # Sequential turns: append each event immediately so later
             # speakers in the same round condition on it.
@@ -1088,6 +1091,7 @@ def _execute(
                 transcript.append(
                     BroadcastEvent(turn, round_index, proc_id, message, width)
                 )
+                round_messages[proc_id] = message
                 turn += 1
         else:
             # Synchronous round: compute all messages against the frozen
@@ -1103,10 +1107,8 @@ def _execute(
                 transcript.append(
                     BroadcastEvent(turn, round_index, proc_id, message, width)
                 )
+                round_messages[proc_id] = message
                 turn += 1
-        round_messages = {
-            e.sender: e.message for e in transcript.messages_in_round(round_index)
-        }
         for proc in contexts:
             protocol.receive(proc, round_index, round_messages)
         rounds_run = round_index + 1

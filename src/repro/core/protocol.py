@@ -128,7 +128,14 @@ class Protocol:
 
     def output(self, proc: ProcessorContext) -> Any:
         """Called once per processor after the final round; the return value
-        is the processor's output."""
+        is the processor's output.
+
+        Work that reads only the transcript (decoding a revealed matrix,
+        ranking it, counting components) is the same for every processor:
+        compute it through ``proc.transcript.derived(fn, turns)`` so it
+        runs once per execution instead of ``n`` times.  See
+        :meth:`~repro.core.transcript.Transcript.derived` for the contract.
+        """
         return None
 
     def batch_decisions(

@@ -65,16 +65,35 @@ class CoinSource:
     Parameters
     ----------
     rng:
-        Backing numpy generator.
+        Backing numpy generator (``None`` only via :meth:`from_seed`).
     budget:
         Optional hard cap on the number of bits that may be drawn; drawing
         past it raises :class:`RandomnessExhausted`.
     """
 
-    def __init__(self, rng: np.random.Generator, budget: int | None = None):
+    def __init__(self, rng: np.random.Generator | None, budget: int | None = None):
         self._rng = rng
+        self._seed: int | None = None
         self.budget = budget
         self.bits_used = 0
+
+    @classmethod
+    def from_seed(cls, seed: int, budget: int | None = None) -> "CoinSource":
+        """A source drawing the stream of ``cls(expand_seed(seed), budget)``.
+
+        The generator is built on the first draw, so a processor that
+        never flips a coin never pays for one.  No stream moves: the
+        caller still draws ``seed`` where it used to build the generator,
+        and ``expand_seed(seed)`` yields the same bits whenever it runs.
+        """
+        coins = cls(None, budget)
+        coins._seed = seed
+        return coins
+
+    def _generator(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = expand_seed(self._seed)
+        return self._rng
 
     def _charge(self, n_bits: int) -> None:
         if n_bits < 0:
@@ -89,20 +108,21 @@ class CoinSource:
     def draw_bit(self) -> int:
         """One uniform bit."""
         self._charge(1)
-        return int(self._rng.integers(0, 2))
+        return int(self._generator().integers(0, 2))
 
     def draw_bits(self, n_bits: int) -> BitVector:
         """``n_bits`` uniform bits as a :class:`BitVector`."""
         self._charge(n_bits)
-        return BitVector.random(n_bits, self._rng)
+        return BitVector.random(n_bits, self._generator())
 
     def draw_int(self, n_bits: int) -> int:
         """A uniform integer in ``[0, 2^n_bits)`` (charged ``n_bits``)."""
         self._charge(n_bits)
+        rng = self._generator()
         value = 0
         for chunk_start in range(0, n_bits, 32):
             chunk = min(32, n_bits - chunk_start)
-            value |= int(self._rng.integers(0, 1 << chunk)) << chunk_start
+            value |= int(rng.integers(0, 1 << chunk)) << chunk_start
         return value
 
     def remaining(self) -> int | None:

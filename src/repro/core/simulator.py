@@ -29,7 +29,7 @@ import numpy as np
 from .network import CostReport
 from .processor import ProcessorContext
 from .protocol import Protocol
-from .randomness import CoinSource, PrivateCoins, expand_seed, fresh_generator
+from .randomness import CoinSource, PrivateCoins, fresh_generator
 from .scheduler import Scheduler
 from .transcript import Transcript
 
@@ -59,7 +59,8 @@ def make_contexts(
 
     ``inputs`` is an ``n × m`` 0/1 array; row ``i`` becomes processor
     ``i``'s private input.  Each processor receives an independent private
-    coin source derived from ``rng``.
+    coin source derived from ``rng``: the ``n`` seeds are drawn here, the
+    generators on each processor's first coin flip.
     """
     inputs = np.asarray(inputs, dtype=np.uint8)
     if inputs.ndim != 2:
@@ -76,9 +77,7 @@ def make_contexts(
             proc_id=i,
             n=n,
             input_row=inputs[i],
-            coins=PrivateCoins(
-                expand_seed(int(seeds[i])), budget=private_bit_budget
-            ),
+            coins=PrivateCoins.from_seed(int(seeds[i]), budget=private_bit_budget),
             public_coins=public_coins,
             transcript=transcript,
         )

@@ -26,6 +26,7 @@ import numpy as np
 from ..core.engine import Engine, Executor, RunSpec, derive_seed
 from ..core.processor import ProcessorContext
 from ..core.protocol import Protocol, require_bits
+from ..core.transcript import Transcript
 from ..costs import CostModel, Phase, Sym, min_
 from ..distributions.uniform import UniformRows
 from ..linalg.batch import BitMatrixBatch
@@ -113,17 +114,22 @@ class TopSubmatrixRankProtocol(Protocol):
             return int(proc.input[round_index])
         return 0
 
-    def _revealed_block(self, proc: ProcessorContext) -> np.ndarray:
+    def _revealed_block(self, transcript: Transcript) -> np.ndarray:
         """The ``k × j`` revealed left block (j = rounds actually run)."""
         j = min(self.rounds_budget, self.k)
         block = np.zeros((self.k, j), dtype=np.uint8)
-        for event in proc.transcript:
+        for event in transcript:
             if event.sender < self.k and event.round_index < j:
                 block[event.sender, event.round_index] = event.message
         return block
 
     def output(self, proc: ProcessorContext) -> int:
-        block = self._revealed_block(proc)
+        # The decision reads only the public transcript: one rank per
+        # trial, shared by every processor.
+        return proc.transcript.derived(self._decision, len(proc.transcript))
+
+    def _decision(self, transcript: Transcript) -> int:
+        block = self._revealed_block(transcript)
         j = block.shape[1]
         if j >= self.k:
             return int(BitMatrix.from_array(block).is_full_rank())

@@ -30,27 +30,9 @@ from .generator import MatrixPRGProtocol
 __all__ = ["DerandomizedProtocol"]
 
 
-def _rebased_transcript(transcript: Transcript, skip_rounds: int, n: int) -> Transcript:
-    """A copy of ``transcript`` with the first ``skip_rounds`` rounds removed
-    and round/turn indices renumbered from zero.
-
-    The payload protocol must see the same local view it would have seen
-    running stand-alone — protocols such as Appendix B's read specific
-    round indices out of the transcript.
-    """
-    rebased = Transcript()
-    skip_turns = skip_rounds * n
-    for event in transcript:
-        if event.round_index < skip_rounds:
-            continue
-        rebased.append(
-            replace(
-                event,
-                turn=event.turn - skip_turns,
-                round_index=event.round_index - skip_rounds,
-            )
-        )
-    return rebased
+def _payload_start(transcript: Transcript) -> Transcript:
+    """The payload's transcript at the turn the PRG rounds end: empty."""
+    return Transcript()
 
 
 class DerandomizedProtocol(Protocol):
@@ -89,10 +71,35 @@ class DerandomizedProtocol(Protocol):
         if completed_rounds < prg_rounds:
             return False
         return self.payload.finished(
-            n,
-            _rebased_transcript(transcript, prg_rounds, n),
-            completed_rounds - prg_rounds,
+            n, self._payload_transcript(transcript, n), completed_rounds - prg_rounds
         )
+
+    def _payload_transcript(self, transcript: Transcript, n: int) -> Transcript:
+        """``transcript`` without the PRG rounds, round and turn indices
+        renumbered from zero.
+
+        The payload protocol must see the same local view it would have
+        seen running stand-alone — protocols such as Appendix B's read
+        specific round indices out of the transcript.  The view is opened
+        once per execution, memoized on ``transcript`` at the turn the PRG
+        rounds end, so every processor shares it and it dies with the
+        execution; each call appends the broadcasts it still lacks.  It
+        grows append-only like its source, so the payload's own
+        ``derived`` values stay valid from round to round.
+        """
+        prg_rounds = self.prg.num_rounds(n)
+        skip_turns = prg_rounds * n
+        view = transcript.derived(_payload_start, min(skip_turns, len(transcript)))
+        for turn in range(skip_turns + len(view), len(transcript)):
+            event = transcript[turn]
+            view.append(
+                replace(
+                    event,
+                    turn=event.turn - skip_turns,
+                    round_index=event.round_index - prg_rounds,
+                )
+            )
+        return view
 
     def setup(self, proc: ProcessorContext) -> None:
         self.prg.setup(proc)
@@ -111,9 +118,7 @@ class DerandomizedProtocol(Protocol):
     def _payload_view(self, proc: ProcessorContext):
         """Temporarily present the payload's re-based transcript view."""
         original = proc.transcript
-        proc.transcript = _rebased_transcript(
-            original, self.prg.num_rounds(proc.n), proc.n
-        )
+        proc.transcript = self._payload_transcript(original, proc.n)
         try:
             yield
         finally:

@@ -33,6 +33,14 @@ def components_from_labels(labels: list[int]) -> int:
     return len(set(labels))
 
 
+def _final_component_count(transcript: Transcript) -> int:
+    """Distinct labels broadcast in the transcript's last round."""
+    final_round = transcript[-1].round_index
+    return components_from_labels(
+        [e.message for e in transcript.messages_in_round(final_round)]
+    )
+
+
 class ConnectivityProtocol(Protocol):
     """Min-label propagation over an undirected adjacency input.
 
@@ -103,11 +111,8 @@ class ConnectivityProtocol(Protocol):
         proc.memory["label"] = label
 
     def output(self, proc: ProcessorContext) -> tuple[int, int]:
-        final_round = proc.transcript[-1].round_index
-        labels = [
-            e.message for e in proc.transcript.messages_in_round(final_round)
-        ]
-        return self._current_label(proc), components_from_labels(labels)
+        count = proc.transcript.derived(_final_component_count, len(proc.transcript))
+        return self._current_label(proc), count
 
     # ------------------------------------------------------------------
     # Vectorized fast path

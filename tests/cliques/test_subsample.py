@@ -1,5 +1,7 @@
 """Tests for the Appendix B subsampling protocol."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,14 @@ class TestProtocol:
                 total += result.cost.rounds
             rounds_by_k[k] = total / 4
         assert rounds_by_k[48] < rounds_by_k[24]
+
+    def test_runs_leave_the_protocol_instance_unchanged(self):
+        """``run_protocol`` runs the caller's instance itself (no copy), so
+        any per-transcript cache on ``self`` would grow with every run;
+        shared values live on the execution's transcript instead."""
+        protocol = PlantedCliqueSubsampleProtocol(12, activation_factor=0.5)
+        before = len(pickle.dumps(protocol))
+        for seed in range(50):
+            matrix = PlantedClique(16, 12).sample(np.random.default_rng(seed))
+            run_protocol(protocol, matrix, rng=np.random.default_rng(seed + 1000))
+        assert len(pickle.dumps(protocol)) == before

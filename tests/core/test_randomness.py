@@ -1,16 +1,24 @@
 """Tests for metered coin sources."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core import (
     PrivateCoins,
+    Protocol,
     PublicCoins,
     RandomnessExhausted,
     ReplayCoins,
     ZeroCoins,
+    randomness,
+    run_protocol,
 )
+from repro.core.randomness import expand_seed
+from repro.exec.wire import decode_value, encode_value
 from repro.linalg import BitVector
+from repro.lowerbounds import TopSubmatrixRankProtocol
 
 
 class TestAccounting:
@@ -82,3 +90,87 @@ class TestReplayCoins:
         coins = PrivateCoins(rng)
         ones = sum(coins.draw_bit() for _ in range(2000))
         assert 850 < ones < 1150
+
+
+class CoinDrawer(Protocol):
+    """Processors with an odd id flip ``bits`` coins in round 0."""
+
+    def __init__(self, bits=40):
+        self.bits = bits
+
+    def num_rounds(self, n):
+        return 1
+
+    def broadcast(self, proc, round_index):
+        if proc.proc_id % 2:
+            proc.memory["drawn"] = proc.coins.draw_int(self.bits)
+        return 0
+
+    def output(self, proc):
+        return proc.memory.get("drawn")
+
+
+@pytest.fixture
+def expand_seed_calls(monkeypatch):
+    """Count generator expansions (the lazy path looks ``expand_seed`` up
+    as a module global, so patching the module sees every one)."""
+    calls = []
+
+    def counting(seed):
+        calls.append(seed)
+        return expand_seed(seed)
+
+    monkeypatch.setattr(randomness, "expand_seed", counting)
+    return calls
+
+
+class TestLazyPrivateCoins:
+    def test_protocol_that_never_draws_builds_no_generator(self, expand_seed_calls):
+        inputs = np.random.default_rng(0).integers(0, 2, size=(8, 8), dtype=np.uint8)
+        result = run_protocol(TopSubmatrixRankProtocol(8), inputs, rng=np.random.default_rng(1))
+        assert expand_seed_calls == []
+        assert result.cost.total_private_bits == 0
+
+    def test_only_drawing_processors_build_a_generator(self, expand_seed_calls):
+        n = 7
+        result = run_protocol(
+            CoinDrawer(), np.zeros((n, 1), dtype=np.uint8), rng=np.random.default_rng(5)
+        )
+        seeds = np.random.default_rng(5).integers(0, 2**63, size=n, dtype=np.int64)
+        assert expand_seed_calls == [int(seeds[i]) for i in range(1, n, 2)]
+        for i in range(n):
+            if i % 2:
+                # Exactly the stream the eager generator would have drawn.
+                assert result.outputs[i] == PrivateCoins(expand_seed(int(seeds[i]))).draw_int(40)
+            else:
+                assert result.outputs[i] is None
+
+    def test_from_seed_draws_the_expanded_stream(self):
+        lazy, eager = PrivateCoins.from_seed(99, budget=200), PrivateCoins(expand_seed(99), budget=200)
+        assert lazy.draw_bit() == eager.draw_bit()
+        assert list(lazy.draw_bits(70)) == list(eager.draw_bits(70))
+        assert lazy.draw_int(33) == eager.draw_int(33)
+        assert lazy.bits_used == eager.bits_used == 104
+        assert lazy.remaining() == 96
+        assert isinstance(lazy, PrivateCoins)
+
+    def test_budget_is_checked_before_any_generator_exists(self, expand_seed_calls):
+        coins = PrivateCoins.from_seed(3, budget=2)
+        with pytest.raises(RandomnessExhausted):
+            coins.draw_bits(3)
+        assert expand_seed_calls == []
+
+    @pytest.mark.parametrize("drawn_first", [0, 5])
+    def test_wire_encodes_before_and_after_the_first_draw(self, drawn_first):
+        def advanced(coins):
+            if drawn_first:
+                coins.draw_int(drawn_first)
+            return coins
+
+        coins = advanced(PrivateCoins.from_seed(2024, budget=64))
+        clones = [decode_value(encode_value(coins)), pickle.loads(pickle.dumps(coins))]
+        for clone in clones + [coins]:
+            reference = advanced(PrivateCoins(expand_seed(2024), budget=64))
+            assert type(clone) is PrivateCoins
+            assert (clone.bits_used, clone.budget) == (drawn_first, 64)
+            assert clone.draw_int(20) == reference.draw_int(20)

@@ -1,8 +1,14 @@
-"""Tests for transcripts and broadcast events."""
+"""Tests for transcripts, their round index and their public-value memo."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
-from repro.core import BroadcastEvent, Transcript
+from repro.core import BroadcastEvent, Protocol, Transcript, run_protocol
+from repro.exec.wire import decode_value, encode_value
+from repro.protocols.connectivity import ConnectivityProtocol
 
 
 def make_event(turn, round_index=0, sender=0, message=1, width=1):
@@ -105,3 +111,172 @@ class TestTranscript:
         t.append(make_event(1, message=0))
         assert t[0].message == 1
         assert [e.message for e in t] == [1, 0]
+
+
+def linear_scan(transcript, round_index):
+    return [e for e in transcript if e.round_index == round_index]
+
+
+def simulated_transcript(scheduler="round"):
+    """A real multi-round transcript: connectivity on a path graph runs
+    several rounds of multi-bit labels."""
+    n = 6
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    for i in range(n - 1):
+        adjacency[i, i + 1] = adjacency[i + 1, i] = 1
+    return run_protocol(
+        ConnectivityProtocol(n), adjacency, scheduler=scheduler, rng=np.random.default_rng(0)
+    ).transcript
+
+
+class TestRoundIndex:
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_matches_linear_scan_for_every_round(self, scheduler):
+        t = simulated_transcript(scheduler)
+        rounds = {e.round_index for e in t}
+        assert len(rounds) > 2
+        for r in sorted(rounds) + [max(rounds) + 1, -1]:
+            assert t.messages_in_round(r) == linear_scan(t, r)
+        assert t.messages_in_round(max(rounds) + 5) == []
+
+    def test_matches_linear_scan_after_prefix_and_copy(self):
+        t = simulated_transcript()
+        for view in (t.copy(), t.prefix(len(t) - 3), t.prefix(7), t.prefix(0)):
+            for r in range(-1, t[-1].round_index + 2):
+                assert view.messages_in_round(r) == linear_scan(view, r)
+
+    def test_index_follows_appends_of_a_copy_only(self):
+        t = simulated_transcript()
+        grown = t.copy()
+        last = t[-1]
+        grown.append(make_event(last.turn + 1, round_index=last.round_index + 1))
+        assert len(grown.messages_in_round(last.round_index + 1)) == 1
+        assert t.messages_in_round(last.round_index + 1) == []
+
+    def test_unordered_round_indices_keep_turn_order(self):
+        # The constructor does not validate; the index still mirrors a scan.
+        events = [make_event(i, round_index=r) for i, r in enumerate([1, 0, 1, 2, 0])]
+        t = Transcript(events)
+        for r in range(4):
+            assert t.messages_in_round(r) == linear_scan(t, r)
+
+    def test_returned_lists_are_fresh(self):
+        t = simulated_transcript()
+        t.messages_in_round(0).clear()
+        assert t.messages_in_round(0) == linear_scan(t, 0)
+
+
+class CountingFn:
+    """A transcript function that counts its calls and what it saw."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, transcript):
+        self.calls.append(len(transcript))
+        return transcript.key()
+
+
+class MemoProbe(Protocol):
+    """Every processor asks for the same public value in ``output``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def num_rounds(self, n):
+        return 2
+
+    def broadcast(self, proc, round_index):
+        return int(proc.input[round_index])
+
+    def output(self, proc):
+        return proc.transcript.derived(self.fn, len(proc.transcript))
+
+
+class TestDerived:
+    def test_one_call_shared_by_every_processor(self):
+        fn = CountingFn()
+        inputs = np.random.default_rng(1).integers(0, 2, size=(7, 2), dtype=np.uint8)
+        result = run_protocol(MemoProbe(fn), inputs, rng=np.random.default_rng(2))
+        assert fn.calls == [14]
+        assert all(out == result.transcript.key() for out in result.outputs)
+        assert len({id(out) for out in result.outputs}) == 1
+
+    def test_recomputes_at_a_new_turn_count(self):
+        fn = CountingFn()
+        t = simulated_transcript()
+        assert t.derived(fn, 6) == t.prefix(6).key()
+        assert t.derived(fn, 6) == t.prefix(6).key()
+        assert t.derived(fn, len(t)) == t.key()
+        assert t.derived(fn, 6) == t.prefix(6).key()
+        assert fn.calls == [6, len(t)]
+
+    def test_sees_only_the_first_turns_events(self):
+        t = simulated_transcript()
+        assert t.derived(len, 5) == 5
+        assert t.derived(lambda view: view[-1], 5) == t[4]
+        assert t.derived(len, 0) == 0
+        with pytest.raises(ValueError):
+            t.derived(len, len(t) + 1)
+        with pytest.raises(ValueError):
+            t.derived(len, -1)
+
+    def test_value_memoized_early_survives_appends(self):
+        fn = CountingFn()
+        t = simulated_transcript()
+        grown = t.copy()
+        early = grown.derived(fn, len(grown))
+        last = grown[-1]
+        grown.append(make_event(last.turn + 1, round_index=last.round_index + 1))
+        assert grown.derived(fn, len(t)) is early
+        assert fn.calls == [len(t)]
+
+    def test_never_shared_between_transcripts(self):
+        fn = CountingFn()
+        a = simulated_transcript()
+        b = simulated_transcript()
+        assert a == b and a is not b
+        a.derived(fn, len(a))
+        b.derived(fn, len(b))
+        a.copy().derived(fn, len(a))
+        a.prefix(len(a)).derived(fn, len(a))
+        assert fn.calls == [len(a)] * 4
+
+    def test_none_is_memoized_too(self):
+        calls = []
+
+        def nothing(transcript):
+            calls.append(1)
+            return None
+
+        t = simulated_transcript()
+        assert t.derived(nothing, 3) is None
+        assert t.derived(nothing, 3) is None
+        assert calls == [1]
+
+    def test_memo_is_not_state(self):
+        fn = CountingFn()
+        filled = simulated_transcript()
+        plain = simulated_transcript()
+        filled.derived(fn, len(filled))
+        filled.messages_in_round(1)
+        assert filled == plain
+        assert hash(filled) == hash(plain)
+        assert pickle.dumps(filled) == pickle.dumps(plain)
+        assert encode_value(filled) == encode_value(plain)
+        for copied in (
+            pickle.loads(pickle.dumps(filled)),
+            decode_value(encode_value(filled)),
+            copy.deepcopy(filled),
+            copy.copy(filled),
+        ):
+            assert copied == plain
+            for r in range(filled[-1].round_index + 1):
+                assert copied.messages_in_round(r) == plain.messages_in_round(r)
+            copied.derived(fn, len(copied))
+        # Every copy started with an empty memo and recomputed.
+        assert fn.calls == [len(filled)] * 5
+
+    def test_decoded_state_must_hold_events(self):
+        with pytest.raises(TypeError):
+            Transcript().__setstate__((None, {"_events": [("not", "an", "event")]}))

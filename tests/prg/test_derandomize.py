@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Protocol, ProtocolViolation, run_protocol
+from repro.core import BroadcastEvent, Protocol, ProtocolViolation, run_protocol
 from repro.prg import DerandomizedProtocol, matrix_prg_rounds
 
 
@@ -111,3 +111,58 @@ class TestExecution:
 
         assert run(11) == run(11)
         assert run(11) != run(12) or run(13) != run(11)
+
+
+class ViewRecorder(Protocol):
+    """A payload recording, at every callback, the transcript it was shown."""
+
+    def __init__(self, rounds=3):
+        self._rounds = rounds
+        self.seen = []
+
+    def num_rounds(self, n):
+        return self._rounds
+
+    def finished(self, n, transcript, completed_rounds):
+        self.seen.append(("finished", None, transcript, len(transcript)))
+        return completed_rounds >= self._rounds
+
+    def broadcast(self, proc, round_index):
+        self.seen.append(("broadcast", proc.proc_id, proc.transcript, len(proc.transcript)))
+        return proc.coins.draw_bit()
+
+    def output(self, proc):
+        self.seen.append(("output", proc.proc_id, proc.transcript, len(proc.transcript)))
+        return proc.transcript.key()
+
+
+class TestPayloadView:
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_one_shared_view_in_step_with_the_transcript(self, scheduler):
+        n, k = 6, 3
+        payload = ViewRecorder()
+        wrapped = DerandomizedProtocol(payload, k=k, random_bits=3)
+        result = run_protocol(
+            wrapped, np.zeros((n, 1), dtype=np.uint8), scheduler=scheduler,
+            rng=np.random.default_rng(4),
+        )
+        prg_rounds = wrapped.prg.num_rounds(n)
+        skip = prg_rounds * n
+        expected = [
+            BroadcastEvent(e.turn - skip, e.round_index - prg_rounds, e.sender, e.message, e.width)
+            for e in result.transcript
+            if e.round_index >= prg_rounds
+        ]
+        # One payload transcript per execution, shared by every processor.
+        views = {id(view) for _, _, view, _ in payload.seen}
+        assert len(views) == 1
+        view = payload.seen[0][2]
+        assert list(view) == expected
+        # Every callback saw the view as long as the transcript then was.
+        broadcasts = [length for kind, _, _, length in payload.seen if kind == "broadcast"]
+        if scheduler == "turn":
+            assert broadcasts == list(range(len(expected)))
+        else:
+            assert broadcasts == [r * n for r in range(3) for _ in range(n)]
+        outputs = {out for out in result.outputs}
+        assert outputs == {tuple(e.message for e in expected)}

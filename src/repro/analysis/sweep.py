@@ -9,9 +9,7 @@ users can add their own experiments in the same style.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.engine import Executor, resolve_executor
@@ -99,7 +97,6 @@ def run_sweep(
     grid: Iterable[Mapping[str, Any]],
     measure: Callable[..., Mapping[str, float]],
     executor: Executor | str | None = None,
-    checkpoint: "str | Path | None" = None,
 ) -> SweepResult:
     """Run ``measure(**params)`` for every grid point.
 
@@ -112,50 +109,13 @@ def run_sweep(
     picklable — module-level functions and :func:`functools.partial`
     are, closures are not and fall back to serial with a warning).
 
-    ``checkpoint`` names a JSONL journal (shared format with
-    :class:`~repro.exec.sweep.SweepDriver`): completed points are
-    appended as they are measured, and points already present are loaded
-    instead of re-measured — an interrupted sweep rerun with the same
-    journal recomputes nothing it already finished.  Measured values must
-    then be JSON-serializable (floats are), and points run in-process one
-    at a time (an explicit ``executor`` is ignored, with a
-    ``RuntimeWarning``): durable per-point progress is the journaled
-    path's contract.  For cross-point parallelism *with*
-    journaling — plus adaptive trial counts and overlapped asynchronous
-    batches — use :class:`~repro.exec.sweep.SweepDriver` directly.
+    For a journaled, resumable sweep — plus adaptive trial counts and
+    overlapped asynchronous batches — use
+    :class:`~repro.exec.sweep.SweepDriver`.
     """
     grid = list(grid)
     result = SweepResult()
-    if checkpoint is None:
-        all_values = resolve_executor(executor).map(_MeasureCall(measure), grid)
-        for params, values in zip(grid, all_values):
-            result.points.append(
-                SweepPoint(params=dict(params), values=dict(values))
-            )
-        return result
-
-    # Journaled path: measure only the points missing from the journal,
-    # appending each as it completes so an interruption loses at most the
-    # point in flight.  Points run in-process one at a time — durable
-    # progress is the contract here (a per-point executor.map would build
-    # a one-task pool per point for nothing); SweepDriver provides
-    # journaling *and* cross-point parallelism.
-    from ..exec.sweep import append_journal, load_journal, params_key
-
-    if executor is not None:
-        warnings.warn(
-            "run_sweep(checkpoint=...) measures points in-process for "
-            "durable per-point progress; the executor is not used. "
-            "Use repro.exec.SweepDriver for journaled parallel sweeps.",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    journal = load_journal(checkpoint)
-    call = _MeasureCall(measure)
-    for params in grid:
-        values = journal.get(params_key(params))
-        if values is None:
-            values = call(params)
-            append_journal(checkpoint, params, values)
+    all_values = resolve_executor(executor).map(_MeasureCall(measure), grid)
+    for params, values in zip(grid, all_values):
         result.points.append(SweepPoint(params=dict(params), values=dict(values)))
     return result

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 import os
 import pickle
 import threading
@@ -573,7 +572,7 @@ class Executor:
         raise NotImplementedError
 
     # -- shared fallback machinery --------------------------------------
-    # Every out-of-process backend needs the same three pieces; they live
+    # Every out-of-process backend needs the same two pieces; they live
     # here so the backends cannot drift apart.
 
     @staticmethod
@@ -606,17 +605,6 @@ class Executor:
             stacklevel=3,
         )
         return [fn(item) for item in items]
-
-    @staticmethod
-    def _default_chunksize(n_items: int, lanes: int) -> int:
-        """~4 chunks per worker lane, amortizing IPC without starving anyone.
-
-        Four chunks per lane leave the work-stealing scheduler enough
-        queued chunks to move off a straggler; a finer 8-per-lane grain
-        measured 0.89x the throughput of this one on a skewed loopback
-        fleet, because every extra chunk pays a frame round trip.
-        """
-        return max(1, math.ceil(n_items / (4 * lanes)))
 
     # -- shared-memory input protocol -----------------------------------
     # Executors own the lifecycle of shared fixed-input segments because

@@ -20,18 +20,18 @@ callable once per worker under its content digest (``register_fn``) and
 map frames reference the digest; a worker that restarted answers
 ``("need_fn", digest)`` and is transparently re-registered.
 
-Dispatch splits the item list into contiguous chunks and deals them over
-the connected workers through the shared work-stealing
-:class:`~repro.exec.stealing.ChunkScheduler` — one feeder thread per
-connection, each keeping one chunk in flight and stealing queued chunks
-from slower hosts once its own share is done, so a heterogeneous fleet
-finishes when the work runs out rather than when the slowest host does.
-A worker that disconnects mid-batch has its unfinished chunks stolen by
-the surviving workers, and when every worker is gone the remainder runs
-locally (with a loud :class:`~repro.exec.health.FleetDegradedWarning`) —
-a batch never fails because the fleet shrank.  Task exceptions, by
-contrast, are shipped back and re-raised exactly like a local executor
-would.
+Dispatch runs the shared :func:`~repro.exec.stealing.dispatch` loop
+with one wire lane per worker — one feeder thread per connection, each
+keeping one chunk in flight and stealing queued chunks from slower hosts
+once its own share is done, so a heterogeneous fleet finishes when the
+work runs out rather than when the slowest host does.  A worker that
+disconnects mid-batch loses its lane (raising
+:class:`~repro.exec.stealing.LaneLost`) and its unfinished chunks are
+stolen by the surviving workers; when every worker is gone the remainder
+runs locally (with a loud
+:class:`~repro.exec.health.FleetDegradedWarning`) — a batch never fails
+because the fleet shrank.  Task exceptions, by contrast, are shipped
+back and re-raised exactly like a local executor would.
 
 The failure model is tested, not aspirational (``docs/robustness.md``):
 a per-map **heartbeat monitor** probes every worker on fresh
@@ -87,7 +87,7 @@ from .health import (
     RetryPolicy,
     WorkerTimeoutError,
 )
-from .stealing import ChunkScheduler
+from .stealing import Chunk, LaneLost, dispatch
 from .wire import (
     AuthenticationError,
     CorruptFrameError,
@@ -311,6 +311,171 @@ class _WorkerLink:
                 self._record("close")
 
 
+class _WireLane:
+    """One worker connection as a :func:`~repro.exec.stealing.dispatch` lane.
+
+    It holds the wire failure policy: a transport or protocol failure
+    loses the lane (:class:`~repro.exec.stealing.LaneLost`), and
+    :meth:`ready` revives a lost lane at most ``lane_retries`` times per
+    map call, after the deterministic backoff — never for a worker the
+    health board declared dead.
+    """
+
+    def __init__(
+        self,
+        executor: "DistributedExecutor",
+        index: int,
+        fn_digest: str,
+        fn_bytes: bytes,
+        handle: "PublishedInput | None",
+    ):
+        self.executor = executor
+        # A private connection per map call, so overlapping batches never
+        # interleave frames; workers serve one handler thread per connection.
+        self.link = _WorkerLink(
+            executor._addresses[index],
+            executor.connect_timeout,
+            executor.task_timeout,
+            lane=index,
+            telemetry=executor.telemetry,
+            retry_policy=executor._retry_policy,
+            connect_retries=executor.connect_retries,
+            secret=executor.secret,
+            ssl_context=executor.ssl_context,
+            registry=executor.registry,
+        )
+        self.fn_digest = fn_digest
+        self.fn_bytes = fn_bytes
+        self.handle = handle
+        #: Times this lane was lost in its map call.
+        self.losses = 0
+        self._lost = False
+        self._lock = threading.Lock()
+
+    def ready(self) -> bool:
+        executor = self.executor
+        if self._lost:
+            if self.losses > executor.lane_retries or executor.health.is_dead(
+                self.link.address
+            ):
+                return False
+            time.sleep(
+                executor._retry_policy.delay(self.losses - 1, lane=self.link.lane)
+            )
+            with self._lock:
+                self._lost = False
+        if self.link.ensure_connected():
+            return True
+        self.lose()
+        return False
+
+    def lose(self) -> None:
+        """Drop the link; record ``lane_death`` once per failure."""
+        self.link.drop()
+        with self._lock:
+            if self._lost:
+                return
+            self._lost = True
+            self.losses += 1
+        host, port = self.link.address
+        self.executor.recorder.record(
+            "lane_death",
+            lane=self.link.lane,
+            worker=f"{host}:{port}",
+            loss=self.losses,
+        )
+        self.executor.tracer.instant("lane_death", track=f"lane-{self.link.lane}")
+
+    def _upload(self) -> None:
+        """Ship the callable, and the matrix, unless the worker acked them."""
+        executor, link, handle = self.executor, self.link, self.handle
+        executor._ensure_uploaded(
+            link,
+            executor._fn_acks,
+            self.fn_digest,
+            lambda: ("register_fn", self.fn_digest, self.fn_bytes),
+        )
+        if handle is not None:
+            executor._ensure_uploaded(
+                link,
+                executor._acked,
+                handle.digest,
+                lambda: executor._publish_frame(link, handle),
+            )
+
+    def _heal(self, frame: tuple[Any, ...], reply: Any) -> Any:
+        """Resolve ``need`` / ``need_fn`` replies by re-uploading.
+
+        The worker lost a digest (it restarted, or its own bounded
+        cache evicted it under concurrent-batch thrash): forget the
+        stale ack, re-upload, retry — a bounded number of times, so a
+        hot eviction loop degrades to a lane failure rather than
+        spinning.
+        """
+        executor = self.executor
+        for _ in range(3):
+            kind = reply[0]
+            if kind == "need":
+                acks = executor._acked
+                expected = self.handle.digest if self.handle is not None else None
+            elif kind == "need_fn":
+                acks, expected = executor._fn_acks, self.fn_digest
+            else:
+                break
+            with executor._publish_lock:
+                acks.get(self.link.address, set()).discard(reply[1])
+            if reply[1] != expected:
+                raise ConnectionError(f"worker demanded unknown digest {reply[1]!r}")
+            self._upload()
+            reply = self.link.request(frame)
+        return reply
+
+    def run(self, chunk: Chunk, span: Any) -> list[Any]:
+        executor, link = self.executor, self.link
+        # When tracing, the chunk span's context id rides the map frame
+        # as an extra element — a tracer-armed worker tags its execution
+        # span with it, so client and worker timelines correlate.  With
+        # tracing off the frame is the classic 3-tuple: the wire is
+        # byte-identical.
+        if executor.tracer.enabled:
+            ctx = executor.tracer.new_context()
+            span.args.update(worker=f"{link.address[0]}:{link.address[1]}", ctx=ctx)
+            frame: tuple[Any, ...] = ("map", self.fn_digest, chunk.items, ctx)
+        else:
+            frame = ("map", self.fn_digest, chunk.items)
+        try:
+            # Upload lazily, only when this worker is about to receive a
+            # frame referencing the digests — a lane that never claims a
+            # chunk never gets the callable or the matrix.  O(1) after
+            # the first chunk (ack tables).
+            self._upload()
+            reply = self._heal(frame, link.request(frame))
+            if reply[0] == "ok":
+                payload = list(reply[1])
+                if len(payload) != len(chunk):
+                    raise ConnectionError(
+                        f"short reply: {len(payload)} results for {len(chunk)} tasks"
+                    )
+            elif reply[0] != "err":
+                raise ConnectionError(f"unknown reply kind {reply[0]!r}")
+        except Exception as exc:  # noqa: BLE001 - any transport/
+            # protocol failure (dropped socket, chunk deadline, frame
+            # that failed MAC or schema verification, malformed reply):
+            # the chunk's fate is unknown, but tasks are pure, so
+            # rerunning it elsewhere is safe.
+            category = _failure_category(exc)
+            executor.telemetry.record(link.address, category)
+            executor.health.record_miss(link.address, reason=category)
+            if executor.tracer.enabled:
+                span.args["outcome"] = category
+            self.lose()
+            raise LaneLost(f"lane to {link.address} lost ({category})") from exc
+        if reply[0] == "err":
+            raise reply[1]
+        executor.health.record_ok(link.address)
+        return payload
+
+
 class DistributedExecutor(Executor):
     """The ``Executor.map`` contract over remote worker serve loops.
 
@@ -527,48 +692,27 @@ class DistributedExecutor(Executor):
     def addresses(self) -> list[tuple[str, int]]:
         return list(self._addresses)
 
-    def _fresh_links(self) -> list[_WorkerLink]:
-        """Private connections for one conversation.
-
-        Each map (or ping) uses its own sockets, so concurrent calls —
-        overlapping ``submit_batch`` batches — never interleave frames;
-        workers accept one handler thread per connection.
-        """
-        return [
-            _WorkerLink(
-                address,
-                self.connect_timeout,
-                self.task_timeout,
-                lane=lane,
-                telemetry=self.telemetry,
-                retry_policy=self._retry_policy,
-                connect_retries=self.connect_retries,
-                secret=self.secret,
-                ssl_context=self.ssl_context,
-                registry=self.registry,
-            )
-            for lane, address in enumerate(self._addresses)
-        ]
-
     # -- liveness -------------------------------------------------------
-    def _probe(self, address: tuple[str, int], lane: int) -> bool:
-        """One single-attempt liveness probe on a fresh connection.
+    def _probe_link(self, address: tuple[str, int], lane: int = 0) -> _WorkerLink:
+        """A single-attempt link whose frames wait the probe deadline.
 
-        The probe's frame deadline is the heartbeat interval (falling
-        back to ``connect_timeout``), so a hung worker — which happily
-        completes the TCP handshake — costs one bounded timeout, not a
-        stalled monitor.
+        The deadline is the heartbeat interval (falling back to
+        ``connect_timeout``), so a hung worker — which happily completes
+        the TCP handshake — costs one bounded timeout, not ``task_timeout``.
         """
-        deadline = self.heartbeat_interval or self.connect_timeout
-        probe = _WorkerLink(
+        return _WorkerLink(
             address,
             self.connect_timeout,
-            task_timeout=deadline,
+            task_timeout=self.heartbeat_interval or self.connect_timeout,
             lane=lane,
             telemetry=self.telemetry,
             secret=self.secret,
             ssl_context=self.ssl_context,
         )
+
+    def _probe(self, address: tuple[str, int], lane: int) -> bool:
+        """One liveness probe on a fresh :meth:`_probe_link`."""
+        probe = self._probe_link(address, lane)
         if not probe.ensure_connected():
             return False
         try:
@@ -578,27 +722,55 @@ class DistributedExecutor(Executor):
         finally:
             probe.drop()
 
+    def _heartbeat(self, lanes: list[_WireLane], stop: threading.Event) -> None:
+        """Probe every lane's worker until ``stop``; lose the dead ones' lanes.
+
+        Probes ride *fresh* connections — a hung serve loop still
+        completes TCP handshakes on the in-flight socket, so only an
+        independent request can tell hung from busy.  A worker the board
+        declares dead has its lane lost, which drops the in-flight link
+        and unblocks a feeder waiting on a wedged process long before
+        ``task_timeout`` would; dead workers are not probed again.
+        """
+        while not stop.wait(self.heartbeat_interval):
+            for lane in lanes:
+                if stop.is_set():
+                    return
+                address, index = lane.link.address, lane.link.lane
+                if self.health.is_dead(address):
+                    continue
+                with self.tracer.span(
+                    "probe",
+                    track="heartbeat",
+                    lane=index,
+                    worker=f"{address[0]}:{address[1]}",
+                ) as probe_span:
+                    alive = self._probe(address, index)
+                    if self.tracer.enabled:
+                        probe_span.args["alive"] = alive
+                if alive:
+                    self.health.record_ok(address)
+                    continue
+                self.telemetry.record(address, "heartbeat")
+                state = self.health.record_miss(address, reason="heartbeat")
+                if state == DEAD and not stop.is_set():
+                    lane.lose()
+
     def ping(self) -> list[bool]:
-        """Probe every worker; True per worker that answered.
+        """Probe every worker once; True per worker that answered.
 
         Each probe's outcome also lands on :attr:`health` (an explicit
         ping is a liveness observation like any heartbeat) and failures
         are counted in :attr:`telemetry` under ``"ping"``.
         """
         alive = []
-        for link in self._fresh_links():
-            ok = False
-            if link.ensure_connected():
-                try:
-                    ok = link.request(("ping",))[0] == "pong"
-                except ConnectionError:
-                    self.telemetry.record(link.address, "ping")
-                finally:
-                    link.drop()
+        for lane, address in enumerate(self._addresses):
+            ok = self._probe(address, lane)
             if ok:
-                self.health.record_ok(link.address)
+                self.health.record_ok(address)
             else:
-                self.health.record_miss(link.address, reason="ping")
+                self.telemetry.record(address, "ping")
+                self.health.record_miss(address, reason="ping")
             alive.append(ok)
         return alive
 
@@ -772,283 +944,32 @@ class DistributedExecutor(Executor):
                 reason="not wire-encodable",
             )
         fn_digest = function_digest(fn_bytes)
-        links = self._fresh_links()
-        try:
-            with self.tracer.span("map", track="engine", items=len(items)):
-                return self._map_over_links(
-                    fn, fn_digest, fn_bytes, items, links
-                )
-        finally:
-            for link in links:
-                link.drop()
-
-    def _map_over_links(
-        self,
-        fn: Callable[[Any], Any],
-        fn_digest: str,
-        fn_bytes: bytes,
-        items: list[Any],
-        links: list[_WorkerLink],
-    ) -> list[Any]:
-        chunksize = self.chunksize or self._default_chunksize(len(items), len(links))
-        scheduler = ChunkScheduler(
-            items, chunksize, lanes=len(links), tracer=self.tracer
-        )
-        results: list[Any] = [None] * len(items)
-        lock = threading.Lock()
-        task_error: list[BaseException] = []
-        dead: set[int] = set()
-        #: lane → times it was killed this map call; resurrection is
-        #: allowed while the count stays within ``lane_retries``.
-        attempts: dict[int, int] = {}
         shared = getattr(fn, "shared_input", None)
         handle = shared if isinstance(shared, PublishedInput) else None
-
-        def kill_lane(index: int) -> None:
-            """Mark a lane dead; survivors steal its queued chunks."""
-            with lock:
-                if index in dead:
-                    return
-                dead.add(index)
-                attempts[index] = attempts.get(index, 0) + 1
-                survivors = len(links) - len(dead)
-            address = links[index].address
-            self.recorder.record(
-                "lane_death",
-                lane=index,
-                worker=f"{address[0]}:{address[1]}",
-                survivors=survivors,
-            )
-            self.tracer.instant(
-                "lane_death", track=f"lane-{index}", survivors=survivors
-            )
-
-        def upload(link: _WorkerLink) -> None:
-            """Ship the callable, and the matrix, unless the worker acked them."""
-            self._ensure_uploaded(
-                link,
-                self._fn_acks,
-                fn_digest,
-                lambda: ("register_fn", fn_digest, fn_bytes),
-            )
-            if handle is not None:
-                self._ensure_uploaded(
-                    link,
-                    self._acked,
-                    handle.digest,
-                    lambda: self._publish_frame(link, handle),
+        lanes = [
+            _WireLane(self, index, fn_digest, fn_bytes, handle)
+            for index in range(len(self._addresses))
+        ]
+        stop = threading.Event()
+        monitor = threading.Thread(
+            target=self._heartbeat, args=(lanes, stop), daemon=True
+        )
+        with self.tracer.span("map", track="engine", items=len(items)):
+            if self.heartbeat_interval is not None:
+                monitor.start()
+            try:
+                results, leftovers = dispatch(
+                    items, lanes, self.chunksize, self.tracer, self.registry
                 )
-
-        def heal_reply(link: _WorkerLink, frame: tuple[Any, ...], reply: Any) -> Any:
-            """Resolve ``need`` / ``need_fn`` replies by re-uploading.
-
-            The worker lost a digest (it restarted, or its own bounded
-            cache evicted it under concurrent-batch thrash): forget the
-            stale ack, re-upload, retry — a bounded number of times, so
-            a hot eviction loop degrades to a lane failure rather than
-            spinning.
-            """
-            for _ in range(3):
-                kind = reply[0]
-                if kind == "need":
-                    acks = self._acked
-                    expected = handle.digest if handle is not None else None
-                elif kind == "need_fn":
-                    acks, expected = self._fn_acks, fn_digest
-                else:
-                    break
-                with self._publish_lock:
-                    acks.get(link.address, set()).discard(reply[1])
-                if reply[1] != expected:
-                    raise ConnectionError(
-                        f"worker demanded unknown digest {reply[1]!r}"
-                    )
-                upload(link)
-                reply = link.request(frame)
-            return reply
-
-        def feed(index: int, link: _WorkerLink) -> None:
-            """Pull chunks for one worker — own deque first, then steals."""
-            track = f"lane-{index}"
-            while True:
-                with lock:
-                    if task_error:
-                        return
-                chunk = scheduler.next_chunk(index)
-                if chunk is None:
-                    return
-                # When tracing, the chunk span's context id rides the
-                # map frame as an extra element — a tracer-armed worker
-                # tags its execution span with it, so client and worker
-                # timelines correlate.  With tracing off the frame is
-                # the classic 3-tuple: the wire is byte-identical.
-                if self.tracer.enabled:
-                    ctx = self.tracer.new_context()
-                    frame = ("map", fn_digest, chunk.items, ctx)
-                    span = self.tracer.span(
-                        "chunk",
-                        track=track,
-                        start=chunk.start,
-                        items=len(chunk),
-                        worker=f"{link.address[0]}:{link.address[1]}",
-                        ctx=ctx,
-                    )
-                else:
-                    frame = ("map", fn_digest, chunk.items)
-                    span = None
-                try:
-                    # Upload lazily, only when this worker is actually
-                    # about to receive a frame referencing the digests —
-                    # a lane that never claims a chunk never gets the
-                    # callable or the matrix.  O(1) after the first
-                    # chunk (ack tables).
-                    upload(link)
-                    reply = heal_reply(link, frame, link.request(frame))
-                    kind = reply[0]
-                    if kind == "err":
-                        with lock:
-                            task_error.append(reply[1])
-                        return
-                    if kind != "ok":
-                        raise ConnectionError(f"unknown reply kind {kind!r}")
-                    payload = list(reply[1])
-                    if len(payload) != len(chunk):
-                        raise ConnectionError(
-                            f"short reply: {len(payload)} results for "
-                            f"{len(chunk)} tasks"
-                        )
-                except Exception as exc:  # noqa: BLE001 - any transport/
-                    # protocol failure (dropped socket, chunk deadline,
-                    # frame that failed MAC or schema verification,
-                    # malformed reply): the chunk's fate is unknown, but
-                    # tasks are pure, so rerunning it elsewhere is safe.
-                    # The failure is categorized into telemetry and
-                    # counts as a liveness miss; the lane sits out until
-                    # (maybe) resurrected, and the survivors steal its
-                    # queued chunks.
-                    category = _failure_category(exc)
-                    self.telemetry.record(link.address, category)
-                    self.health.record_miss(link.address, reason=category)
-                    link.drop()
-                    scheduler.requeue(chunk, index)
-                    if span is not None:
-                        span.args["outcome"] = category
-                        span.close()
-                    kill_lane(index)
-                    return
-                with lock:
-                    results[chunk.start : chunk.start + len(chunk)] = payload
-                scheduler.mark_done(chunk)
-                if span is not None:
-                    span.close()
-                self.health.record_ok(link.address)
-
-        stop_monitor = threading.Event()
-
-        def monitor() -> None:
-            """Heartbeat: probe workers, declare the unresponsive dead.
-
-            Probes ride *fresh* connections — a hung serve loop still
-            completes TCP handshakes on the in-flight socket, so only
-            an independent request can tell hung from busy.  A worker
-            the board declares dead gets its in-flight link dropped,
-            which unblocks a feeder waiting on a wedged process long
-            before ``task_timeout`` would.
-            """
-            while not stop_monitor.wait(self.heartbeat_interval):
-                for index, link in enumerate(links):
-                    if stop_monitor.is_set():
-                        return
-                    address = link.address
-                    if self.health.is_dead(address):
-                        continue
-                    with self.tracer.span(
-                        "probe",
-                        track="heartbeat",
-                        lane=index,
-                        worker=f"{address[0]}:{address[1]}",
-                    ) as probe_span:
-                        alive = self._probe(address, index)
-                        if self.tracer.enabled:
-                            probe_span.args["alive"] = alive
-                    if alive:
-                        self.health.record_ok(address)
-                        continue
-                    self.telemetry.record(address, "heartbeat")
-                    state = self.health.record_miss(address, reason="heartbeat")
-                    if state == DEAD and not stop_monitor.is_set():
-                        link.drop()
-                        kill_lane(index)
-
-        monitor_thread: "threading.Thread | None" = None
-        if self.heartbeat_interval is not None:
-            monitor_thread = threading.Thread(target=monitor, daemon=True)
-            monitor_thread.start()
-
-        # Dispatch rounds.  Feeder threads exit when no chunk is
-        # available to them, so a chunk re-queued by a worker dying
-        # *after* the survivors already left would strand without the
-        # outer loop: each round first resurrects lanes still within
-        # their retry budget (after the deterministic backoff delay),
-        # then re-dispatches leftovers over the live links.  A lane
-        # that fails to (re)connect is killed like any other link
-        # failure, and the live feeders steal its dealt chunks.  No
-        # feeder is in flight between rounds, so every queued chunk is
-        # claimable by any live lane: each round either completes a
-        # chunk or permanently burns a lane attempt (``attempts`` only
-        # grows, bounded by ``lane_retries``), so the loop terminates.
-        try:
-            while scheduler.pending and not task_error:
-                with lock:
-                    revivable = [
-                        index
-                        for index in sorted(dead)
-                        if attempts.get(index, 0) <= self.lane_retries
-                        and not self.health.is_dead(links[index].address)
-                    ]
-                for index in revivable:
-                    time.sleep(
-                        self._retry_policy.delay(
-                            max(attempts.get(index, 1) - 1, 0), lane=index
-                        )
-                    )
-                    with lock:
-                        dead.discard(index)
-                threads = []
-                for index, link in enumerate(links):
-                    with lock:
-                        if index in dead:
-                            continue
-                    if not link.ensure_connected():
-                        kill_lane(index)
-                        continue
-                    thread = threading.Thread(
-                        target=feed, args=(index, link), daemon=True
-                    )
-                    thread.start()
-                    threads.append(thread)
-                if not threads:
-                    break  # nobody reachable: leftovers go to the fallback
-                for thread in threads:
-                    thread.join()
-        finally:
-            stop_monitor.set()
-            if monitor_thread is not None:
-                monitor_thread.join(timeout=1.0)
-        if scheduler.total_steals():
-            self.registry.counter("exec_steals_total").inc(
-                scheduler.total_steals()
-            )
-        if scheduler.total_requeues():
-            self.registry.counter("exec_requeues_total").inc(
-                scheduler.total_requeues()
-            )
-
-        if task_error:
-            raise task_error[0]
-        leftovers = scheduler.drain()
-        if leftovers:
-            # Every worker is gone (or none were reachable to begin with).
+            finally:
+                stop.set()
+                if monitor.is_alive():
+                    monitor.join(timeout=1.0)
+                for lane in lanes:
+                    lane.link.drop()
+            if not leftovers:
+                return results
+            # Every worker is gone (or none was reachable to begin with).
             if not self.local_fallback:
                 raise ConnectionError(
                     f"{len(leftovers)} task chunks undelivered and no "
@@ -1078,7 +999,10 @@ class DistributedExecutor(Executor):
         Connections are per-call and already closed; what outlives a map
         call is the workers' digest-keyed input caches.  Best-effort: a
         worker that is unreachable right now loses nothing durable — its
-        cache dies with its process anyway.
+        cache dies with its process anyway.  So a worker the health board
+        marks dead is skipped (counted under ``"release"``), and the rest
+        get one :meth:`_probe_link` each: a hung worker costs the probe
+        deadline, not ``task_timeout``.
         """
         with self._publish_lock:
             acked = {addr: set(digests) for addr, digests in self._acked.items()}
@@ -1089,14 +1013,10 @@ class DistributedExecutor(Executor):
         for address, digests in acked.items():
             if not digests:
                 continue
-            link = _WorkerLink(
-                address,
-                self.connect_timeout,
-                self.task_timeout,
-                telemetry=self.telemetry,
-                secret=self.secret,
-                ssl_context=self.ssl_context,
-            )
+            if self.health.is_dead(address):
+                self.telemetry.record(address, "release")
+                continue
+            link = self._probe_link(address)
             if not link.ensure_connected():
                 continue
             try:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping
+from typing import Hashable
 
 import numpy as np
 
@@ -137,11 +137,6 @@ class WorkerHealth:
             self._move(SUSPECT, reason)
         return self.state
 
-    def mark_dead(self, reason: str) -> str:
-        """Unconditionally declare the worker dead (e.g. lane exhausted)."""
-        self._move(DEAD, reason)
-        return self.state
-
 
 class HealthBoard:
     """Thread-safe collection of :class:`WorkerHealth` records.
@@ -210,13 +205,6 @@ class HealthBoard:
             entry = self._entry(worker)
             before = entry.state
             entry.record_miss(self.suspect_after, self.dead_after, reason)
-            return self._transition(worker, entry, before)
-
-    def mark_dead(self, worker: Hashable, reason: str = "exhausted") -> str:
-        with self._lock:
-            entry = self._entry(worker)
-            before = entry.state
-            entry.mark_dead(reason)
             return self._transition(worker, entry, before)
 
     def state(self, worker: Hashable) -> str:
@@ -372,11 +360,3 @@ class RetryPolicy:
         rng = expand_seed(np.random.SeedSequence(self.seed, spawn_key=(lane, attempt)))
         jitter = 0.5 + 0.5 * float(rng.uniform())
         return exponential * jitter
-
-
-def degradation_message(reason: str, detail: "Mapping[str, Any] | None" = None) -> str:
-    """One consistent message shape for :class:`FleetDegradedWarning`."""
-    if not detail:
-        return reason
-    extras = ", ".join(f"{key}={value}" for key, value in detail.items())
-    return f"{reason} ({extras})"

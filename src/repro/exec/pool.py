@@ -32,8 +32,8 @@ idle pool pins no resources; the next map transparently rebuilds the
 workers and republishes whatever inputs it needs.  :meth:`close` (or the
 context-manager exit) does the same, permanently.
 
-Scheduling: each map call runs through the shared work-stealing
-:class:`~repro.exec.stealing.ChunkScheduler` — one feeder thread per
+Scheduling: each map call runs through the shared
+:func:`~repro.exec.stealing.dispatch` loop — one feeder thread per
 worker lane, one chunk in flight per lane, idle lanes stealing queued
 chunks from stragglers — so a slow worker (or an unlucky, expensive
 chunk) delays the batch by at most one chunk instead of its whole
@@ -42,7 +42,6 @@ pre-assigned share.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import warnings
@@ -64,7 +63,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .health import FleetDegradedWarning
-from .stealing import ChunkScheduler
+from .stealing import Chunk, dispatch
 
 __all__ = ["WorkerPool"]
 
@@ -72,6 +71,25 @@ __all__ = ["WorkerPool"]
 def _run_chunk(fn: Callable[[Any], Any], items: list[Any]) -> list[Any]:
     """One scheduler chunk, executed inside a pool worker process."""
     return [fn(item) for item in items]
+
+
+class _PoolLane:
+    """A :func:`~repro.exec.stealing.dispatch` lane over the process pool.
+
+    Always ready, and never loses itself: a task error and a
+    :class:`BrokenProcessPool` both end the attempt, and
+    :meth:`WorkerPool.map` owns the rebuild-once rule.
+    """
+
+    def __init__(self, pool: ProcessPoolExecutor, fn: Callable[[Any], Any]):
+        self.pool = pool
+        self.fn = fn
+
+    def ready(self) -> bool:
+        return True
+
+    def run(self, chunk: Chunk, span: Any) -> list[Any]:
+        return self.pool.submit(_run_chunk, self.fn, chunk.items).result()
 
 
 class WorkerPool(Executor):
@@ -227,9 +245,6 @@ class WorkerPool(Executor):
         probe_exc = self._pickle_probe(fn, items)
         if probe_exc is not None:
             return self._unpicklable_fallback(fn, items, probe_exc)
-        chunksize = self.chunksize or self._default_chunksize(
-            len(items), self.max_workers
-        )
         with self._lock:
             self._cancel_reap_timer()
             pool = self._ensure_pool()
@@ -238,7 +253,7 @@ class WorkerPool(Executor):
         try:
             for attempt in (0, 1):
                 try:
-                    return self._map_once(pool, fn, items, chunksize)
+                    return self._map_once(pool, fn, items)
                 except BrokenProcessPool as exc:
                     # A worker died mid-batch.  Trials are pure, so retry
                     # the whole batch once on a rebuilt pool, then give up
@@ -276,55 +291,14 @@ class WorkerPool(Executor):
         pool: ProcessPoolExecutor,
         fn: Callable[[Any], Any],
         items: list[Any],
-        chunksize: int,
     ) -> list[Any]:
-        """One attempt at a batch on the current pool.
+        """One attempt at a batch on the current pool, one lane per worker.
 
-        One feeder thread per worker lane runs over the shared
-        :class:`ChunkScheduler`: each lane keeps exactly one chunk in
-        flight, so the pool's task queue never holds more than ``lanes``
-        chunks and a lane that finishes early steals queued chunks from
-        a straggler instead of idling.  Task exceptions and
-        :class:`BrokenProcessPool` both propagate to :meth:`map`, which
-        owns the retry/fallback policy.
+        Each lane keeps exactly one chunk in flight, so the pool's task
+        queue never holds more than ``lanes`` chunks.
         """
-        lanes = max(1, min(self.max_workers, math.ceil(len(items) / chunksize)))
-        scheduler = ChunkScheduler(items, chunksize, lanes, tracer=self.tracer)
-        results: list[Any] = [None] * len(items)
-        errors: list[BaseException] = []
-
-        def feed(lane: int) -> None:
-            while not errors:
-                chunk = scheduler.next_chunk(lane)
-                if chunk is None:
-                    return
-                try:
-                    with self.tracer.span(
-                        "chunk",
-                        track=f"lane-{lane}",
-                        start=chunk.start,
-                        items=len(chunk),
-                    ):
-                        payload = pool.submit(_run_chunk, fn, chunk.items).result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    errors.append(exc)
-                    return
-                results[chunk.start : chunk.start + len(chunk)] = payload
-                scheduler.mark_done(chunk)
-
-        if lanes == 1:
-            feed(0)
-        else:
-            threads = [
-                threading.Thread(target=feed, args=(lane,), daemon=True)
-                for lane in range(lanes)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+        lanes = [_PoolLane(pool, fn)] * min(self.max_workers, len(items))
+        results, _ = dispatch(items, lanes, self.chunksize, self.tracer, self.registry)
         return results
 
     # -- shared-memory input protocol -----------------------------------

@@ -60,40 +60,3 @@ class TestRunSweep:
         with pytest.raises(KeyError):
             point["missing"]
 
-
-class TestCheckpointedSweep:
-    def test_resume_skips_journaled_points(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-        calls = []
-
-        def measure(n):
-            calls.append(n)
-            return {"square": float(n * n)}
-
-        first = run_sweep(grid([1, 2]), measure, checkpoint=journal)
-        assert calls == [1, 2]
-        # Rerunning a wider grid measures only the new points.
-        second = run_sweep(grid([1, 2, 3]), measure, checkpoint=journal)
-        assert calls == [1, 2, 3]
-        assert second.column("square") == [1.0, 4.0, 9.0]
-        assert second.points[:2] == first.points
-        # A full rerun measures nothing.
-        third = run_sweep(grid([1, 2, 3]), measure, checkpoint=journal)
-        assert calls == [1, 2, 3]
-        assert third.column("square") == [1.0, 4.0, 9.0]
-
-    def test_journal_written_incrementally(self, tmp_path):
-        journal = tmp_path / "sweep.jsonl"
-
-        def measure(n):
-            if n == 3:
-                raise RuntimeError("interrupted")
-            return {"y": float(n)}
-
-        with pytest.raises(RuntimeError):
-            run_sweep(grid([1, 2, 3]), measure, checkpoint=journal)
-        # Points completed before the crash survived.
-        resumed = run_sweep(
-            grid([1, 2]), lambda n: {"y": -1.0}, checkpoint=journal
-        )
-        assert resumed.column("y") == [1.0, 2.0]

@@ -514,6 +514,78 @@ class TestOneProcessBackend:
 
 
 # ----------------------------------------------------------------------
+# One dispatch loop
+# ----------------------------------------------------------------------
+def scheduler_constructions(source: str) -> list[str]:
+    """The enclosing function of every ``ChunkScheduler(...)`` call."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else None
+                if isinstance(func, ast.Name):
+                    name = func.id
+                if name == "ChunkScheduler":
+                    found.append(scope)
+            inner = (ast.FunctionDef, ast.AsyncFunctionDef)
+            visit(child, child.name if isinstance(child, inner) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+class TestOneDispatchLoop:
+    @pytest.mark.parametrize(
+        "src, scopes",
+        [
+            ("ChunkScheduler(items, 2, lanes=2)", ["<module>"]),
+            (
+                "from repro.exec import stealing\n"
+                "def _map_once(items):\n"
+                "    return stealing.ChunkScheduler(items, 1, 1)",
+                ["_map_once"],
+            ),
+            (
+                "def map(items):\n"
+                "    def feed():\n"
+                "        return ChunkScheduler(items, 1, 1)\n"
+                "    return feed",
+                ["feed"],
+            ),
+        ],
+    )
+    def test_flags_scheduler_construction(self, src, scopes):
+        assert scheduler_constructions(src) == scopes
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from repro.exec.stealing import ChunkScheduler",
+            "def feed(scheduler):\n    return scheduler.next_chunk(0)",
+            "results, leftovers = dispatch(items, lanes)",
+            '"""ChunkScheduler(items, 2, lanes=2)"""',
+            "isinstance(obj, ChunkScheduler)",
+        ],
+    )
+    def test_allows_imports_uses_and_mentions(self, src):
+        assert scheduler_constructions(src) == []
+
+    def test_only_dispatch_builds_a_chunk_scheduler(self):
+        """Both executors feed their lanes through ``stealing.dispatch``:
+        no other code under ``src/repro`` runs its own loop over a
+        ``ChunkScheduler``."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        found = {
+            path.relative_to(src).as_posix(): scopes
+            for path in sorted((src / "repro").rglob("*.py"))
+            if (scopes := scheduler_constructions(path.read_text()))
+        }
+        assert found == {"repro/exec/stealing.py": ["dispatch"]}
+
+
+# ----------------------------------------------------------------------
 # EXC02 — bare acquire/release in repro.exec
 # ----------------------------------------------------------------------
 class TestEXC02:

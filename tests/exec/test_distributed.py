@@ -1,7 +1,9 @@
 """Tests for the distributed executor, worker serve loop, and loopback rig."""
 
 import socket
+import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import DistributedExecutor, LoopbackWorker
+from repro.exec.distributed import _WireLane
 from repro.exec.faults import FaultEvent, FaultInjector
 from repro.exec.health import DEAD, SUSPECT, FleetDegradedWarning
 from repro.exec.wire import (
@@ -339,6 +342,102 @@ class TestRobustness:
                     executor.telemetry.counts()[hung.address]["heartbeat"]
                     >= 2
                 )
+        finally:
+            hung.stop()
+            steady.stop()
+
+    def test_heartbeat_loses_a_dead_workers_lane_once(self, monkeypatch):
+        """The heartbeat over a lane list, with no sockets: every probe of
+        one worker misses, so after dead_after probes it is dead, its
+        lane is lost exactly once, it is not probed again, and the lost
+        lane is not revived.  The other worker answers, which shows the
+        heartbeat kept ticking after the loss."""
+        with DistributedExecutor(
+            ["127.0.0.1:1", "127.0.0.1:2"],
+            heartbeat_interval=0.001,
+            suspect_after=1,
+            dead_after=2,
+        ) as executor:
+            dead, live = executor.addresses
+            lanes = [_WireLane(executor, i, "digest", b"", None) for i in (0, 1)]
+            probes: Counter = Counter()
+            probed = threading.Condition()
+
+            def probe(address, lane):
+                with probed:
+                    probes[address] += 1
+                    probed.notify_all()
+                return address == live
+
+            monkeypatch.setattr(executor, "_probe", probe)
+            losses: list = []
+            lost = threading.Event()
+
+            def counted(lane, real_lose):
+                def lose():
+                    losses.append(lane.link.address)
+                    real_lose()
+                    lost.set()
+
+                return lose
+
+            for lane in lanes:
+                lane.lose = counted(lane, lane.lose)
+            stop = threading.Event()
+            beat = threading.Thread(
+                target=executor._heartbeat, args=(lanes, stop), daemon=True
+            )
+            beat.start()
+            try:
+                assert lost.wait(10)
+                with probed:
+                    target = probes[live] + 3
+                    assert probed.wait_for(lambda: probes[live] >= target, 10)
+            finally:
+                stop.set()
+                beat.join(10)
+            assert not beat.is_alive()
+            assert losses == [dead]
+            assert probes[dead] == 2
+            assert executor.health.is_dead(dead)
+            assert executor.telemetry.counts()[dead]["heartbeat"] == 2
+            # Not revived: no backoff sleep, no reconnect.
+            monkeypatch.setattr(
+                lanes[0].link,
+                "ensure_connected",
+                lambda: pytest.fail("a dead worker's lane reconnected"),
+            )
+            assert lanes[0].ready() is False
+
+    def test_close_skips_release_on_dead_worker(self):
+        """Regression: close() used to reconnect to a worker the health
+        board had declared dead and wait task_timeout (30 s here) for its
+        release reply.  Now it skips the dead worker, counting the skip
+        under "release", and releases the live one."""
+        injector = FaultInjector([FaultEvent("map", 0, "hang")])
+        hung = LoopbackWorker(fault_injector=injector)
+        steady = LoopbackWorker()
+        try:
+            executor = DistributedExecutor(
+                [hung.endpoint, steady.endpoint],
+                chunksize=3,
+                task_timeout=30.0,
+                heartbeat_interval=0.1,
+                suspect_after=1,
+                dead_after=2,
+                lane_retries=0,
+                share_inputs_min_bytes=1,
+            )
+            Engine(executor).run_batch(fixed_input_spec(), 12)
+            assert executor.health.is_dead(hung.address)
+            assert hung.address in executor._acked
+            start = time.monotonic()
+            executor.close()
+            assert time.monotonic() - start < 5.0
+            assert executor.telemetry.counts()[hung.address]["release"] == 1
+            assert "release" not in executor.telemetry.counts().get(
+                steady.address, {}
+            )
         finally:
             hung.stop()
             steady.stop()

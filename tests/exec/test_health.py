@@ -12,7 +12,6 @@ from repro.exec.health import (
     RetryPolicy,
     WorkerHealth,
     WorkerTimeoutError,
-    degradation_message,
 )
 
 
@@ -35,11 +34,6 @@ class TestWorkerHealth:
         assert record.misses == 0
         # The streak restarts from scratch after the success.
         assert record.record_miss(1, 3, reason="ping") == SUSPECT
-
-    def test_mark_dead_is_unconditional(self):
-        record = WorkerHealth()
-        assert record.mark_dead("exhausted") == DEAD
-        assert record.transitions == [(HEALTHY, DEAD, "exhausted")]
 
 
 class TestHealthBoard:
@@ -68,7 +62,7 @@ class TestHealthBoard:
         board = HealthBoard(suspect_after=1, dead_after=2)
         board.record_miss("w", reason="heartbeat")
         snapshot = board.snapshot()
-        snapshot["w"].mark_dead("tampering")
+        snapshot["w"].record_miss(1, 2, reason="tampering")
         snapshot["w"].transitions.append(("x", "y", "z"))
         assert board.state("w") == SUSPECT
         assert board.snapshot()["w"].transitions == [
@@ -137,10 +131,3 @@ class TestDegradationTypes:
     def test_worker_timeout_is_a_connection_error(self):
         """Transport handlers catch it uniformly yet can tell it apart."""
         assert issubclass(WorkerTimeoutError, ConnectionError)
-
-    def test_degradation_message_shapes(self):
-        assert degradation_message("fleet gone") == "fleet gone"
-        assert (
-            degradation_message("fleet gone", {"chunks": 3, "workers": 0})
-            == "fleet gone (chunks=3, workers=0)"
-        )

@@ -1,6 +1,8 @@
 """Tests for the shared work-stealing chunk scheduler and its consumers."""
 
+import sys
 import threading
+import warnings
 
 import pytest
 
@@ -13,14 +15,21 @@ from repro.exec import (
     LoopbackWorker,
     WorkerPool,
 )
-from repro.exec.stealing import Chunk, ChunkScheduler
+from repro.exec.health import FleetDegradedWarning
+from repro.exec.stealing import Chunk, ChunkScheduler, LaneLost, dispatch
 from repro.exec.wire import register_wire_function
 from repro.lowerbounds import TopSubmatrixRankProtocol
+from repro.obs import MetricsRegistry
 
 
 @register_wire_function
 def _square(x):
     return x * x
+
+
+@register_wire_function
+def _refuse(x):
+    raise ConnectionError(f"task {x} refused")
 
 
 def rank_spec(seed=7):
@@ -99,7 +108,7 @@ class TestChunkScheduler:
         sched.next_chunk(0)  # one chunk in flight stays out
         drained = sched.drain()
         assert [c.start for c in drained] == [2, 4, 6, 8]
-        assert sched.queued == 0
+        assert sched.drain() == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -134,6 +143,151 @@ class TestChunkScheduler:
         assert sched.pending == 0
 
 
+#: How long a gated fake lane waits before the test counts it as hung.
+GATE_TIMEOUT = 10.0
+
+
+class FakeLane:
+    """A scripted :func:`dispatch` lane: no sockets, no processes.
+
+    ``ready`` answers in turn from ``readiness`` (the last answer
+    repeats); ``before_run(lane, chunk)`` runs first on every chunk and
+    may block on an event or raise.  Results are the squares of the
+    chunk's items.
+    """
+
+    def __init__(self, readiness=(True,), before_run=None):
+        self.readiness = list(readiness)
+        self.before_run = before_run
+        self.ran: list[int] = []
+
+    def ready(self):
+        if len(self.readiness) > 1:
+            return self.readiness.pop(0)
+        return self.readiness[0]
+
+    def run(self, chunk, span):
+        if self.before_run is not None:
+            self.before_run(self, chunk)
+        self.ran.append(chunk.start)
+        return [x * x for x in chunk.items]
+
+
+class TestDispatch:
+    def test_results_land_in_item_order(self):
+        """Lane 0 holds chunk 0 until lane 1 reaches the last of the
+        others — its own three, then two stolen from lane 0's tail — so
+        chunks complete out of offset order; results still land by
+        offset."""
+        claimed, release = threading.Event(), threading.Event()
+
+        def hold_first(lane, chunk):
+            claimed.set()
+            assert release.wait(GATE_TIMEOUT)
+
+        def run_the_rest(lane, chunk):
+            assert claimed.wait(GATE_TIMEOUT)
+            if len(lane.ran) == 4:
+                release.set()
+
+        slow = FakeLane(before_run=hold_first)
+        fast = FakeLane(before_run=run_the_rest)
+        registry = MetricsRegistry()
+        results, leftovers = dispatch(
+            list(range(12)), [slow, fast], chunksize=2, registry=registry
+        )
+        assert results == [x * x for x in range(12)]
+        assert leftovers == []
+        assert slow.ran == [0]
+        assert fast.ran == [2, 6, 10, 8, 4]
+        assert registry.total("exec_steals_total") == 2
+        assert registry.total("exec_requeues_total") == 0
+
+    def test_many_lanes_under_fast_switching_run_every_chunk_once(self):
+        """More feeder threads than cores and a tiny switch interval: a
+        lost write-back or a chunk run twice would break the result."""
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lanes = [FakeLane() for _ in range(8)]
+            results, leftovers = dispatch(list(range(2000)), lanes, chunksize=1)
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [x * x for x in range(2000)]
+        assert leftovers == []
+        assert sorted(start for lane in lanes for start in lane.ran) == list(
+            range(2000)
+        )
+
+    def test_default_chunk_rule_is_four_chunks_per_lane(self):
+        lane = FakeLane()
+        results, _ = dispatch(list(range(64)), [lane, lane])
+        assert results == [x * x for x in range(64)]
+        assert sorted(lane.ran) == list(range(0, 64, 8))
+
+    def test_lost_lane_chunk_runs_on_another_lane(self):
+        """Round one has only lane 0, which loses itself on its first
+        chunk; round two runs the requeued chunk on lane 1."""
+
+        def lose(lane, chunk):
+            lane.readiness = [False]
+            raise LaneLost("link dropped")
+
+        flaky = FakeLane(before_run=lose)
+        late = FakeLane(readiness=(False, True))
+        registry = MetricsRegistry()
+        results, leftovers = dispatch(
+            list(range(8)), [flaky, late], chunksize=2, registry=registry
+        )
+        assert results == [x * x for x in range(8)]
+        assert leftovers == []
+        assert flaky.ran == []
+        assert 0 in late.ran
+        assert registry.total("exec_requeues_total") == 1
+
+    def test_no_ready_lane_returns_leftovers_in_offset_order(self):
+        def lose_after_one(lane, chunk):
+            if lane.ran:
+                lane.readiness = [False]
+                raise LaneLost("gone")
+
+        partial = FakeLane(before_run=lose_after_one)
+        absent = FakeLane(readiness=(False,))
+        results, leftovers = dispatch(
+            list(range(10)), [partial, absent], chunksize=2
+        )
+        assert partial.ran == [0]
+        assert absent.ran == []
+        assert [chunk.start for chunk in leftovers] == [2, 4, 6, 8]
+        assert results == [0, 1] + [None] * 8
+
+    def test_task_error_stops_every_lane_and_is_reraised(self):
+        """Lane 0 fails once lane 1 holds a chunk; lane 1 finishes that
+        chunk only after lane 0's feeder has recorded the error and
+        exited, and must then claim nothing more."""
+        claimed, raised = threading.Event(), threading.Event()
+        failed_feeder: list[threading.Thread] = []
+
+        def fail(lane, chunk):
+            assert claimed.wait(GATE_TIMEOUT)
+            failed_feeder.append(threading.current_thread())
+            raised.set()
+            raise ValueError("task failed")
+
+        def wait_for_failure(lane, chunk):
+            claimed.set()
+            assert raised.wait(GATE_TIMEOUT)
+            failed_feeder[0].join(GATE_TIMEOUT)
+            assert not failed_feeder[0].is_alive()
+
+        failing = FakeLane(before_run=fail)
+        other = FakeLane(before_run=wait_for_failure)
+        with pytest.raises(ValueError, match="task failed"):
+            dispatch(list(range(20)), [failing, other], chunksize=2)
+        assert failing.ran == []
+        assert other.ran == [2]
+
+
 class TestWorkerPoolStealing:
     def test_steal_is_default_and_bit_identical_to_serial(self):
         golden = Engine(SerialExecutor()).run_batch(rank_spec(), 24)
@@ -153,6 +307,41 @@ class TestWorkerPoolStealing:
 
 def _boom_global(x):
     raise ValueError(f"task {x}")
+
+
+class TestTaskConnectionErrorIsNotALaneFailure:
+    """A task that raises ``ConnectionError`` is a task error: it
+    propagates unchanged, with no requeue, no fallback and no
+    ``FleetDegradedWarning``.  Which item raised first is racy."""
+
+    def test_worker_pool(self):
+        with WorkerPool(max_workers=2) as pool:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ConnectionError) as excinfo:
+                    pool.map(_refuse, range(8))
+            assert excinfo.type is ConnectionError
+            assert not [w for w in caught if w.category is FleetDegradedWarning]
+            assert pool.registry.total("pool_broken_total") == 0
+            assert pool.registry.total("pool_degraded_batches_total") == 0
+            assert pool.warm
+
+    def test_distributed_executor(self):
+        with LoopbackWorker() as first, LoopbackWorker() as second:
+            with DistributedExecutor(
+                [first.endpoint, second.endpoint], chunksize=2
+            ) as executor:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(ConnectionError) as excinfo:
+                        executor.map(_refuse, range(8))
+                assert excinfo.type is ConnectionError
+                assert not [
+                    w for w in caught if w.category is FleetDegradedWarning
+                ]
+                assert executor.registry.total("exec_requeues_total") == 0
+                assert executor.registry.total("exec_degraded_maps_total") == 0
+                assert executor.telemetry.total() == 0
 
 
 class TestDistributedStealing:

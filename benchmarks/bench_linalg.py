@@ -13,7 +13,9 @@ writes the medians to ``BENCH_linalg.json`` in the repo root — the
 machine-readable perf trajectory CI uploads as an artifact.  The claims
 it asserts: batched lock-step rank is ≥ 10× faster than 256 scalar
 eliminations at n = 256, and the masked-XOR ``vecmat`` is ≥ 5× faster
-than the pre-PR per-bit row loop at n = 4096.
+than the pre-PR per-bit row loop at n = 4096.  The ``rank_prefix`` record
+(one elimination reporting a leading block's rank too, against two
+eliminations, on the seed-length attack's shape) is recorded, not gated.
 """
 
 import sys
@@ -33,6 +35,9 @@ RANK_BATCH = 256
 RANK_N = 256
 #: vecmat acceptance shape: x^T M with M uniform 4096×4096.
 VECMAT_N = 4096
+#: Prefix-rank shape: the seed-length attack's ``[X | y]`` blocks on the
+#: ``prg-vectorized`` workload (n = 32 processors, seed length k = 16).
+PREFIX_BATCH, PREFIX_ROWS, PREFIX_K = 2048, 32, 16
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_linalg.json"
 
@@ -107,6 +112,19 @@ def collect_linalg_records() -> list[dict]:
         lambda: [_legacy_rank(m) for m in matrices], repeats=3
     )
 
+    # The attack's consistency test needs rank([X | y]) and rank(X): one
+    # elimination with a prefix capture vs two separate eliminations.
+    revealed = rng.integers(
+        0, 2, size=(PREFIX_BATCH, PREFIX_ROWS, PREFIX_K + 1), dtype=np.uint8
+    )
+    full = BitMatrixBatch.from_arrays(revealed)
+    seed_blocks = BitMatrixBatch.from_arrays(revealed[:, :, :PREFIX_K])
+    one = full.rank(prefix=PREFIX_K)
+    assert np.array_equal(one[0], seed_blocks.rank())
+    assert np.array_equal(one[1], full.rank())
+    prefix_ns = median_ns(full.rank, PREFIX_K, repeats=9)
+    two_ns = median_ns(lambda: (seed_blocks.rank(), full.rank()), repeats=9)
+
     return [
         {
             "kernel": "matvec",
@@ -134,6 +152,16 @@ def collect_linalg_records() -> list[dict]:
             "legacy_ns_per_op": rank_legacy_ns,
             "speedup": rank_legacy_ns / rank_batched_ns,
         },
+        {
+            "kernel": "rank_prefix",
+            "n": PREFIX_ROWS,
+            "cols": PREFIX_K + 1,
+            "prefix": PREFIX_K,
+            "batch": PREFIX_BATCH,
+            "ns_per_op": prefix_ns,
+            "two_eliminations_ns_per_op": two_ns,
+            "ratio": two_ns / prefix_ns,
+        },
     ]
 
 
@@ -151,6 +179,11 @@ def _report(records: list[dict]) -> None:
             ]
             for r in records
         ],
+    )
+    prefix = next(r for r in records if r["kernel"] == "rank_prefix")
+    print(
+        f"rank_prefix (batch={prefix['batch']}, {prefix['n']}x{prefix['cols']}): "
+        f"two eliminations / one = {prefix['ratio']:.2f}"
     )
     write_bench_json(BENCH_JSON, records)
     print(f"wrote {BENCH_JSON}")

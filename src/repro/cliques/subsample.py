@@ -318,7 +318,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
             activation_bits = active_mask[t].astype(np.int64)
             if counts[t] > cap or counts[t] < 2:
                 outputs[t] = None
-                keys.append(tuple(int(v) for v in activation_bits))
+                keys.append(tuple(activation_bits.tolist()))
                 continue
             adj = stack[t, :, :n]
             active = np.nonzero(active_mask[t])[0]
@@ -354,7 +354,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
                     membership,
                 ]
             )
-            keys.append(tuple(int(v) for v in key))
+            keys.append(tuple(key.tolist()))
         self._batch_cache = (inputs, coin_seeds, outputs, keys)
         return outputs, keys
 

@@ -39,14 +39,18 @@ serial execution with a warning rather than failing.
 **Vectorized fast path.**  Protocols that declare
 ``supports_batch = True`` (their outputs are a deterministic function of
 the input matrix alone) plus ``supports_batch_keys = True`` can skip
-per-trial simulation entirely: a spec with ``vectorized=True`` samples
+per-trial simulation entirely: a spec with ``vectorized=True`` draws
 every trial's input with the same per-trial seeds as the scalar path — so
-inputs are bit-identical — and evaluates all of them with one
-``protocol.batch_decisions`` + ``protocol.batch_keys`` pass backed by the
-batched GF(2) kernels of :mod:`repro.linalg.batch`, populating real
-per-trial transcript keys so key-based estimators batch too.  Specs the
-fast path cannot honour (transcript recording, coin budgets, protocols
-without batch/key support) fall back to the scalar path with a
+inputs are bit-identical — through one
+:meth:`~repro.distributions.base.InputDistribution.sample_each` call per
+chunk, and evaluates them with one ``protocol.batch_decisions`` +
+``protocol.batch_keys`` pass backed by the batched GF(2) kernels of
+:mod:`repro.linalg.batch`, so key-based estimators batch too.  The
+result stays columnar: a :class:`BatchResult` keeps each chunk's
+decision, key and turns columns and builds a :class:`TrialResult` only
+when trials are read, so a decision-only estimator builds none.  Specs
+the fast path cannot honour (transcript recording, coin budgets,
+protocols without batch/key support) fall back to the scalar path with a
 :class:`~repro.core.errors.BatchFallbackWarning`; ``Engine.batch_fallbacks``
 counts the downgrades.
 
@@ -76,7 +80,7 @@ import pickle
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor as _ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory as _shared_memory
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -177,10 +181,13 @@ class RunSpec:
         the protocol declares ``supports_batch`` and
         ``supports_batch_keys`` (and the spec needs no transcripts, round
         overrides, coin budgets or public coins).  Inputs are sampled with
-        the same per-trial seeds as the scalar path; outputs, costs *and*
-        per-trial ``transcript_key`` tuples are bit-identical, so
-        key-based estimators can batch too.  Specs the fast path cannot
-        honour fall back to scalar execution, announced with a
+        the same per-trial seeds as the scalar path (through the
+        distribution's ``sample_each``); outputs, costs *and* per-trial
+        ``transcript_key`` tuples are bit-identical, so key-based
+        estimators can batch too.  The returned :class:`BatchResult` is
+        columnar and builds its :class:`TrialResult` records only when
+        trials are read.  Specs the fast path cannot honour fall back to
+        scalar execution, announced with a
         :class:`~repro.core.errors.BatchFallbackWarning` and counted on
         ``Engine.batch_fallbacks``.
     """
@@ -261,24 +268,130 @@ class TrialResult:
         return self.outputs[proc_id]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """One vectorized chunk of a batch, stored column-wise.
+
+    ``decisions`` is the protocol's ``(count,)`` or ``(count, n)`` output
+    array, ``keys`` the dense ``(count, turns)`` key array or the ragged
+    per-trial key tuples, ``turns`` the realized turn count per trial and
+    ``rounds`` the rounds derived from it.  Every trial's costs follow
+    from these and the per-chunk constants; ``inputs`` is the
+    ``(count, n, m)`` input stack, kept only when the spec records inputs.
+    """
+
+    start: int
+    decisions: np.ndarray
+    keys: np.ndarray | list[tuple[int, ...]]
+    turns: np.ndarray
+    rounds: np.ndarray
+    n: int
+    message_size: int
+    coin_bits: int
+    inputs: np.ndarray | None
+
+    def __len__(self) -> int:
+        return self.turns.shape[0]
+
+    def decisions_of(self, proc_id: int) -> np.ndarray:
+        """Processor ``proc_id``'s outputs as a 0/1 ``uint8`` vector."""
+        if self.decisions.ndim == 2:
+            column = self.decisions[:, proc_id]
+        elif -self.n <= proc_id < self.n:
+            column = self.decisions  # every processor outputs the row value
+        else:
+            raise IndexError(f"processor {proc_id} out of range for n={self.n}")
+        if column.dtype.kind in "biuf":
+            return (column != 0).astype(np.uint8)
+        return np.fromiter(
+            (int(bool(v)) for v in column), dtype=np.uint8, count=len(self)
+        )
+
+    def key_tuples(self) -> list[tuple[int, ...]]:
+        if isinstance(self.keys, np.ndarray):
+            return [tuple(row) for row in self.keys.tolist()]
+        return self.keys
+
+    def cost_column(self, attr: str) -> np.ndarray:
+        """The ``CostReport`` field ``attr`` of every trial, as ``int64``."""
+        if attr in ("rounds", "turns"):
+            return getattr(self, attr)
+        if attr == "broadcast_bits":
+            return self.turns * self.message_size
+        per_trial = {
+            "total_private_bits": self.coin_bits * self.n,
+            "max_private_bits": self.coin_bits if self.n else 0,
+            "public_bits": 0,
+        }[attr]
+        return np.full(len(self), per_trial, dtype=np.int64)
+
+    def trial_results(self) -> list[TrialResult]:
+        n, width = self.n, self.message_size
+        per_processor = self.decisions.ndim == 2
+        inputs = self.inputs
+        return [
+            TrialResult(
+                trial_index=self.start + offset,
+                outputs=list(value) if per_processor else [value] * n,
+                transcript_key=key,
+                cost=CostReport(
+                    n_processors=n,
+                    rounds=rounds,
+                    turns=turns,
+                    broadcast_bits=turns * width,
+                    message_size=width,
+                    private_bits_per_processor=[self.coin_bits] * n,
+                    public_bits=0,
+                ),
+                inputs=None if inputs is None else inputs[offset],
+            )
+            for offset, (value, key, rounds, turns) in enumerate(
+                zip(
+                    self.decisions.tolist(),
+                    self.key_tuples(),
+                    self.rounds.tolist(),
+                    self.turns.tolist(),
+                )
+            )
+        ]
+
+
 class BatchResult:
     """Aggregated outcome of ``Engine.run_batch``.
 
-    Holds the per-trial :class:`TrialResult` records plus vectorized views
-    over their :class:`~repro.core.network.CostReport` fields.
+    Executor batches are built from their per-trial :class:`TrialResult`
+    records (``BatchResult(trials=[...])``).  The vectorized fast path
+    stores per-chunk columns instead and builds each ``TrialResult`` the
+    first time trials are read — ``trials``, iteration, indexing,
+    ``outputs``, ``outputs_of`` and ``costs`` — keeping it from then on.
+    ``len``, :meth:`decisions`, ``transcript_keys``, :meth:`key_counts`,
+    the cost arrays and :meth:`cost_totals` read columns only; an executor
+    batch derives those columns from its records.  Two batches are equal
+    when their trials are.
     """
 
-    trials: list[TrialResult] = field(default_factory=list)
-    #: Lazily-built cache of the vectorized cost views below.  Accessors
-    #: like ``batch.rounds`` used to re-materialize a fresh array from a
-    #: generator on every call; estimators that touch them in loops now get
-    #: the same (read-only) array object back each time.
-    _cost_cache: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, trials: list[TrialResult] | None = None) -> None:
+        self._trials: list[TrialResult] | None = [] if trials is None else trials
+        self._chunks: list[_Columns] = []
+        #: Lazily-built cost arrays: the same read-only object on every read.
+        self._cost_cache: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def _from_columns(cls, chunks: list[_Columns]) -> "BatchResult":
+        batch = cls()
+        batch._trials = None
+        batch._chunks = chunks
+        return batch
+
+    @property
+    def trials(self) -> list[TrialResult]:
+        if self._trials is None:
+            self._trials = [t for c in self._chunks for t in c.trial_results()]
+        return self._trials
 
     def __len__(self) -> int:
+        if self._chunks:
+            return sum(len(c) for c in self._chunks)
         return len(self.trials)
 
     def __iter__(self) -> Iterator[TrialResult]:
@@ -286,6 +399,16 @@ class BatchResult:
 
     def __getitem__(self, index: int) -> TrialResult:
         return self.trials[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BatchResult):
+            return NotImplemented
+        return self.trials == other.trials
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"BatchResult(trials={self.trials!r})"
 
     # -- per-trial views ------------------------------------------------
     @property
@@ -295,6 +418,8 @@ class BatchResult:
 
     @property
     def transcript_keys(self) -> list[tuple[int, ...]]:
+        if self._chunks:
+            return [key for c in self._chunks for key in c.key_tuples()]
         return [t.transcript_key for t in self.trials]
 
     @property
@@ -307,6 +432,8 @@ class BatchResult:
 
     def decisions(self, proc_id: int = 0) -> np.ndarray:
         """Processor ``proc_id``'s outputs coerced to a 0/1 uint8 vector."""
+        if self._chunks:
+            return np.concatenate([c.decisions_of(proc_id) for c in self._chunks])
         return np.fromiter(
             (int(bool(t.outputs[proc_id])) for t in self.trials),
             dtype=np.uint8,
@@ -324,11 +451,16 @@ class BatchResult:
     def _cost_array(self, attr: str) -> np.ndarray:
         cached = self._cost_cache.get(attr)
         if cached is None:
-            cached = np.fromiter(
-                (getattr(t.cost, attr) for t in self.trials),
-                dtype=np.int64,
-                count=len(self.trials),
-            )
+            if self._chunks:
+                cached = np.concatenate(
+                    [c.cost_column(attr) for c in self._chunks], dtype=np.int64
+                )
+            else:
+                cached = np.fromiter(
+                    (getattr(t.cost, attr) for t in self.trials),
+                    dtype=np.int64,
+                    count=len(self.trials),
+                )
             # Handing the same object to every caller means a mutation
             # would poison all later reads — freeze it.
             cached.setflags(write=False)
@@ -370,11 +502,11 @@ class BatchResult:
         }
 
     def cost_summary(self) -> str:
-        if not self.trials:
+        if not len(self):
             return "empty batch"
         totals = self.cost_totals()
         return (
-            f"{len(self.trials)} trials, "
+            f"{len(self)} trials, "
             f"{totals['broadcast_bits']} bits on the wire, "
             f"mean {self.rounds.mean():.2f} rounds/trial, "
             f"{totals['total_private_bits']} private + "
@@ -473,12 +605,13 @@ def _evict_shared_attachment(name: str) -> None:
 # ----------------------------------------------------------------------
 def _normalize_batch_keys(
     raw: "np.ndarray | list[tuple[int, ...]]", count: int
-) -> list[tuple[int, ...]]:
-    """Normalize a ``batch_keys`` return value to per-trial key tuples.
+) -> np.ndarray | list[tuple[int, ...]]:
+    """Validate a ``batch_keys`` return value against the trial count.
 
-    Accepts the rectangular ``(trials, turns)`` integer array of
-    fixed-round protocols or the ragged list / object array of
-    dynamically-terminating ones; always yields plain-int tuples matching
+    The rectangular ``(trials, turns)`` integer array of fixed-round
+    protocols is kept as is (``BatchResult`` turns its rows into tuples
+    only when keys are read).  The ragged list / object array of
+    dynamically-terminating protocols becomes plain-int tuples matching
     ``Transcript.key()``.
     """
     if isinstance(raw, np.ndarray) and raw.dtype != object:
@@ -487,14 +620,14 @@ def _normalize_batch_keys(
                 f"batch_keys must return shape ({count}, turns), "
                 f"got {raw.shape}"
             )
-        return [tuple(row) for row in raw.tolist()]
+        return raw
     keys = list(raw)
     if len(keys) != count:
         raise ValueError(
             f"batch_keys must return one key per trial ({count}), "
             f"got {len(keys)}"
         )
-    return [tuple(int(v) for v in key) for key in keys]
+    return [tuple(np.asarray(key).tolist()) for key in keys]
 
 
 class _TrialRunner:
@@ -857,15 +990,18 @@ class Engine:
     def _run_batch_vectorized(self, spec: RunSpec, trials: int) -> BatchResult | None:
         """The batched-kernel fast path; ``None`` means "use the scalar path".
 
-        Inputs are sampled per trial from the same spawned seed children as
-        the scalar path (bit-identical), stacked in bounded chunks, and
-        handed to the protocol's ``batch_decisions`` and ``batch_keys``; a
-        fixed input matrix is evaluated once and its trial replicated.
-        Costs are synthesized from the protocol's metadata — exact for
-        input-deterministic protocols, which run their full round count,
-        broadcast every turn and draw no coins.  Transcript keys come from
-        ``batch_keys``, so key-based estimators see the same tuples the
-        scalar path records.  Every decline is announced with a
+        Inputs are drawn from the same spawned seed children as the scalar
+        path (bit-identical): each chunk's generators go to the
+        distribution's ``sample_each`` in one call, and the input stack to
+        the protocol's ``batch_decisions`` and ``batch_keys``.  A fixed
+        input matrix under an input-deterministic protocol is evaluated
+        once and its row broadcast to every trial.  Results stay columns,
+        one :class:`_Columns` per chunk, and costs follow from each trial's
+        realized turns — exact for batchable protocols, where every
+        processor speaks once per round and draws ``batch_coin_bits``
+        private bits.  Transcript keys come from ``batch_keys``, so
+        key-based estimators see the same tuples the scalar path records.
+        Every decline is announced with a
         :class:`~repro.core.errors.BatchFallbackWarning` and counted on
         :attr:`batch_fallbacks`.
         """
@@ -903,18 +1039,9 @@ class Engine:
         uses_coins = bool(getattr(protocol, "batch_uses_coins", False))
         coin_bits = int(getattr(protocol, "batch_coin_bits", 0)) if uses_coins else 0
 
-        def coin_seeds_for(rng: np.random.Generator, n: int) -> np.ndarray:
-            # Exactly the per-processor seed draw make_contexts performs on
-            # the scalar path, so batched coin protocols replay the same
-            # private randomness bit for bit.
-            return rng.integers(0, 2**63, size=n, dtype=np.int64)
-
-        def trial_results(
-            start: int,
-            inputs: np.ndarray,
-            per_trial_inputs: Callable[[int], np.ndarray],
-            coin_seeds: np.ndarray | None = None,
-        ) -> list[TrialResult]:
+        def evaluate(
+            inputs: np.ndarray, coin_seeds: np.ndarray | None
+        ) -> tuple[np.ndarray, np.ndarray | list[tuple[int, ...]]]:
             count, n = inputs.shape[0], inputs.shape[1]
             if uses_coins:
                 decisions = np.asarray(
@@ -929,104 +1056,81 @@ class Engine:
                     f"batch_decisions must return shape ({count},) or "
                     f"({count}, {n}), got {decisions.shape}"
                 )
-            key_tuples = _normalize_batch_keys(raw_keys, count)
-            width = protocol.message_size
-            decision_rows = decisions.tolist()
-            out = []
-            for offset in range(count):
-                key = key_tuples[offset]
-                turns = len(key)
-                if n:
-                    if turns % n:
-                        raise ValueError(
-                            f"batch_keys row {start + offset} has {turns} "
-                            f"turns, not a multiple of n={n}: every processor "
-                            "speaks once per round"
-                        )
-                    rounds = turns // n
-                else:
-                    rounds = protocol.num_rounds(0)
-                cost = CostReport(
-                    n_processors=n,
-                    rounds=rounds,
-                    turns=turns,
-                    broadcast_bits=turns * width,
-                    message_size=width,
-                    private_bits_per_processor=[coin_bits] * n,
-                    public_bits=0,
-                )
-                value = decision_rows[offset]
-                out.append(
-                    TrialResult(
-                        trial_index=start + offset,
-                        outputs=list(value) if decisions.ndim == 2 else [value] * n,
-                        transcript_key=key,
-                        cost=cost,
-                        inputs=per_trial_inputs(offset)
-                        if spec.record_inputs
-                        else None,
+            return decisions, _normalize_batch_keys(raw_keys, count)
+
+        def columns(
+            start: int,
+            inputs: np.ndarray,
+            decisions: np.ndarray,
+            keys: np.ndarray | list[tuple[int, ...]],
+        ) -> _Columns:
+            count, n = inputs.shape[0], inputs.shape[1]
+            if isinstance(keys, np.ndarray):
+                turns = np.full(count, keys.shape[1], dtype=np.int64)
+            else:
+                turns = np.fromiter(map(len, keys), dtype=np.int64, count=count)
+            if n:
+                bad = np.flatnonzero(turns % n)
+                if bad.size:
+                    raise ValueError(
+                        f"batch_keys row {start + int(bad[0])} has "
+                        f"{int(turns[bad[0]])} turns, not a multiple of "
+                        f"n={n}: every processor speaks once per round"
                     )
-                )
-            return out
+                rounds = turns // n
+            else:
+                rounds = np.full(count, protocol.num_rounds(0), dtype=np.int64)
+            return _Columns(
+                start=start,
+                decisions=decisions,
+                keys=keys,
+                turns=turns,
+                rounds=rounds,
+                n=n,
+                message_size=protocol.message_size,
+                coin_bits=coin_bits,
+                inputs=inputs if spec.record_inputs else None,
+            )
 
         if spec.distribution is None and not uses_coins:
             # Input-deterministic protocol + fixed inputs: one evaluation
             # covers every trial.
-            single = trial_results(0, spec.inputs[None], lambda _: spec.inputs)
-            template = single[0]
-            results = [
-                dataclasses.replace(template, trial_index=index)
-                for index in range(trials)
-            ]
-            return BatchResult(trials=results)
+            decisions, keys = evaluate(spec.inputs[None], None)
+            decisions = np.broadcast_to(decisions, (trials,) + decisions.shape[1:])
+            if isinstance(keys, np.ndarray):
+                keys = np.broadcast_to(keys, (trials, keys.shape[1]))
+            else:
+                keys = keys * trials
+            inputs = np.broadcast_to(spec.inputs, (trials,) + spec.inputs.shape)
+            return BatchResult._from_columns([columns(0, inputs, decisions, keys)])
 
         seeds = spec.seed_sequence().spawn(trials)
-        results = []
+        chunks = []
         for start in range(0, trials, self.VECTORIZED_CHUNK_TRIALS):
-            chunk = seeds[start : start + self.VECTORIZED_CHUNK_TRIALS]
-            chunk_coin_seeds = None
+            rngs = [
+                np.random.default_rng(seed)
+                for seed in seeds[start : start + self.VECTORIZED_CHUNK_TRIALS]
+            ]
             if spec.distribution is None:
                 # Coin protocol on fixed inputs: trials differ only in
                 # their private coins; share one read-only input view.
-                rows = [spec.inputs] * len(chunk)
-                inputs = np.broadcast_to(
-                    spec.inputs[None], (len(chunk),) + spec.inputs.shape
-                )
+                inputs = np.broadcast_to(spec.inputs, (len(rngs),) + spec.inputs.shape)
             else:
-                rows = []
-                per_trial_coin_seeds = []
-                for seed in chunk:
-                    rng = np.random.default_rng(seed)
-                    # Order matters and mirrors _TrialRunner: the input is
-                    # sampled first, then make_contexts draws coin seeds
-                    # from the same generator.
-                    row = spec.distribution.sample(rng)
-                    rows.append(row)
-                    if uses_coins:
-                        per_trial_coin_seeds.append(
-                            coin_seeds_for(rng, row.shape[0])
-                        )
-                inputs = np.stack(rows)
-                if uses_coins:
-                    chunk_coin_seeds = np.stack(per_trial_coin_seeds)
-            if uses_coins and chunk_coin_seeds is None:
-                chunk_coin_seeds = np.stack(
+                inputs = spec.distribution.sample_each(rngs)
+            coin_seeds = None
+            if uses_coins:
+                # Exactly the per-processor seed draw make_contexts
+                # performs on the scalar path, from the same generator
+                # after the input draw (the order _TrialRunner uses), so
+                # batched coin protocols replay the same private coins.
+                coin_seeds = np.stack(
                     [
-                        coin_seeds_for(
-                            np.random.default_rng(seed), spec.inputs.shape[0]
-                        )
-                        for seed in chunk
+                        rng.integers(0, 2**63, size=inputs.shape[1], dtype=np.int64)
+                        for rng in rngs
                     ]
                 )
-            results.extend(
-                trial_results(
-                    start,
-                    inputs,
-                    lambda offset: rows[offset],
-                    coin_seeds=chunk_coin_seeds,
-                )
-            )
-        return BatchResult(trials=results)
+            chunks.append(columns(start, inputs, *evaluate(inputs, coin_seeds)))
+        return BatchResult._from_columns(chunks)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ the paper:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,9 +59,14 @@ class InputDistribution:
         """Draw one input matrix (``uint8`` of shape ``(n, row_length)``)."""
         raise NotImplementedError
 
-    def sample_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` matrices, shape ``(count, n, row_length)``."""
-        return np.stack([self.sample(rng) for _ in range(count)])
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """One matrix per generator, stacked as ``(len(rngs), n, row_length)``.
+
+        Row ``t`` is exactly ``sample(rngs[t])`` and every generator ends
+        in the state that call leaves it in, so a subclass may batch the
+        arithmetic but must keep each generator's draws and their order.
+        """
+        return np.stack([self.sample(rng) for rng in rngs])
 
     @property
     def name(self) -> str:

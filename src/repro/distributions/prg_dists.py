@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,10 @@ __all__ = [
     "SharedMatrixRows",
     "PRGOutput",
 ]
+
+#: Cap on the float32 bytes (both cast operands and the product) of one
+#: block of :meth:`PRGOutput.sample_each`'s tail products.
+_TAIL_BLOCK_BYTES = 1 << 20
 
 
 class SharedVectorRows(RowIndependentDistribution):
@@ -168,6 +172,28 @@ class PRGOutput(MixtureDistribution):
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_component(rng).sample(rng)
+
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Per generator, draw ``M`` then ``X`` exactly as :meth:`sample`
+        does; then the ``X M`` tails as batched products over the trials.
+
+        ``float32`` is exact here: each entry is a sum of at most ``k``
+        products of bits, far below ``2^24``.  The products run over
+        blocks of trials so their float temporaries stay near
+        ``_TAIL_BLOCK_BYTES`` instead of growing with the batch.
+        """
+        k, n, tail = self.k, self.n, self.m - self.k
+        secrets = np.empty((len(rngs), k, tail), dtype=np.uint8)
+        out = np.empty((len(rngs), n, self.m), dtype=np.uint8)
+        for secret, rows, rng in zip(secrets, out, rngs):
+            secret[:] = rng.integers(0, 2, size=secret.shape, dtype=np.uint8)
+            rows[:, :k] = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+        block = max(1, _TAIL_BLOCK_BYTES // (4 * (n * k + k * tail + n * tail)))
+        for start in range(0, len(rngs), block):
+            trials = slice(start, start + block)
+            tails = np.matmul(out[trials, :, :k], secrets[trials], dtype=np.float32)
+            out[trials, :, k:] = tails.astype(np.int32) & 1
+        return out
 
     def components(self) -> Iterator[tuple[float, SharedMatrixRows]]:
         if self.secret_bits > 20:

@@ -362,13 +362,20 @@ class BitMatrixBatch:
     # ------------------------------------------------------------------
     # Rank: lock-step Gaussian elimination
     # ------------------------------------------------------------------
-    def rank(self) -> np.ndarray:
+    def rank(
+        self, prefix: int | None = None
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Per-matrix GF(2) rank, shape ``(batch,)``.
 
         All matrices are eliminated in lock-step (no physical row swaps;
         each matrix marks its pivot rows as settled), so the result is
         exactly the scalar :meth:`~repro.linalg.bitmatrix.BitMatrix.rank`
         of every batch element (property-tested).
+
+        With ``prefix=k`` the same elimination also reports the rank of
+        every matrix's leading ``k`` columns and returns
+        ``(prefix_rank, rank)``: columns are eliminated in order, so the
+        pivot count on reaching column ``k`` is that block's rank.
 
         The elimination is blocked method-of-four-Russians style over
         byte groups of eight pivot columns:
@@ -390,10 +397,13 @@ class BitMatrixBatch:
         revisited), and the word store is held words-first
         (``(words, batch, rows)``) so every pass is contiguous.
         """
+        if prefix is not None and not 0 <= prefix <= self.cols:
+            raise ValueError(f"prefix {prefix} outside [0, {self.cols}]")
         batch, n_rows, n_words = self.words.shape
         pivot = np.zeros(batch, dtype=np.int64)
+        prefix_rank = None
         if batch == 0 or n_rows == 0 or self.cols == 0:
-            return pivot
+            return pivot if prefix is None else (pivot.copy(), pivot)
         work = np.ascontiguousarray(self.words.transpose(2, 0, 1))
         work_bytes = work.view(np.uint8)  # (words, batch, rows * 8)
         batch_idx = np.arange(batch)
@@ -411,6 +421,8 @@ class BitMatrixBatch:
             slot_found = np.zeros((group, batch), dtype=bool)
             any_elimination = False
             for k in range(group):
+                if base + k == prefix:
+                    prefix_rank = pivot.copy()
                 # Candidate mask: sign-extend column bit k over its byte,
                 # keep unsettled rows; the first candidate is the pivot.
                 shift_up = np.uint8(7 - (bit0 + k) % 8)
@@ -460,7 +472,11 @@ class BitMatrixBatch:
                     )
             live = np.nonzero(unsettled[:, low:].any(axis=0))[0]
             low = low + (int(live[0]) if live.size else n_rows - low)
-        return pivot
+        if prefix is None:
+            return pivot
+        # Not captured: the prefix is every column, or the loop stopped
+        # early with every row settled, after which no pivot count moves.
+        return (pivot.copy() if prefix_rank is None else prefix_rank), pivot
 
     def is_full_rank(self) -> np.ndarray:
         """Boolean array: which matrices have rank ``min(rows, cols)``."""

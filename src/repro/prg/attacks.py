@@ -59,7 +59,7 @@ class SupportMembershipAttack(Protocol):
 
     The decision is a pure function of the input matrix, so the attack
     supports the engine's vectorized fast path: a whole Monte-Carlo batch
-    of trials reduces to two batched rank computations, and the batch's
+    of trials reduces to one batched rank elimination, and the batch's
     transcript keys (the revealed ``k + 1`` prefix bits, round-major) to
     one transpose.
     """
@@ -127,12 +127,14 @@ class SupportMembershipAttack(Protocol):
         return revealed
 
     def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """Consistency tests for a ``(trials, n, m)`` batch in two batched
-        lock-step rank eliminations."""
+        """Consistency tests for a ``(trials, n, m)`` batch in one batched
+        lock-step elimination of ``[X | y]``, which also yields the seed
+        block's rank as the rank of its leading ``k`` columns."""
         revealed = self._validated_revealed(inputs)
-        full = BitMatrixBatch.from_arrays(revealed)
-        seed_blocks = BitMatrixBatch.from_arrays(revealed[:, :, : self.k])
-        return (full.rank() == seed_blocks.rank()).astype(np.uint8)
+        seed_rank, full_rank = BitMatrixBatch.from_arrays(revealed).rank(
+            prefix=self.k
+        )
+        return (full_rank == seed_rank).astype(np.uint8)
 
     def batch_keys(self, inputs: np.ndarray) -> np.ndarray:
         """Transcript keys for a ``(trials, n, m)`` batch: round ``j``

@@ -178,7 +178,7 @@ class ConnectivityProtocol(Protocol):
             for i in range(n):
                 outputs[t, i] = (int(final_labels[i]), count)
             key = np.concatenate([states[r][t] for r in range(r_t)])
-            keys.append(tuple(int(v) for v in key))
+            keys.append(tuple(key.tolist()))
         self._trace_cache = (inputs, outputs, keys)
         return outputs, keys
 

@@ -8,22 +8,25 @@ otherwise, and the shared-memory input publication changes nothing but
 the transport.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.engine import FALLBACKS_METRIC, Engine, RunSpec
+from repro.core.engine import FALLBACKS_METRIC, Engine, RunSpec, TrialResult
 from repro.core.errors import BatchFallbackWarning
 from repro.distinguish.sampling import (
     estimate_protocol_advantage,
     run_distinguisher,
 )
 from repro.distributions.prg_dists import PRGOutput
+from repro.distributions.undirected import UndirectedRandomGraph
 from repro.distributions.uniform import UniformRows
 from repro.exec import WorkerPool
 from repro.lowerbounds.hierarchy import TopSubmatrixRankProtocol, accuracy_on_uniform
 from repro.prg.attacks import SupportMembershipAttack
+from repro.protocols.connectivity import ConnectivityProtocol
 from repro.protocols.parity import GlobalParityProtocol
 
 
@@ -136,6 +139,73 @@ class TestVectorizedFastPath:
             SupportMembershipAttack(k=5).batch_decisions(np.zeros((2, 8, 4)))
         with pytest.raises(ValueError):
             TopSubmatrixRankProtocol(k=5).batch_decisions(np.zeros((2, 3, 9)))
+
+
+class TestColumnarBatch:
+    """The fast path stores columns and builds ``TrialResult`` records only
+    when trials are read; what it returns still equals the scalar batch."""
+
+    def test_decision_only_estimator_builds_no_trial_records(self, monkeypatch):
+        built = []
+        init = TrialResult.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        batches = []
+        run_batch = Engine.run_batch
+
+        def capturing_run_batch(engine, spec, trials):
+            batches.append(run_batch(engine, spec, trials))
+            return batches[-1]
+
+        monkeypatch.setattr(TrialResult, "__init__", counting_init)
+        monkeypatch.setattr(Engine, "run_batch", capturing_run_batch)
+        args = (SupportMembershipAttack(1), PRGOutput(2, 2, 1), 2048)
+        fast_decisions = run_distinguisher(
+            *args, np.random.default_rng(4), vectorized=True
+        )
+        assert len(built) == 0
+        scalar_decisions = run_distinguisher(*args, np.random.default_rng(4))
+        fast, scalar = batches
+        assert np.array_equal(fast_decisions, scalar_decisions)
+        assert fast.transcript_keys == scalar.transcript_keys
+        assert len(built) == 2048  # the scalar batch's records only
+        assert fast.costs == scalar.costs
+        assert list(fast) == list(scalar)
+
+    @pytest.mark.parametrize(
+        "protocol,dist",
+        [
+            (SupportMembershipAttack(k=4), UniformRows(10, 7)),  # dense keys
+            (ConnectivityProtocol(7), UndirectedRandomGraph(7)),  # ragged keys
+        ],
+    )
+    def test_chunked_batch_equals_scalar(self, monkeypatch, protocol, dist):
+        monkeypatch.setattr(Engine, "VECTORIZED_CHUNK_TRIALS", 3)
+        scalar, fast = scalar_and_vectorized(protocol, dist, trials=10, seed=905)
+        assert [t.trial_index for t in fast] == [t.trial_index for t in scalar]
+        assert fast.outputs == scalar.outputs
+        assert fast.transcript_keys == scalar.transcript_keys
+        assert fast.costs == scalar.costs
+        assert np.array_equal(fast.decisions(0), scalar.decisions(0))
+        assert fast.cost_totals() == scalar.cost_totals()
+        for s, f in zip(scalar, fast):
+            assert np.array_equal(s.inputs, f.inputs)
+
+    def test_fixed_input_trials_share_no_records(self, rng):
+        inputs = rng.integers(0, 2, size=(5, 4), dtype=np.uint8)
+        spec = RunSpec(
+            protocol=SupportMembershipAttack(3), inputs=inputs, seed=1, vectorized=True
+        )
+        fast = Engine().run_batch(spec, 3)
+        scalar = Engine().run_batch(dataclasses.replace(spec, vectorized=False), 3)
+        assert list(fast) == list(scalar)
+        assert len({id(t.outputs) for t in fast}) == 3
+        assert len({id(t.cost) for t in fast}) == 3
+        fast[0].outputs[0] = scalar[0].outputs[0] = 99
+        assert fast.outputs_of(0) == scalar.outputs_of(0)
 
 
 class TestBatchFallbackSignal:

@@ -1,5 +1,7 @@
 """Tests for the uniform input distributions."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,13 @@ class TestUniformRows:
         assert len({tuple(r) for r in support}) == 8
 
     def test_sample_many(self, rng):
-        batch = UniformRows(3, 4).sample_many(6, rng)
+        # One shared generator, listed once per draw, makes the same
+        # draws as calling sample() six times in a row.
+        dist = UniformRows(3, 4)
+        twin = copy.deepcopy(rng)
+        batch = dist.sample_each([rng] * 6)
         assert batch.shape == (6, 3, 4)
+        assert np.array_equal(batch, np.stack([dist.sample(twin) for _ in range(6)]))
 
     def test_mean_density(self, rng):
         sample = UniformRows(50, 50).sample(rng)

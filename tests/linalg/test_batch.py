@@ -4,7 +4,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.linalg import BitMatrix, BitMatrixBatch, BitVector, BitVectorBatch
@@ -157,6 +157,35 @@ class TestBitMatrixBatchKernels:
             BitMatrixBatch.zeros(2, 3, 4).vecmat(BitVectorBatch.zeros(2, 4))
 
 
+def assert_prefix_rank_matches(arr, k):
+    """One elimination with ``prefix=k`` against two separate ranks."""
+    prefix_rank, rank = BitMatrixBatch.from_arrays(arr).rank(prefix=k)
+    assert np.array_equal(prefix_rank, BitMatrixBatch.from_arrays(arr[:, :, :k]).rank())
+    assert np.array_equal(rank, BitMatrixBatch.from_arrays(arr).rank())
+
+
+class TestPrefixRank:
+    @pytest.mark.parametrize("batch,rows,cols", BATCH_SHAPES)
+    def test_corner_prefixes(self, rng, batch, rows, cols):
+        arr = random_bits(rng, batch, rows, cols)
+        for k in sorted({0, cols // 2, max(cols - 1, 0), cols}):
+            assert_prefix_rank_matches(arr, k)
+
+    def test_early_exit_once_every_row_is_settled(self, rng):
+        # Identity-led rows are all settled within the first byte group,
+        # so the elimination stops before it reaches most prefixes.
+        arr = random_bits(rng, 5, 4, 40)
+        arr[:, :, :4] = np.eye(4, dtype=np.uint8)
+        for k in (3, 4, 13, 20, 40):
+            assert_prefix_rank_matches(arr, k)
+
+    def test_rejects_out_of_range_prefix(self):
+        batch = BitMatrixBatch.zeros(2, 3, 5)
+        for k in (-1, 6):
+            with pytest.raises(ValueError):
+                batch.rank(prefix=k)
+
+
 class TestBatchedSampling:
     def test_random_matches_from_arrays_packing(self, rng):
         mb = BitMatrixBatch.random(4, 7, 70, rng)
@@ -192,6 +221,24 @@ def test_rank_property(batch, rows, cols, seed):
     arr = rng.integers(0, 2, size=(batch, rows, cols), dtype=np.uint8)
     mb = BitMatrixBatch.from_arrays(arr)
     assert np.array_equal(mb.rank(), [BitMatrix.from_array(a).rank() for a in arr])
+
+
+@given(
+    batch=st.integers(1, 6),
+    rows=st.integers(1, 20),
+    cols=st.integers(1, 150),
+    k=st.integers(0, 150),
+    seed=st.integers(0, 2**31),
+)
+@example(batch=3, rows=5, cols=70, k=0, seed=1)
+@example(batch=3, rows=5, cols=70, k=70, seed=1)
+@example(batch=4, rows=20, cols=30, k=13, seed=2)
+@example(batch=4, rows=2, cols=100, k=50, seed=3)
+@settings(max_examples=40, deadline=None)
+def test_prefix_rank_property(batch, rows, cols, k, seed):
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(0, 2, size=(batch, rows, cols), dtype=np.uint8)
+    assert_prefix_rank_matches(arr, min(k, cols))
 
 
 @given(

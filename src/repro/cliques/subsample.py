@@ -94,16 +94,13 @@ class PlantedCliqueSubsampleProtocol(Protocol):
     claimant vertices, or ``None`` if the protocol aborted.
 
     The protocol is randomized, but its only coin use is the round-0
-    activation draw — ``_COIN_PRECISION`` private bits per processor — so
-    it supports the engine's vectorized fast path: the engine hands
-    ``batch_decisions`` / ``batch_keys`` the per-processor coin seeds it
-    would have given the scalar simulator, and the batch replays the same
-    draws bit for bit.
+    activation draw — ``_COIN_PRECISION`` private bits per processor, its
+    ``batch_coin_bits`` — so it supports the engine's vectorized fast
+    path: the engine hands ``batch_decisions`` the per-processor coin
+    seeds it would have given the scalar simulator, and the batch replays
+    the same draws bit for bit.
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-    batch_uses_coins = True
     batch_coin_bits = _COIN_PRECISION
 
     def __init__(
@@ -259,11 +256,14 @@ class PlantedCliqueSubsampleProtocol(Protocol):
     # ------------------------------------------------------------------
     # Vectorized fast path
     # ------------------------------------------------------------------
-    def _batch_trace(
-        self, inputs: np.ndarray, coin_seeds: np.ndarray | None
+    def batch_decisions(
+        self, inputs: np.ndarray, coin_seeds: np.ndarray | None = None
     ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """Batched replay shared by :meth:`batch_decisions` and
-        :meth:`batch_keys` (memoized on the input/seed identities).
+        """Per-trial recovered cliques (or ``None``) and ragged transcript
+        keys for a ``(trials, n, m)`` batch under engine-supplied coin
+        seeds.  A key is the activation bits, then the edge rounds in
+        round-major order, then the membership round (activation bits only
+        on abort).
 
         Activation draws replay the scalar per-processor coin chain
         (``expand_seed`` of each engine-supplied seed, one
@@ -271,18 +271,11 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         rounds are then single fancy-indexing passes over the adjacency
         stack, with only the max-clique search left per trial.
         """
-        cached = getattr(self, "_batch_cache", None)
-        if (
-            cached is not None
-            and cached[0] is inputs
-            and cached[1] is coin_seeds
-        ):
-            return cached[2], cached[3]
         if coin_seeds is None:
             raise ValueError(
                 "the subsample protocol draws private coins; batch calls "
-                "must supply coin_seeds (the engine does, via "
-                "batch_uses_coins)"
+                "must supply coin_seeds (the engine does, since "
+                "batch_coin_bits > 0)"
             )
         stack = np.asarray(inputs, dtype=np.uint8)
         if stack.ndim != 3:
@@ -355,25 +348,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
                 ]
             )
             keys.append(tuple(key.tolist()))
-        self._batch_cache = (inputs, coin_seeds, outputs, keys)
         return outputs, keys
-
-    def batch_decisions(
-        self, inputs: np.ndarray, coin_seeds: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-trial recovered cliques (or ``None``) for a whole
-        ``(trials, n, m)`` batch under engine-supplied coin seeds."""
-        outputs, _ = self._batch_trace(inputs, coin_seeds)
-        return outputs
-
-    def batch_keys(
-        self, inputs: np.ndarray, coin_seeds: np.ndarray | None = None
-    ) -> list[tuple[int, ...]]:
-        """Ragged per-trial transcript keys: activation bits, then the
-        edge rounds in round-major order, then the membership round
-        (activation bits only on abort)."""
-        _, keys = self._batch_trace(inputs, coin_seeds)
-        return keys
 
 
 def subsample_recover(

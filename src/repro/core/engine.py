@@ -36,21 +36,21 @@ distribution, scheduler) to be picklable.  Library protocols are;
 :class:`~repro.exec.WorkerPool` detects this up front and falls back to
 serial execution with a warning rather than failing.
 
-**Vectorized fast path.**  Protocols that declare
-``supports_batch = True`` (their outputs are a deterministic function of
-the input matrix alone) plus ``supports_batch_keys = True`` can skip
-per-trial simulation entirely: a spec with ``vectorized=True`` draws
-every trial's input with the same per-trial seeds as the scalar path — so
-inputs are bit-identical — through one
+**Vectorized fast path.**  Protocols that override
+:meth:`~repro.core.protocol.Protocol.batch_decisions` can skip per-trial
+simulation entirely: a spec with ``vectorized=True`` draws every trial's
+input with the same per-trial seeds as the scalar path — so inputs are
+bit-identical — through one
 :meth:`~repro.distributions.base.InputDistribution.sample_each` call per
-chunk, and evaluates them with one ``protocol.batch_decisions`` +
-``protocol.batch_keys`` pass backed by the batched GF(2) kernels of
-:mod:`repro.linalg.batch`, so key-based estimators batch too.  The
-result stays columnar: a :class:`BatchResult` keeps each chunk's
-decision, key and turns columns and builds a :class:`TrialResult` only
-when trials are read, so a decision-only estimator builds none.  Specs
-the fast path cannot honour (transcript recording, coin budgets,
-protocols without batch/key support) fall back to the scalar path with a
+chunk, and evaluates them with one ``protocol.batch_decisions`` call
+backed by the batched GF(2) kernels of :mod:`repro.linalg.batch`.  That
+call returns decisions and transcript keys together, so key-based
+estimators batch too.  The result stays columnar: a :class:`BatchResult`
+keeps each chunk's decision, key and turns columns and builds a
+:class:`TrialResult` only when trials are read, so a decision-only
+estimator builds none.  Specs the fast path cannot honour (transcript
+recording, coin budgets, protocols without a batch implementation) fall
+back to the scalar path with a
 :class:`~repro.core.errors.BatchFallbackWarning`; ``Engine.batch_fallbacks``
 counts the downgrades.
 
@@ -177,10 +177,9 @@ class RunSpec:
         Keep each trial's full :class:`Transcript` (not just its key).
     vectorized:
         Ask ``run_batch`` to evaluate the whole batch with one
-        ``protocol.batch_decisions`` + ``protocol.batch_keys`` pass when
-        the protocol declares ``supports_batch`` and
-        ``supports_batch_keys`` (and the spec needs no transcripts, round
-        overrides, coin budgets or public coins).  Inputs are sampled with
+        ``protocol.batch_decisions`` call when the protocol overrides it
+        (and the spec needs no transcripts, round overrides, coin budgets
+        or public coins).  Inputs are sampled with
         the same per-trial seeds as the scalar path (through the
         distribution's ``sample_each``); outputs, costs *and* per-trial
         ``transcript_key`` tuples are bit-identical, so key-based
@@ -606,7 +605,7 @@ def _evict_shared_attachment(name: str) -> None:
 def _normalize_batch_keys(
     raw: "np.ndarray | list[tuple[int, ...]]", count: int
 ) -> np.ndarray | list[tuple[int, ...]]:
-    """Validate a ``batch_keys`` return value against the trial count.
+    """Validate the keys ``batch_decisions`` returned against the trial count.
 
     The rectangular ``(trials, turns)`` integer array of fixed-round
     protocols is kept as is (``BatchResult`` turns its rows into tuples
@@ -617,14 +616,14 @@ def _normalize_batch_keys(
     if isinstance(raw, np.ndarray) and raw.dtype != object:
         if raw.ndim != 2 or raw.shape[0] != count:
             raise ValueError(
-                f"batch_keys must return shape ({count}, turns), "
+                f"batch_decisions keys must have shape ({count}, turns), "
                 f"got {raw.shape}"
             )
         return raw
     keys = list(raw)
     if len(keys) != count:
         raise ValueError(
-            f"batch_keys must return one key per trial ({count}), "
+            f"batch_decisions must return one key per trial ({count}), "
             f"got {len(keys)}"
         )
     return [tuple(np.asarray(key).tolist()) for key in keys]
@@ -993,31 +992,22 @@ class Engine:
         Inputs are drawn from the same spawned seed children as the scalar
         path (bit-identical): each chunk's generators go to the
         distribution's ``sample_each`` in one call, and the input stack to
-        the protocol's ``batch_decisions`` and ``batch_keys``.  A fixed
-        input matrix under an input-deterministic protocol is evaluated
-        once and its row broadcast to every trial.  Results stay columns,
-        one :class:`_Columns` per chunk, and costs follow from each trial's
+        one ``batch_decisions`` call, which returns decisions and
+        transcript keys together.  A fixed input matrix under an
+        input-deterministic protocol is evaluated once and its row
+        broadcast to every trial.  Results stay columns, one
+        :class:`_Columns` per chunk, and costs follow from each trial's
         realized turns — exact for batchable protocols, where every
         processor speaks once per round and draws ``batch_coin_bits``
-        private bits.  Transcript keys come from ``batch_keys``, so
-        key-based estimators see the same tuples the scalar path records.
-        Every decline is announced with a
+        private bits.  Every decline is announced with a
         :class:`~repro.core.errors.BatchFallbackWarning` and counted on
         :attr:`batch_fallbacks`.
         """
         protocol = spec.fresh_protocol()
-        if not getattr(protocol, "supports_batch", False):
+        if type(protocol).batch_decisions is Protocol.batch_decisions:
             self._note_batch_fallback(
                 "no_batch_support",
-                f"{type(protocol).__name__} does not declare supports_batch",
-            )
-            return None
-        if not getattr(protocol, "supports_batch_keys", False):
-            self._note_batch_fallback(
-                "no_batch_keys",
-                f"{type(protocol).__name__} declares supports_batch but not "
-                "supports_batch_keys, so transcript keys cannot be "
-                "synthesized on the fast path",
+                f"{type(protocol).__name__} does not override batch_decisions",
             )
             return None
         if (
@@ -1036,27 +1026,29 @@ class Engine:
         if trials == 0:
             return BatchResult()
 
-        uses_coins = bool(getattr(protocol, "batch_uses_coins", False))
-        coin_bits = int(getattr(protocol, "batch_coin_bits", 0)) if uses_coins else 0
+        coin_bits = protocol.batch_coin_bits
 
         def evaluate(
             inputs: np.ndarray, coin_seeds: np.ndarray | None
         ) -> tuple[np.ndarray, np.ndarray | list[tuple[int, ...]]]:
             count, n = inputs.shape[0], inputs.shape[1]
-            if uses_coins:
-                decisions = np.asarray(
-                    protocol.batch_decisions(inputs, coin_seeds=coin_seeds)
-                )
-                raw_keys = protocol.batch_keys(inputs, coin_seeds=coin_seeds)
+            if coin_bits:
+                result = protocol.batch_decisions(inputs, coin_seeds=coin_seeds)
             else:
-                decisions = np.asarray(protocol.batch_decisions(inputs))
-                raw_keys = protocol.batch_keys(inputs)
+                result = protocol.batch_decisions(inputs)
+            # An array would unpack into its rows when it has exactly two.
+            if not isinstance(result, tuple) or len(result) != 2:
+                raise TypeError(
+                    f"{type(protocol).__name__}.batch_decisions must return "
+                    f"a (decisions, keys) tuple, got {type(result).__name__}"
+                )
+            decisions = np.asarray(result[0])
             if decisions.shape not in ((count,), (count, n)):
                 raise ValueError(
-                    f"batch_decisions must return shape ({count},) or "
-                    f"({count}, {n}), got {decisions.shape}"
+                    f"batch_decisions decisions must have shape ({count},) "
+                    f"or ({count}, {n}), got {decisions.shape}"
                 )
-            return decisions, _normalize_batch_keys(raw_keys, count)
+            return decisions, _normalize_batch_keys(result[1], count)
 
         def columns(
             start: int,
@@ -1073,7 +1065,7 @@ class Engine:
                 bad = np.flatnonzero(turns % n)
                 if bad.size:
                     raise ValueError(
-                        f"batch_keys row {start + int(bad[0])} has "
+                        f"batch_decisions key {start + int(bad[0])} has "
                         f"{int(turns[bad[0]])} turns, not a multiple of "
                         f"n={n}: every processor speaks once per round"
                     )
@@ -1092,7 +1084,7 @@ class Engine:
                 inputs=inputs if spec.record_inputs else None,
             )
 
-        if spec.distribution is None and not uses_coins:
+        if spec.distribution is None and not coin_bits:
             # Input-deterministic protocol + fixed inputs: one evaluation
             # covers every trial.
             decisions, keys = evaluate(spec.inputs[None], None)
@@ -1118,7 +1110,7 @@ class Engine:
             else:
                 inputs = spec.distribution.sample_each(rngs)
             coin_seeds = None
-            if uses_coins:
+            if coin_bits:
                 # Exactly the per-processor seed draw make_contexts
                 # performs on the scalar path, from the same generator
                 # after the input draw (the order _TrialRunner uses), so

@@ -37,10 +37,11 @@ class BatchFallbackWarning(RuntimeWarning):
     """``RunSpec(vectorized=True)`` could not take the batched fast path.
 
     Emitted by ``Engine.run_batch`` exactly when a vectorized spec falls
-    back to scalar per-trial simulation — because the protocol lacks
-    ``supports_batch`` / ``supports_batch_keys``, or the spec needs
-    features the fast path cannot honour (full transcripts, round
-    overrides, coin budgets, public coins).  Results are still
+    back to scalar per-trial simulation — because the protocol does not
+    override ``batch_decisions`` (reason ``no_batch_support``), or the
+    spec needs features the fast path cannot honour (full transcripts,
+    round overrides, coin budgets, public coins; reason
+    ``full_fidelity``).  Results are still
     bit-identical to the scalar path; only the speedup is lost.  The
     message names the reason.  Note that Python's default warning filters
     *display* repeated warnings from the same call site only once;

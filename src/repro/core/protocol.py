@@ -39,8 +39,8 @@ NextMessageFn = Callable[[int, Any, tuple[int, ...]], int]
 def require_bits(values: "np.ndarray | Sequence[int]", what: str) -> None:
     """Reject payload arrays the scalar ``BCAST(1)`` width check would refuse.
 
-    Batched ``batch_decisions`` / ``batch_keys`` implementations that
-    broadcast input entries raw must validate them as 0/1 bits: the scalar
+    Batched ``batch_decisions`` implementations that broadcast input
+    entries raw must validate them as 0/1 bits: the scalar
     simulator raises on any other payload, and a batched path that
     silently coerced instead would break its bit-identical guarantee.
     """
@@ -60,39 +60,21 @@ class Protocol:
     ----------
     message_size:
         Width ``b`` of each broadcast in bits (the ``BCAST(b)`` parameter).
-    supports_batch:
-        True for protocols whose per-processor outputs are a deterministic
-        function of the input matrix alone (no private or public coins,
-        every processor reaching the same decision).  Such protocols
-        implement :meth:`batch_decisions` and the execution engine's
-        ``vectorized=True`` fast path evaluates whole trial batches with
-        single batched-kernel calls instead of simulating each trial.
-    supports_batch_keys:
-        True for protocols that additionally implement :meth:`batch_keys`,
-        synthesizing every trial's *transcript key* in the same batched
-        pass.  The engine's fast path requires both flags: decisions alone
-        cannot serve key-based estimators (transcript total-variation
-        distance, Newman simulation error), so a protocol advertising only
-        ``supports_batch`` falls back to scalar simulation under
-        ``vectorized=True`` (with a
-        :class:`~repro.core.errors.BatchFallbackWarning`).
-    batch_uses_coins:
-        True for batchable protocols whose behaviour depends on *private*
-        coins.  The engine then reproduces the scalar path's per-processor
-        coin seeding (the ``(n,)`` seed vector ``make_contexts`` draws from
-        the trial generator) and passes it to :meth:`batch_decisions` /
-        :meth:`batch_keys` as the ``coin_seeds`` keyword, so batched coin
-        protocols stay bit-identical to scalar simulation.
     batch_coin_bits:
         Exact number of private-coin bits *each processor* consumes per
-        trial when ``batch_uses_coins`` is set (must be input-independent);
-        the fast path synthesizes ``private_bits_per_processor`` from it.
+        trial on the vectorized fast path (must be input-independent).
+        Above 0, the engine reproduces the scalar path's per-processor
+        coin seeding (the ``(n,)`` seed vector ``make_contexts`` draws
+        from the trial generator) and passes it to
+        :meth:`batch_decisions` as ``coin_seeds``, and it synthesizes
+        ``private_bits_per_processor`` from this count.  At 0 the
+        protocol must not use private coins in its batch.
+
+    A protocol joins the engine's ``vectorized=True`` fast path by
+    overriding :meth:`batch_decisions`.
     """
 
     message_size: int = 1
-    supports_batch: bool = False
-    supports_batch_keys: bool = False
-    batch_uses_coins: bool = False
     batch_coin_bits: int = 0
 
     def num_rounds(self, n: int) -> int:
@@ -140,52 +122,42 @@ class Protocol:
 
     def batch_decisions(
         self, inputs: np.ndarray, coin_seeds: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Outputs for a whole ``(trials, n, m)`` input batch at once.
+    ) -> tuple[np.ndarray, np.ndarray | list[tuple[int, ...]]]:
+        """Outputs and transcript keys for a ``(trials, n, m)`` input batch.
 
-        Only meaningful when :attr:`supports_batch` is set; must return
-        either an array of shape ``(trials,)`` holding the output every
-        processor would produce in each trial, or — for protocols whose
-        processors output distinct values — shape ``(trials, n)`` with one
-        entry per processor.  Non-numeric outputs (tuples, frozensets)
-        must be packed in an ``object``-dtype array built explicitly with
-        ``np.empty(..., dtype=object)``.  Either way the values must be
-        bit-identical to running :meth:`output` through the simulator on
-        the same inputs.
+        One pass over the stack returns ``(decisions, keys)``, each
+        bit-identical to running the protocol through the simulator on
+        ``inputs[t]``:
 
-        ``coin_seeds`` is only passed (as a ``(trials, n)`` int64 array of
-        per-processor seeds, one row per trial, matching the scalar
-        simulator's ``make_contexts`` draw) when :attr:`batch_uses_coins`
-        is set.
+        * ``decisions`` has shape ``(trials,)`` holding the output every
+          processor would produce in each trial, or — for protocols whose
+          processors output distinct values — ``(trials, n)`` with one
+          entry per processor.  Non-numeric outputs (tuples, frozensets)
+          must be packed in an ``object``-dtype array built explicitly
+          with ``np.empty(..., dtype=object)``.
+        * ``keys`` holds each trial's ``Transcript.key()``: the message
+          payloads in turn order (round-major, processor ``0 … n-1``
+          within each round, the speaking order shared by both library
+          schedulers).  Fixed-round protocols return an integer array of
+          shape ``(trials, turns)``; dynamically-terminating protocols
+          (``finished`` overridden) may instead return a ragged
+          ``list``/object array of per-trial tuples whose lengths are each
+          trial's realized turn count — the engine synthesizes per-trial
+          :class:`~repro.core.network.CostReport` rounds/turns/bits from
+          those lengths.
+
+        Implementations must reject inputs the scalar path would reject
+        (e.g. non-bit payloads that the ``BCAST(b)`` width check refuses)
+        rather than silently diverge from it, and must keep no state on
+        ``self``: the engine deep-copies and ships protocol instances,
+        and a result cached there goes stale when a caller refills the
+        input array in place.  ``coin_seeds`` is passed
+        only when :attr:`batch_coin_bits` is above 0, as a ``(trials, n)``
+        int64 array of per-processor seeds, one row per trial, matching
+        the scalar simulator's ``make_contexts`` draw.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batched evaluation"
-        )
-
-    def batch_keys(
-        self, inputs: np.ndarray, coin_seeds: np.ndarray | None = None
-    ) -> np.ndarray | list[tuple[int, ...]]:
-        """Transcript keys for a whole ``(trials, n, m)`` input batch at once.
-
-        Only meaningful when :attr:`supports_batch_keys` is set; must
-        return the per-trial *transcript keys* — each row/entry ``t``
-        equal to ``Transcript.key()`` of running the protocol through the
-        simulator on ``inputs[t]``: the message payloads in turn order
-        (round-major, processor ``0 … n-1`` within each round, the
-        speaking order shared by both library schedulers).  Fixed-round
-        protocols return an integer array of shape ``(trials, turns)``;
-        dynamically-terminating protocols (``finished`` overridden) may
-        instead return a ragged ``list``/object array of per-trial tuples
-        whose lengths are each trial's realized turn count — the engine
-        synthesizes per-trial :class:`~repro.core.network.CostReport`
-        rounds/turns/bits from those lengths.  Implementations must reject
-        inputs the scalar path would reject (e.g. non-bit payloads that
-        the ``BCAST(b)`` width check refuses) rather than silently diverge
-        from it.  ``coin_seeds`` is passed exactly as for
-        :meth:`batch_decisions`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement batched key synthesis"
         )
 
     def cost_model(self) -> "CostModel":

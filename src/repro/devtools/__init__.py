@@ -9,8 +9,8 @@ easy to break silently:
   (never ambient ``np.random`` / ``random`` state);
 * :class:`~repro.core.engine.RunSpec` and
   :class:`~repro.core.engine.BatchResult` are frozen records;
-* ``supports_batch`` / ``batch_decisions`` (and the ``_keys`` pair) must
-  be declared together;
+* a protocol that overrides ``batch_decisions`` declares a symbolic
+  ``cost_model``, and vice versa;
 * worker frames are unpickled only inside the quarantined
   :mod:`repro.exec.wire` module;
 * locks in :mod:`repro.exec` are acquired via context managers, in a

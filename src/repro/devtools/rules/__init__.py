@@ -89,7 +89,7 @@ def iter_calls_with_class(
 
 def all_rules() -> list[LintRule]:
     """The full catalog, in reporting order."""
-    from .batching import BatchContractRule, CostModelContractRule
+    from .batching import CostModelContractRule
     from .concurrency import (
         BareAcquireRule,
         PickleQuarantineRule,
@@ -100,7 +100,6 @@ def all_rules() -> list[LintRule]:
     return [
         AmbientRandomnessRule(),
         FrozenSpecMutationRule(),
-        BatchContractRule(),
         CostModelContractRule(),
         PickleQuarantineRule(),
         BareAcquireRule(),

@@ -1,24 +1,13 @@
-"""BAT01/BAT02 — the vectorized fast-path contract must be declared whole.
+"""BAT02 — a batched protocol and its symbolic cost model travel together.
 
-The engine's ``vectorized=True`` fast path dispatches on
-``supports_batch`` / ``supports_batch_keys`` *flags* and calls the
-``batch_decisions`` / ``batch_keys`` *methods*.  The failure modes are
-asymmetric and both silent-ish:
-
-* flag set, method missing → every vectorized batch falls back to scalar
-  simulation (correct numbers, silently forfeited speedup) or raises at
-  dispatch, depending on how the method is missing;
-* method implemented, flag unset → the fast path never runs, and the
-  batched implementation rots untested (the exact class of bug PR 5
-  fixed by hand in the key-synthesis pairs).
-
-BAT02 extends the contract to the symbolic cost layer: the vectorized
-path *synthesizes* its ``CostReport`` from transcript-key lengths instead
-of measuring it, and the only gate on that synthesis is the cost-model
-conformance matrix — which needs a ``cost_model()``.  A batched protocol
-without a model ships unverifiable synthesized costs; a protocol with a
-model but no batch contract never has that model exercised against the
-fast path it exists to certify.
+The engine's ``vectorized=True`` fast path runs any protocol that
+overrides ``batch_decisions``, and it *synthesizes* that batch's
+``CostReport`` from transcript-key lengths instead of measuring it.  The
+only gate on that synthesis is the cost-model conformance matrix — which
+needs a ``cost_model()``.  A batched protocol without a model ships
+unverifiable synthesized costs; a protocol with a model but no batch
+implementation never has that model exercised against the fast path it
+exists to certify.
 """
 
 from __future__ import annotations
@@ -29,39 +18,10 @@ from typing import Callable, Iterator
 from ..lint import Finding, LintRule, SourceModule
 from . import base_names, trial_path_classes
 
-__all__ = ["BatchContractRule", "CostModelContractRule"]
+__all__ = ["CostModelContractRule"]
 
-_PAIRS = (
-    ("supports_batch", "batch_decisions"),
-    ("supports_batch_keys", "batch_keys"),
-)
-_CONTRACT_NAMES = {name for pair in _PAIRS for name in pair}
-#: Methods tracked through inheritance chains (BAT01 pairs + BAT02's
-#: cost-model leg).
-_METHOD_NAMES = {"batch_decisions", "batch_keys", "cost_model"}
-
-
-def _own_flags(cls: ast.ClassDef) -> dict[str, "bool | None"]:
-    """Flag assignments in the class body: name → constant value.
-
-    Non-constant assignments map to ``None`` (unknown — never flagged)."""
-    flags: dict[str, "bool | None"] = {}
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign):
-            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-            value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            names = [stmt.target.id] if isinstance(stmt.target, ast.Name) else []
-            value = stmt.value
-        else:
-            continue
-        for name in names:
-            if name in {"supports_batch", "supports_batch_keys"}:
-                if isinstance(value, ast.Constant) and isinstance(value.value, bool):
-                    flags[name] = value.value
-                else:
-                    flags[name] = None
-    return flags
+#: Methods tracked through inheritance chains.
+_METHOD_NAMES = {"batch_decisions", "cost_model"}
 
 
 def _is_abstract_stub(fn: ast.FunctionDef) -> bool:
@@ -94,113 +54,22 @@ def _own_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
     }
 
 
-class BatchContractRule(LintRule):
-    """BAT01 — supports_batch* iff the matching batch_* method exists."""
-
-    id = "BAT01"
-    title = "supports_batch*/batch_* must be declared together"
-    rationale = (
-        "a flag without its method breaks vectorized dispatch; a method "
-        "without its flag never runs and rots untested."
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        classes = [
-            n for n in ast.walk(module.tree) if isinstance(n, ast.ClassDef)
-        ]
-        by_name = {cls.name: cls for cls in classes}
-        for cls in classes:
-            # Only examine classes that participate in the contract at
-            # all — a class that mentions neither flag nor method has
-            # nothing to pair.
-            own_flags = _own_flags(cls)
-            own_methods = _own_methods(cls)
-            if not own_flags and not own_methods:
-                continue
-            effective_flags, effective_methods = self._resolve_chain(
-                cls, by_name
-            )
-            for flag_name, method_name in _PAIRS:
-                flag = effective_flags.get(flag_name)
-                has_method = method_name in effective_methods
-                if flag is True and not has_method:
-                    yield self.finding(
-                        module,
-                        cls,
-                        f"{cls.name} sets {flag_name}=True but neither it "
-                        f"nor an in-module ancestor implements "
-                        f"{method_name}()",
-                    )
-                if (
-                    method_name in own_methods
-                    and flag is not True
-                    and not self._flagged_descendant(cls, by_name, flag_name)
-                ):
-                    yield self.finding(
-                        module,
-                        own_methods[method_name],
-                        f"{cls.name} implements {method_name}() but "
-                        f"{flag_name} is not set to True — the engine "
-                        "will never dispatch to it",
-                    )
-
-    @classmethod
-    def _flagged_descendant(
-        cls,
-        base: ast.ClassDef,
-        by_name: dict[str, ast.ClassDef],
-        flag_name: str,
-    ) -> bool:
-        """True when an in-module subclass of ``base`` resolves the flag
-        to True — ``base`` is then a shared-implementation mixin whose
-        method IS dispatched, through that subclass."""
-        for other in by_name.values():
-            if other.name == base.name:
-                continue
-            flags, _ = cls._resolve_chain(other, by_name)
-            if flags.get(flag_name) is not True:
-                continue
-            # Walk other's chain to see whether it passes through base.
-            seen: set[str] = set()
-            current: "ast.ClassDef | None" = other
-            while current is not None and current.name not in seen:
-                seen.add(current.name)
-                if current.name == base.name:
-                    return True
-                current = next(
-                    (
-                        by_name[b]
-                        for b in base_names(current)
-                        if b in by_name
-                    ),
-                    None,
-                )
-        return False
-
-    @staticmethod
-    def _resolve_chain(
-        cls: ast.ClassDef, by_name: dict[str, ast.ClassDef]
-    ) -> tuple[dict[str, "bool | None"], set[str]]:
-        """Flags/methods effective on ``cls``, following in-module bases
-        (nearest definition wins, single-inheritance approximation)."""
-        flags: dict[str, "bool | None"] = {}
-        methods: set[str] = set()
-        seen: set[str] = set()
-        current: "ast.ClassDef | None" = cls
-        while current is not None and current.name not in seen:
-            seen.add(current.name)
-            for name, value in _own_flags(current).items():
-                flags.setdefault(name, value)
-            methods.update(_own_methods(current))
-            current = next(
-                (
-                    by_name[base]
-                    for base in base_names(current)
-                    if base in by_name
-                ),
-                None,
-            )
-        return flags, methods
+def _resolve_chain(
+    cls: ast.ClassDef, by_name: dict[str, ast.ClassDef]
+) -> set[str]:
+    """Methods effective on ``cls``, following in-module bases (single-
+    inheritance approximation)."""
+    methods: set[str] = set()
+    seen: set[str] = set()
+    current: "ast.ClassDef | None" = cls
+    while current is not None and current.name not in seen:
+        seen.add(current.name)
+        methods.update(_own_methods(current))
+        current = next(
+            (by_name[base] for base in base_names(current) if base in by_name),
+            None,
+        )
+    return methods
 
 
 def _descendant_provides(
@@ -238,15 +107,11 @@ class CostModelContractRule(LintRule):
     rationale = (
         "vectorized costs are synthesized, not measured — only the "
         "cost-model conformance matrix verifies them, and it needs "
-        "cost_model(); a model without a batch contract never meets the "
+        "cost_model(); a model without batch_decisions() never meets the "
         "fast path it certifies."
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        protocols = {
-            cls.name: cls
-            for cls in trial_path_classes(module)
-        }
         by_name = {
             n.name: n
             for n in ast.walk(module.tree)
@@ -254,16 +119,12 @@ class CostModelContractRule(LintRule):
         }
 
         def chain_has_batch(cls: ast.ClassDef) -> bool:
-            flags, methods = BatchContractRule._resolve_chain(cls, by_name)
-            return (
-                "batch_decisions" in methods
-                or flags.get("supports_batch") is True
-            )
+            return "batch_decisions" in _resolve_chain(cls, by_name)
 
         def chain_has_model(cls: ast.ClassDef) -> bool:
-            _, methods = BatchContractRule._resolve_chain(cls, by_name)
-            return "cost_model" in methods
+            return "cost_model" in _resolve_chain(cls, by_name)
 
+        protocols = {cls.name: cls for cls in trial_path_classes(module)}
         for cls in protocols.values():
             own = _own_methods(cls)
             if "batch_decisions" in own and not (
@@ -284,8 +145,7 @@ class CostModelContractRule(LintRule):
                 yield self.finding(
                     module,
                     own["cost_model"],
-                    f"{cls.name} declares cost_model() but no batch "
-                    "contract (batch_decisions or supports_batch=True) — "
-                    "the model is never checked against the vectorized "
-                    "fast path's synthesized costs",
+                    f"{cls.name} declares cost_model() but no "
+                    "batch_decisions() — the model is never checked against "
+                    "the vectorized fast path's synthesized costs",
                 )

@@ -12,12 +12,12 @@ trials out over a process pool, or ``vectorized=True`` (on the
 decision-based estimators) to evaluate the whole trial batch with one
 batched GF(2) kernel call when the protocol supports it — results are
 bit-identical to the serial default for the same ``rng`` state, just
-faster.  Transcript-key estimators ride the same fast path for protocols
-that declare ``supports_batch_keys``: the engine synthesizes every
-trial's transcript key with one ``protocol.batch_keys`` pass, so
-``sample_transcript_keys`` / ``estimate_transcript_distance`` accept
-``vectorized=True`` too (protocols without key support fall back to
-scalar with a :class:`~repro.core.errors.BatchFallbackWarning`).
+faster.  Transcript-key estimators ride the same fast path: the
+protocol's one ``batch_decisions`` pass returns every trial's transcript
+key alongside its decision, so ``sample_transcript_keys`` /
+``estimate_transcript_distance`` accept ``vectorized=True`` too
+(protocols without a batch implementation fall back to scalar with a
+:class:`~repro.core.errors.BatchFallbackWarning`).
 
 Batches can also run asynchronously: :func:`submit_distinguisher` returns
 a future over the decision vector, and
@@ -62,11 +62,11 @@ def sample_transcript_keys(
 ) -> list[tuple[int, ...]]:
     """Run ``protocol`` on ``n_samples`` fresh inputs; return transcript keys.
 
-    With ``vectorized=True`` and a protocol declaring
-    ``supports_batch_keys`` (the parity/equality family, the seed-length
-    attack, the hierarchy rank protocol), the whole batch's keys are
-    synthesized in single numpy passes — bit-identical to the scalar
-    path for the same ``rng`` state.
+    With ``vectorized=True`` and a protocol that overrides
+    ``batch_decisions`` (the parity/equality family, the seed-length
+    attack, the hierarchy rank protocol, the graph and clique
+    protocols), the whole batch's keys are synthesized in one batched
+    pass — bit-identical to the scalar path for the same ``rng`` state.
     """
     spec = RunSpec(
         protocol=protocol,
@@ -95,7 +95,7 @@ def estimate_transcript_distance(
     Honest but conservative: the plug-in estimator is biased upward when
     the transcript support is large relative to ``n_samples``; use exact
     enumeration when possible.  ``vectorized=True`` batches both sides'
-    key synthesis through ``protocol.batch_keys`` when supported —
+    key synthesis through ``protocol.batch_decisions`` when supported —
     bit-identical estimates, no per-trial simulation.
     """
     keys_a = sample_transcript_keys(

@@ -77,9 +77,6 @@ class TopSubmatrixRankProtocol(Protocol):
     prefix bits, everyone else broadcasts 0) by one scatter + transpose.
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-
     def __init__(self, k: int, rounds_budget: int | None = None):
         if k < 1:
             raise ValueError("block size k must be positive")
@@ -142,10 +139,16 @@ class TopSubmatrixRankProtocol(Protocol):
         posterior = conditional_full_rank_probability(self.k, j)
         return int(posterior > 0.5)
 
-    def _validated_block(self, inputs: np.ndarray) -> np.ndarray:
-        """The ``(trials, k, j)`` revealed block, shape- and bit-checked —
-        shared by :meth:`batch_decisions` and :meth:`batch_keys` so
-        scalar-parity validation cannot drift."""
+    def batch_decisions(
+        self, inputs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decisions and transcript keys for a ``(trials, n, >=j)`` batch.
+
+        Decisions come from one batched rank of the ``k × j`` revealed
+        blocks.  Keys follow the broadcast rule: in round ``r`` processor
+        ``p < k`` broadcasts bit ``r`` of its row and everyone else
+        broadcasts 0.
+        """
         inputs = np.asarray(inputs)
         j = min(self.rounds_budget, self.k)
         if inputs.ndim != 3 or inputs.shape[1] < self.k or inputs.shape[2] < j:
@@ -155,31 +158,17 @@ class TopSubmatrixRankProtocol(Protocol):
             )
         revealed = inputs[:, : self.k, :j]
         require_bits(revealed, "revealed block entries")
-        return revealed
-
-    def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """Decisions for a ``(trials, n, n)`` batch via one batched rank."""
-        revealed = self._validated_block(inputs)
-        trials, j = revealed.shape[0], revealed.shape[2]
-        if j == 0:
-            return np.zeros(trials, dtype=np.uint8)
-        ranks = BitMatrixBatch.from_arrays(revealed).rank()
-        if j >= self.k:
-            return (ranks == self.k).astype(np.uint8)
-        full_guess = int(conditional_full_rank_probability(self.k, j) > 0.5)
-        return np.where(ranks < j, 0, full_guess).astype(np.uint8)
-
-    def batch_keys(self, inputs: np.ndarray) -> np.ndarray:
-        """Transcript keys for a ``(trials, n, >=j)`` batch: in round ``r``
-        processor ``p < k`` broadcasts bit ``r`` of its row and everyone
-        else broadcasts 0."""
-        inputs = np.asarray(inputs)
-        revealed = self._validated_block(inputs)
         trials, n = inputs.shape[0], inputs.shape[1]
-        j = revealed.shape[2]
         keys = np.zeros((trials, j, n), dtype=np.uint8)
         keys[:, :, : self.k] = revealed.transpose(0, 2, 1)
-        return keys.reshape(trials, j * n)
+        keys = keys.reshape(trials, j * n)
+        if j == 0:
+            return np.zeros(trials, dtype=np.uint8), keys
+        ranks = BitMatrixBatch.from_arrays(revealed).rank()
+        if j >= self.k:
+            return (ranks == self.k).astype(np.uint8), keys
+        full_guess = int(conditional_full_rank_probability(self.k, j) > 0.5)
+        return np.where(ranks < j, 0, full_guess).astype(np.uint8), keys
 
 
 def conditional_full_rank_probability(k: int, j: int) -> float:

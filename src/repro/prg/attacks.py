@@ -64,9 +64,6 @@ class SupportMembershipAttack(Protocol):
     one transpose.
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-
     def __init__(self, k: int):
         if k <= 0:
             raise ValueError("seed length k must be positive")
@@ -113,10 +110,18 @@ class SupportMembershipAttack(Protocol):
         full = BitMatrix.from_array(revealed)
         return int(full.rank() == seed_block.rank())
 
-    def _validated_revealed(self, inputs: np.ndarray) -> np.ndarray:
-        """The ``(trials, n, k+1)`` revealed prefixes, shape- and
-        bit-checked — shared by :meth:`batch_decisions` and
-        :meth:`batch_keys` so scalar-parity validation cannot drift."""
+    def batch_decisions(
+        self, inputs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Consistency tests and transcript keys for a ``(trials, n, m)``
+        batch.
+
+        The tests take one batched lock-step elimination of ``[X | y]``,
+        which also yields the seed block's rank as the rank of its leading
+        ``k`` columns.  Round ``j`` reveals bit ``j`` of every row, so the
+        key is the ``n × (k+1)`` revealed prefix transposed to round-major
+        order.
+        """
         inputs = np.asarray(inputs)
         if inputs.ndim != 3 or inputs.shape[2] < self.k + 1:
             raise ValueError(
@@ -124,26 +129,13 @@ class SupportMembershipAttack(Protocol):
             )
         revealed = inputs[:, :, : self.k + 1]
         require_bits(revealed, "attack inputs")
-        return revealed
-
-    def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """Consistency tests for a ``(trials, n, m)`` batch in one batched
-        lock-step elimination of ``[X | y]``, which also yields the seed
-        block's rank as the rank of its leading ``k`` columns."""
-        revealed = self._validated_revealed(inputs)
         seed_rank, full_rank = BitMatrixBatch.from_arrays(revealed).rank(
             prefix=self.k
         )
-        return (full_rank == seed_rank).astype(np.uint8)
-
-    def batch_keys(self, inputs: np.ndarray) -> np.ndarray:
-        """Transcript keys for a ``(trials, n, m)`` batch: round ``j``
-        reveals bit ``j`` of every row, so the key is the ``n × (k+1)``
-        revealed prefix transposed to round-major order."""
-        revealed = self._validated_revealed(inputs)
         trials, n = revealed.shape[0], revealed.shape[1]
-        return (
+        keys = (
             revealed.transpose(0, 2, 1)
             .reshape(trials, (self.k + 1) * n)
             .astype(np.uint8)
         )
+        return (full_rank == seed_rank).astype(np.uint8), keys

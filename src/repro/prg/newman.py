@@ -200,7 +200,7 @@ def simulation_error(
     ``cost``) for both sample sets.
 
     ``vectorized=True`` lets the *original-protocol* batch ride the
-    engine's fast path when the protocol declares ``supports_batch_keys``
+    engine's fast path when the protocol overrides ``batch_decisions``
     and the default key statistic is used — bit-identical error values,
     no per-trial simulation.  (The compiled side always simulates: public
     coin draws cannot batch.)  A custom ``statistic`` needs recorded

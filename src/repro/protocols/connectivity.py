@@ -49,9 +49,6 @@ class ConnectivityProtocol(Protocol):
     smallest vertex id in the processor's component.
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("need at least one vertex")
@@ -117,12 +114,12 @@ class ConnectivityProtocol(Protocol):
     # ------------------------------------------------------------------
     # Vectorized fast path
     # ------------------------------------------------------------------
-    def _batch_trace(
+    def batch_decisions(
         self, inputs: np.ndarray
     ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """Batched label propagation shared by :meth:`batch_decisions` and
-        :meth:`batch_keys` (memoized on the input stack's identity so the
-        engine's back-to-back calls run one propagation).
+        """Per-processor ``(label, n_components)`` outputs and ragged
+        transcript keys (label vectors in round order, truncated at each
+        trial's realized termination round) for a ``(trials, n, m)`` batch.
 
         Every round is one masked min-reduction over the whole
         ``(trials, n, n)`` stack; per-trial realized round counts replay
@@ -131,9 +128,6 @@ class ConnectivityProtocol(Protocol):
         stable — recording extra rounds for already-stopped trials is
         harmless and they are sliced off per trial below.
         """
-        cached = getattr(self, "_trace_cache", None)
-        if cached is not None and cached[0] is inputs:
-            return cached[1], cached[2]
         stack = np.asarray(inputs, dtype=np.uint8)
         if stack.ndim != 3:
             raise ValueError(
@@ -179,17 +173,4 @@ class ConnectivityProtocol(Protocol):
                 outputs[t, i] = (int(final_labels[i]), count)
             key = np.concatenate([states[r][t] for r in range(r_t)])
             keys.append(tuple(key.tolist()))
-        self._trace_cache = (inputs, outputs, keys)
         return outputs, keys
-
-    def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """Per-processor ``(label, n_components)`` outputs for a whole
-        ``(trials, n, m)`` batch — one masked min-reduction per round."""
-        outputs, _ = self._batch_trace(inputs)
-        return outputs
-
-    def batch_keys(self, inputs: np.ndarray) -> list[tuple[int, ...]]:
-        """Ragged per-trial transcript keys (label vectors in round order,
-        truncated at each trial's realized termination round)."""
-        _, keys = self._batch_trace(inputs)
-        return keys

@@ -55,9 +55,6 @@ class DeterministicEqualityProtocol(Protocol):
     simulated).
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-
     def __init__(self, m: int):
         if m <= 0:
             raise ValueError("string length m must be positive")
@@ -84,12 +81,13 @@ class DeterministicEqualityProtocol(Protocol):
                 return 0
         return 1
 
-    def _validated_revealed(self, inputs: np.ndarray) -> np.ndarray:
-        """The ``(trials, n, m)`` revealed block, shape- and bit-checked.
-
-        Shared by :meth:`batch_decisions` and :meth:`batch_keys` so the
-        scalar-parity validation cannot drift between them.
-        """
+    def batch_decisions(
+        self, inputs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """ALL-EQUAL and transcript keys for a ``(trials, n, >=m)`` batch:
+        one all-rows-equal comparison over the revealed block, and — since
+        round ``r`` broadcasts bit ``r`` of every string — the block
+        transposed to round-major order as the key."""
         inputs = np.asarray(inputs)
         if inputs.ndim != 3 or inputs.shape[2] < self.m:
             raise ValueError(
@@ -98,25 +96,14 @@ class DeterministicEqualityProtocol(Protocol):
             )
         revealed = inputs[:, :, : self.m]
         require_bits(revealed, "equality inputs")
-        return revealed
-
-    def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """ALL-EQUAL over a ``(trials, n, m)`` batch in one comparison."""
-        revealed = self._validated_revealed(inputs)
-        equal = (revealed == revealed[:, :1, :]).all(axis=(1, 2))
-        return equal.astype(np.uint8)
-
-    def batch_keys(self, inputs: np.ndarray) -> np.ndarray:
-        """Transcript keys for a ``(trials, n, >=m)`` batch: round ``r``
-        broadcasts bit ``r`` of every string, so the key is the revealed
-        block transposed to round-major order — one numpy pass."""
-        revealed = self._validated_revealed(inputs)
         trials, n = revealed.shape[0], revealed.shape[1]
-        return (
+        equal = (revealed == revealed[:, :1, :]).all(axis=(1, 2))
+        keys = (
             revealed.transpose(0, 2, 1)
             .reshape(trials, self.m * n)
             .astype(np.uint8)
         )
+        return equal.astype(np.uint8), keys
 
 
 class FingerprintEqualityProtocol(Protocol):

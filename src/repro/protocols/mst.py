@@ -142,9 +142,6 @@ class BoruvkaMSTProtocol(Protocol):
     dynamic: the protocol stops one round after all labels coincide.
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-
     def __init__(self, n: int, weight_bits: int):
         if n < 2:
             raise ValueError("need at least two vertices")
@@ -309,11 +306,12 @@ class BoruvkaMSTProtocol(Protocol):
     # ------------------------------------------------------------------
     # Vectorized fast path
     # ------------------------------------------------------------------
-    def _batch_trace(
+    def batch_decisions(
         self, inputs: np.ndarray
     ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """Batched Borůvka replay shared by :meth:`batch_decisions` and
-        :meth:`batch_keys` (memoized on the input stack's identity).
+        """``(mst_edges, total_weight)`` per trial and ragged transcript
+        keys (packed Borůvka payloads in round order, truncated at each
+        trial's convergence round) for a ``(trials, n, n·w)`` encoded batch.
 
         The weight decode is one reshape/shift pass over the whole stack;
         within each trial the per-round lightest-outgoing-edge selection is
@@ -321,9 +319,6 @@ class BoruvkaMSTProtocol(Protocol):
         while the merge bookkeeping replays the scalar proposal dict
         verbatim (it is inherently sequential and ``O(n)`` per round).
         """
-        cached = getattr(self, "_trace_cache", None)
-        if cached is not None and cached[0] is inputs:
-            return cached[1], cached[2]
         stack = np.asarray(inputs, dtype=np.uint8)
         if stack.ndim != 3:
             raise ValueError(
@@ -414,17 +409,4 @@ class BoruvkaMSTProtocol(Protocol):
             chosen = frozenset(edges)
             outputs[t] = (chosen, sum(first_weight[e] for e in chosen))
             keys.append(tuple(key))
-        self._trace_cache = (inputs, outputs, keys)
         return outputs, keys
-
-    def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """``(mst_edges, total_weight)`` per trial for a whole
-        ``(trials, n, n·w)`` encoded batch."""
-        outputs, _ = self._batch_trace(inputs)
-        return outputs
-
-    def batch_keys(self, inputs: np.ndarray) -> list[tuple[int, ...]]:
-        """Ragged per-trial transcript keys (packed Borůvka payloads in
-        round order, truncated at each trial's convergence round)."""
-        _, keys = self._batch_trace(inputs)
-        return keys

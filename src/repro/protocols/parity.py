@@ -29,9 +29,6 @@ class GlobalParityProtocol(Protocol):
     single packed popcount pass.
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-
     def num_rounds(self, n: int) -> int:
         return 1
 
@@ -48,31 +45,22 @@ class GlobalParityProtocol(Protocol):
     def output(self, proc: ProcessorContext) -> int:
         return sum(e.message for e in proc.transcript) % 2
 
-    @staticmethod
-    def _validated_stack(inputs: np.ndarray) -> np.ndarray:
-        """The ``(trials, n, m)`` stack, shape-checked — shared by
-        :meth:`batch_decisions` and :meth:`batch_keys` so validation
-        cannot drift.  (No bit check: the scalar path reduces arbitrary
-        integers mod 2, and so do the batched kernels via ``& 1``.)"""
+    def batch_decisions(
+        self, inputs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Whole-matrix parities and transcript keys for a ``(trials, n, m)``
+        batch: the one-round key is processor ``p``'s row parity, all rows
+        popcounted at once, and the decision is the XOR of those parities.
+        (No bit check: the scalar path reduces arbitrary integers mod 2,
+        and so does ``& 1`` here.)"""
         inputs = np.asarray(inputs, dtype=np.uint8)
         if inputs.ndim != 3:
             raise ValueError(
                 f"inputs must be a (trials, n, m) stack, got shape {inputs.shape}"
             )
-        return inputs
-
-    def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """Whole-matrix parity for a ``(trials, n, m)`` batch at once."""
-        inputs = self._validated_stack(inputs)
         # Explicit sizes, not -1: reshape(0, -1) rejects empty batches.
         trials, n, m = inputs.shape
-        flat = inputs.reshape(trials, n * m)
-        return np.bitwise_xor.reduce(flat & 1, axis=1).astype(np.uint8)
-
-    def batch_keys(self, inputs: np.ndarray) -> np.ndarray:
-        """Transcript keys for a ``(trials, n, m)`` batch: the one-round
-        key is processor ``p``'s row parity, all rows popcounted at once."""
-        inputs = self._validated_stack(inputs)
-        trials, n, m = inputs.shape
         rows = BitVectorBatch.from_arrays((inputs & 1).reshape(trials * n, m))
-        return (rows.weights() & 1).astype(np.uint8).reshape(trials, n)
+        keys = (rows.weights() & 1).astype(np.uint8).reshape(trials, n)
+        decisions = np.bitwise_xor.reduce(keys, axis=1).astype(np.uint8)
+        return decisions, keys

@@ -84,9 +84,6 @@ class FullExchangeTriangleProtocol(Protocol):
     the full graph and counts locally.
     """
 
-    supports_batch = True
-    supports_batch_keys = True
-
     def __init__(self, n: int, message_size: int | None = None):
         if n < 1:
             raise ValueError("need at least one vertex")
@@ -143,11 +140,19 @@ class FullExchangeTriangleProtocol(Protocol):
     # ------------------------------------------------------------------
     # Vectorized fast path
     # ------------------------------------------------------------------
-    def _validated_adjacency(self, inputs: np.ndarray) -> np.ndarray:
-        """The ``(trials, n, n)`` adjacency stack, checked as the scalar
-        path would check it: ``n`` rows of at least ``n`` bit entries,
-        symmetric (``count_triangles`` refuses directed graphs).  Shared by
-        :meth:`batch_decisions` and :meth:`batch_keys`."""
+    def batch_decisions(
+        self, inputs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Triangle counts and transcript keys for a ``(trials, n, m)``
+        batch.
+
+        The stack is checked as the scalar path would check it: ``n`` rows
+        of at least ``n`` bit entries, symmetric (``count_triangles``
+        refuses directed graphs).  Counts are ``trace(A³)/6`` per trial in
+        one einsum; keys are each processor's row packed little-endian
+        into ``⌈n/b⌉`` ``b``-bit payloads, then transposed to round-major
+        turn order — one pad/reshape/dot pass.
+        """
         inputs = np.asarray(inputs, dtype=np.uint8)
         if inputs.ndim != 3 or inputs.shape[1] != self.n or inputs.shape[2] < self.n:
             raise ValueError(
@@ -158,20 +163,9 @@ class FullExchangeTriangleProtocol(Protocol):
         require_bits(adjacency, "adjacency inputs")
         if not np.array_equal(adjacency, adjacency.transpose(0, 2, 1)):
             raise ValueError("adjacency must be symmetric (undirected graph)")
-        return adjacency
+        a = adjacency.astype(np.int64)
+        counts = np.einsum("tij,tjk,tki->t", a, a, a) // 6
 
-    def batch_decisions(self, inputs: np.ndarray) -> np.ndarray:
-        """Triangle counts for a ``(trials, n, m)`` batch in one einsum:
-        ``trace(A³)/6`` per trial over the stacked adjacency tensor."""
-        adjacency = self._validated_adjacency(inputs).astype(np.int64)
-        traces = np.einsum("tij,tjk,tki->t", adjacency, adjacency, adjacency)
-        return traces // 6
-
-    def batch_keys(self, inputs: np.ndarray) -> np.ndarray:
-        """Transcript keys for a ``(trials, n, m)`` batch: each processor's
-        row packed little-endian into ``⌈n/b⌉`` ``b``-bit payloads, then
-        transposed to round-major turn order — one pad/reshape/dot pass."""
-        adjacency = self._validated_adjacency(inputs)
         trials, n = adjacency.shape[0], adjacency.shape[1]
         b = self.message_size
         rounds = self.num_rounds(n)
@@ -186,7 +180,7 @@ class FullExchangeTriangleProtocol(Protocol):
             payloads = np.zeros((trials, n, rounds), dtype=object)
             for t in range(b):
                 payloads += chunks[:, :, :, t].astype(object) * (1 << t)
-        return payloads.transpose(0, 2, 1).reshape(trials, rounds * n)
+        return counts, payloads.transpose(0, 2, 1).reshape(trials, rounds * n)
 
 
 class SampledTriangleProtocol(Protocol):

@@ -52,11 +52,9 @@ def scalar_trials(protocol, stack, rngs=None):
 def assert_batch_matches_scalar(protocol, stack, coin_seeds=None, rngs=None):
     """Outputs and ragged keys from the batch contract ≡ scalar runs."""
     if coin_seeds is None:
-        decisions = protocol.batch_decisions(stack)
-        keys = protocol.batch_keys(stack)
+        decisions, keys = protocol.batch_decisions(stack)
     else:
-        decisions = protocol.batch_decisions(stack, coin_seeds=coin_seeds)
-        keys = protocol.batch_keys(stack, coin_seeds=coin_seeds)
+        decisions, keys = protocol.batch_decisions(stack, coin_seeds=coin_seeds)
     decisions = np.asarray(decisions)
     assert decisions.shape[0] == stack.shape[0]
     assert len(keys) == stack.shape[0]
@@ -103,7 +101,7 @@ class TestConnectivityBatch:
         for i in range(n - 1):
             adjacency[i, i + 1] = adjacency[i + 1, i] = 1
         protocol = ConnectivityProtocol(n)
-        keys = protocol.batch_keys(adjacency[None])
+        _, keys = protocol.batch_decisions(adjacency[None])
         assert len(keys[0]) == n * n  # cap reached, never two equal rounds
         assert_batch_matches_scalar(protocol, adjacency[None])
 
@@ -204,7 +202,7 @@ class TestMSTBatch:
             weights[u, v] = weights[v, u] = weight
         stack = encode_weight_matrix(weights, w)[None]
         protocol = BoruvkaMSTProtocol(n, weight_bits=w)
-        decisions = protocol.batch_decisions(stack)
+        decisions, _ = protocol.batch_decisions(stack)
         chosen, total = decisions[0]
         assert chosen == frozenset({(0, 1), (2, 3), (1, 2)})
         assert total == 6
@@ -271,9 +269,8 @@ class TestSubsampleBatch:
         stack = np.zeros((trials, n, n), dtype=np.uint8)
         protocol = PlantedCliqueSubsampleProtocol(k=10**6)
         rngs, seeds = subsample_rngs_and_seeds(99, trials, n)
-        keys = protocol.batch_keys(stack, coin_seeds=seeds)
+        decisions, keys = protocol.batch_decisions(stack, coin_seeds=seeds)
         assert all(len(key) == n for key in keys)
-        decisions = protocol.batch_decisions(stack, coin_seeds=seeds)
         assert all(d is None for d in decisions)
         assert_batch_matches_scalar(
             protocol, stack, coin_seeds=seeds, rngs=rngs

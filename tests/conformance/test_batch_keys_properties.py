@@ -1,7 +1,7 @@
-"""Property tests: ``batch_keys`` ≡ per-trial ``transcript.key()``.
+"""Property tests: ``batch_decisions`` keys ≡ per-trial ``transcript.key()``.
 
-For every protocol declaring ``supports_batch_keys``, a whole-batch key
-synthesis must agree row-for-row with running each trial through the
+For every fixed-round batched protocol, the keys one whole-batch call
+returns must agree row-for-row with running each trial through the
 simulator and reading the transcript key — including batch=0, batch=1,
 and ragged inputs wider than the protocol reveals.  Hypothesis drives the
 shapes; the scalar simulator is the oracle.
@@ -35,14 +35,14 @@ def scalar_keys(protocol, stack):
 
 
 def assert_keys_match(protocol, stack):
-    keys = protocol.batch_keys(stack)
+    decisions, keys = protocol.batch_decisions(stack)
     assert keys.ndim == 2
     assert keys.shape[0] == stack.shape[0]
     want = scalar_keys(protocol, stack)
     got = [tuple(row) for row in keys.tolist()]
     assert got == want
     # Decisions must agree on the same stack too (same batched contract).
-    decisions = np.asarray(protocol.batch_decisions(stack))
+    decisions = np.asarray(decisions)
     want_decisions = [
         run_protocol(protocol, matrix).outputs[0] for matrix in stack
     ]
@@ -87,9 +87,9 @@ class TestEqualityKeys:
     def test_rejects_narrow_and_non_bit_inputs(self):
         protocol = DeterministicEqualityProtocol(4)
         with pytest.raises(ValueError):
-            protocol.batch_keys(np.zeros((2, 3, 3), dtype=np.uint8))
+            protocol.batch_decisions(np.zeros((2, 3, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            protocol.batch_keys(np.full((2, 3, 4), 2, dtype=np.uint8))
+            protocol.batch_decisions(np.full((2, 3, 4), 2, dtype=np.uint8))
 
 
 class TestSeedAttackKeys:
@@ -112,9 +112,9 @@ class TestSeedAttackKeys:
     def test_rejects_narrow_and_non_bit_inputs(self):
         protocol = SupportMembershipAttack(3)
         with pytest.raises(ValueError):
-            protocol.batch_keys(np.zeros((2, 5, 3), dtype=np.uint8))
+            protocol.batch_decisions(np.zeros((2, 5, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            protocol.batch_keys(np.full((2, 5, 4), 3, dtype=np.uint8))
+            protocol.batch_decisions(np.full((2, 5, 4), 3, dtype=np.uint8))
 
 
 class TestHierarchyKeys:
@@ -141,6 +141,6 @@ class TestHierarchyKeys:
     def test_rejects_small_and_non_bit_inputs(self):
         protocol = TopSubmatrixRankProtocol(4)
         with pytest.raises(ValueError):
-            protocol.batch_keys(np.zeros((2, 3, 4), dtype=np.uint8))
+            protocol.batch_decisions(np.zeros((2, 3, 4), dtype=np.uint8))
         with pytest.raises(ValueError):
-            protocol.batch_keys(np.full((2, 4, 4), 2, dtype=np.uint8))
+            protocol.batch_decisions(np.full((2, 4, 4), 2, dtype=np.uint8))

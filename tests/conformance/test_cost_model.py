@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
-from repro.core import Engine, RunSpec, run_protocol
+from repro.core import Engine, Protocol, RunSpec, run_protocol
 from repro.costs import COST_KINDS
 from repro.distributions import UniformRows
 from repro.distributions.undirected import (
@@ -213,6 +213,6 @@ def test_cost_model_is_declared_for_every_batched_protocol():
     vectorize must expose a symbolic model the matrix can check."""
     for name, (protocol_fn, _, _) in MATRIX.items():
         protocol = protocol_fn(4)
-        if getattr(protocol, "supports_batch", False):
+        if type(protocol).batch_decisions is not Protocol.batch_decisions:
             model = protocol.cost_model()
             assert model.phases, name

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.engine import FALLBACKS_METRIC, Engine, RunSpec, TrialResult
 from repro.core.errors import BatchFallbackWarning
+from repro.core.protocol import Protocol
 from repro.distinguish.sampling import (
     estimate_protocol_advantage,
     run_distinguisher,
@@ -33,15 +34,14 @@ from repro.protocols.parity import GlobalParityProtocol
 class UnbatchedParityProtocol(GlobalParityProtocol):
     """Parity without batch support (GlobalParityProtocol gained it)."""
 
-    supports_batch = False
-    supports_batch_keys = False
+    batch_decisions = Protocol.batch_decisions
 
 
-class KeylessAttack(SupportMembershipAttack):
-    """Batched decisions but no batched key synthesis: the fast path must
-    decline rather than ship empty transcript keys."""
+class DecisionsOnlyParity(GlobalParityProtocol):
+    """Written to a contract that returned decisions alone."""
 
-    supports_batch_keys = False
+    def batch_decisions(self, inputs):
+        return super().batch_decisions(inputs)[0]
 
 
 def scalar_and_vectorized(protocol, dist, trials, seed):
@@ -140,6 +140,19 @@ class TestVectorizedFastPath:
         with pytest.raises(ValueError):
             TopSubmatrixRankProtocol(k=5).batch_decisions(np.zeros((2, 3, 9)))
 
+    @pytest.mark.parametrize("trials", [2, 5])
+    def test_return_value_must_be_decisions_and_keys(self, trials):
+        """One array is refused, even for two trials, where unpacking it
+        would silently yield its two rows."""
+        spec = RunSpec(
+            protocol=DecisionsOnlyParity(),
+            distribution=UniformRows(6, 4),
+            seed=3,
+            vectorized=True,
+        )
+        with pytest.raises(TypeError, match=r"\(decisions, keys\) tuple"):
+            Engine().run_batch(spec, trials)
+
 
 class TestColumnarBatch:
     """The fast path stores columns and builds ``TrialResult`` records only
@@ -222,30 +235,12 @@ class TestBatchFallbackSignal:
 
     def test_warning_and_counter_on_unsupported_protocol(self):
         engine = Engine()
-        with pytest.warns(BatchFallbackWarning, match="supports_batch"):
+        with pytest.warns(BatchFallbackWarning, match="batch_decisions"):
             engine.run_batch(self.fallback_spec(UnbatchedParityProtocol()), 4)
         assert engine.registry.total(FALLBACKS_METRIC) == 1
         with pytest.warns(BatchFallbackWarning):
             engine.run_batch(self.fallback_spec(UnbatchedParityProtocol()), 4)
         assert engine.registry.total(FALLBACKS_METRIC) == 2
-
-    def test_warning_on_batch_without_keys(self):
-        """supports_batch alone is not enough: keys cannot be synthesized,
-        and the scalar fallback still produces the real ones."""
-        engine = Engine()
-        with pytest.warns(BatchFallbackWarning, match="supports_batch_keys"):
-            fast = engine.run_batch(self.fallback_spec(KeylessAttack(k=3)), 6)
-        assert engine.registry.total(FALLBACKS_METRIC) == 1
-        want = Engine().run_batch(
-            RunSpec(
-                protocol=SupportMembershipAttack(k=3),
-                distribution=UniformRows(8, 6),
-                seed=5,
-            ),
-            6,
-        )
-        assert fast.outputs == want.outputs
-        assert fast.transcript_keys == want.transcript_keys
 
     def test_warning_on_unhonourable_spec(self):
         engine = Engine()

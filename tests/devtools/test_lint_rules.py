@@ -183,84 +183,6 @@ class TestDET02:
 
 
 # ----------------------------------------------------------------------
-# BAT01 — batch flag/method contract
-# ----------------------------------------------------------------------
-class TestBAT01:
-    def test_flags_flag_without_method(self):
-        src = """
-            from repro.core.protocol import Protocol
-
-            class Broken(Protocol):
-                supports_batch = True
-        """
-        assert "BAT01" in rules_fired(src)
-
-    def test_flags_method_without_flag(self):
-        src = """
-            from repro.core.protocol import Protocol
-
-            class Broken(Protocol):
-                def batch_decisions(self, inputs):
-                    return inputs.sum(axis=(1, 2))
-        """
-        assert "BAT01" in rules_fired(src)
-
-    def test_allows_matched_pair(self):
-        src = """
-            from repro.core.protocol import Protocol
-
-            class Good(Protocol):
-                supports_batch = True
-
-                def batch_decisions(self, inputs):
-                    return inputs.sum(axis=(1, 2))
-        """
-        assert "BAT01" not in rules_fired(src)
-
-    def test_allows_abstract_stub_without_flag(self):
-        # The Protocol base class itself declares the contract via
-        # raise-NotImplementedError stubs; those are declarations, not
-        # implementations.
-        src = """
-            class Protocol:
-                supports_batch = False
-
-                def batch_decisions(self, inputs):
-                    raise NotImplementedError("no batching")
-        """
-        assert "BAT01" not in rules_fired(src)
-
-    def test_inherited_method_satisfies_flag(self):
-        src = """
-            from repro.core.protocol import Protocol
-
-            class Base(Protocol):
-                def batch_decisions(self, inputs):
-                    return inputs.sum(axis=(1, 2))
-
-            class Child(Base):
-                supports_batch = True
-        """
-        assert "BAT01" not in rules_fired(src)
-
-    def test_both_pairs_checked_independently(self):
-        src = """
-            from repro.core.protocol import Protocol
-
-            class HalfBatched(Protocol):
-                supports_batch = True
-                supports_batch_keys = True
-
-                def batch_decisions(self, inputs):
-                    return inputs.sum(axis=(1, 2))
-        """
-        fired = findings(src)
-        assert any(
-            f.rule == "BAT01" and "batch_keys" in f.message for f in fired
-        )
-
-
-# ----------------------------------------------------------------------
 # BAT02 — batched protocols carry a symbolic cost model
 # ----------------------------------------------------------------------
 class TestBAT02:
@@ -269,14 +191,8 @@ class TestBAT02:
             from repro.core.protocol import Protocol
 
             class Broken(Protocol):
-                supports_batch = True
-                supports_batch_keys = True
-
                 def batch_decisions(self, inputs):
                     return inputs.sum(axis=(1, 2))
-
-                def batch_keys(self, inputs):
-                    return inputs.reshape(inputs.shape[0], -1)
         """
         fired = findings(src)
         assert any(
@@ -305,18 +221,12 @@ class TestBAT02:
             from repro.costs import CostModel, Phase, Sym
 
             class Good(Protocol):
-                supports_batch = True
-                supports_batch_keys = True
-
                 def cost_model(self):
                     n = Sym("n")
                     return CostModel([Phase("reveal", rounds=1, turns=n)])
 
                 def batch_decisions(self, inputs):
                     return inputs.sum(axis=(1, 2))
-
-                def batch_keys(self, inputs):
-                    return inputs.reshape(inputs.shape[0], -1)
         """
         assert "BAT02" not in rules_fired(src)
 
@@ -334,7 +244,7 @@ class TestBAT02:
                     return inputs.sum(axis=(1, 2))
 
             class Child(Modeled):
-                supports_batch = True
+                pass
         """
         assert "BAT02" not in rules_fired(src)
 
@@ -348,8 +258,6 @@ class TestBAT02:
                     return inputs.sum(axis=(1, 2))
 
             class Complete(BatchMixin):
-                supports_batch = True
-
                 def cost_model(self):
                     n = Sym("n")
                     return CostModel([Phase("reveal", rounds=1, turns=n)])

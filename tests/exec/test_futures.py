@@ -1,6 +1,6 @@
 """Tests for Engine.submit_batch, BatchFuture, and as_completed."""
 
-import time
+import threading
 from concurrent.futures import CancelledError
 
 import numpy as np
@@ -13,16 +13,20 @@ from repro.lowerbounds import TopSubmatrixRankProtocol
 from repro.protocols import GlobalParityProtocol
 
 
-class SleepyParityProtocol(GlobalParityProtocol):
-    """Parity with an artificial per-broadcast delay (cancellation window)."""
+class GatedParityProtocol(GlobalParityProtocol):
+    """Parity whose broadcasts wait until the test opens ``gate``.
 
-    supports_batch = False  # force the scalar (slow) path
+    The gate is a class attribute because the engine deep-copies the
+    protocol for every trial and an ``Event`` cannot be deep-copied.  The
+    wait is bounded so a gate left closed fails the batch instead of
+    hanging the suite.
+    """
 
-    def __init__(self, delay: float = 0.01):
-        self.delay = delay
+    gate = threading.Event()
 
     def broadcast(self, proc, round_index):
-        time.sleep(self.delay)
+        if not self.gate.wait(timeout=30):
+            raise TimeoutError("GatedParityProtocol.gate was never opened")
         return super().broadcast(proc, round_index)
 
 
@@ -104,18 +108,22 @@ class TestCancel:
     def test_cancel_before_start(self):
         """A queued batch (beyond max_inflight) cancels cleanly."""
         spec = RunSpec(
-            protocol=SleepyParityProtocol(0.02),
+            protocol=GatedParityProtocol(),
             distribution=UniformRows(3, 4),
             seed=1,
         )
+        GatedParityProtocol.gate.clear()
         with Engine(SerialExecutor(), max_inflight=1) as engine:
-            running = engine.submit_batch(spec, 10)  # occupies the only thread
-            queued = engine.submit_batch(rank_spec(), 4)
-            assert queued.cancel()
-            assert queued.cancelled()
-            assert queued.done()
-            with pytest.raises(CancelledError):
-                queued.result(timeout=5)
+            try:
+                running = engine.submit_batch(spec, 10)  # holds the only thread
+                queued = engine.submit_batch(rank_spec(), 4)
+                assert queued.cancel()
+                assert queued.cancelled()
+                assert queued.done()
+                with pytest.raises(CancelledError):
+                    queued.result(timeout=5)
+            finally:
+                GatedParityProtocol.gate.set()
             # The running batch is unaffected.
             assert len(running.result(timeout=60)) == 10
 
@@ -208,20 +216,24 @@ class TestAsCompletedTimeout:
         from concurrent.futures import TimeoutError as FuturesTimeout
 
         slow_spec = RunSpec(
-            protocol=SleepyParityProtocol(0.05),
+            protocol=GatedParityProtocol(),
             distribution=UniformRows(3, 4),
             seed=1,
         )
+        GatedParityProtocol.gate.clear()
         with Engine(SerialExecutor(), max_inflight=1) as engine:
-            fast = engine.submit_batch(rank_spec(), 4)
-            fast.result(timeout=60)          # already done before iterating
-            slow = engine.submit_batch(slow_spec, 40)  # ~6s of sleeps
-            yielded = []
-            with pytest.raises(FuturesTimeout):
-                for future in as_completed([fast, slow], timeout=0.2):
-                    yielded.append(future)
-            assert yielded == [fast]
-            assert not slow.done()
+            try:
+                fast = engine.submit_batch(rank_spec(), 4)
+                fast.result(timeout=60)          # already done before iterating
+                slow = engine.submit_batch(slow_spec, 40)  # waits on the gate
+                yielded = []
+                with pytest.raises(FuturesTimeout):
+                    for future in as_completed([fast, slow], timeout=0.2):
+                        yielded.append(future)
+                assert yielded == [fast]
+                assert not slow.done()
+            finally:
+                GatedParityProtocol.gate.set()
             slow.result(timeout=60)  # the batch itself is unharmed
 
     def test_timeout_none_waits_for_everything(self):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.engine import Engine, FALLBACKS_METRIC, RunSpec
 from repro.core.errors import BatchFallbackWarning
+from repro.core.protocol import Protocol
 from repro.distributions.uniform import UniformRows
 from repro.exec.health import ERRORS_METRIC, ErrorTelemetry, HealthBoard
 from repro.obs import FlightRecorder, MetricsRegistry
@@ -17,8 +18,7 @@ from repro.protocols.parity import GlobalParityProtocol
 
 
 class UnbatchedParityProtocol(GlobalParityProtocol):
-    supports_batch = False
-    supports_batch_keys = False
+    batch_decisions = Protocol.batch_decisions
 
 
 class TestEngineBatchFallbacks:

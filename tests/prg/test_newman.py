@@ -130,7 +130,7 @@ class TestCompiled:
 
     def test_vectorized_bit_identical(self):
         """The original-protocol batch rides the key-synthesis fast path
-        for supports_batch_keys protocols — same error, no simulation."""
+        for batched protocols — same error, no simulation."""
         from repro.protocols import GlobalParityProtocol
 
         protocol = GlobalParityProtocol()

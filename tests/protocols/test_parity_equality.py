@@ -60,7 +60,7 @@ class TestBatchDecisions:
     def test_parity_batch_matches_scalar_loop(self, rng):
         protocol = GlobalParityProtocol()
         inputs = rng.integers(0, 2, size=(20, 5, 7), dtype=np.uint8)
-        batched = protocol.batch_decisions(inputs)
+        batched, _ = protocol.batch_decisions(inputs)
         scalar = np.array(
             [
                 run_protocol(protocol, matrix, rng=np.random.default_rng(0)).outputs[0]
@@ -78,7 +78,7 @@ class TestBatchDecisions:
             stacks[index] = stacks[index].copy()
             stacks[index][2, index % 6] ^= 1
         inputs = np.stack(stacks)
-        batched = protocol.batch_decisions(inputs)
+        batched, _ = protocol.batch_decisions(inputs)
         scalar = np.array(
             [
                 run_protocol(protocol, matrix, rng=np.random.default_rng(0)).outputs[0]

@@ -70,7 +70,11 @@ def expected_rounds(n: int, k: int, factor: float = 1.0) -> float:
 def _volunteers(transcript: Transcript) -> tuple[int, ...]:
     """Senders of a 1 in round 0, in increasing order."""
     return tuple(
-        sorted(e.sender for e in transcript.messages_in_round(0) if e.message == 1)
+        sorted(
+            sender
+            for sender, message in transcript.round_messages(0).items()
+            if message == 1
+        )
     )
 
 
@@ -171,9 +175,10 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         size = len(active)
         position = {v: t for t, v in enumerate(active)}
         sub = np.zeros((size, size), dtype=np.uint8)
-        for event in transcript:
-            if 1 <= event.round_index <= size and event.sender in position:
-                sub[position[event.sender], event.round_index - 1] = event.message
+        for round_index in range(1, size + 1):
+            for sender, message in transcript.round_messages(round_index).items():
+                if sender in position:
+                    sub[position[sender], round_index - 1] = message
         np.fill_diagonal(sub, 0)
         return sub
 
@@ -188,7 +193,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         return transcript.derived(self._clique_of_edges, (len(active) + 1) * n)
 
     def _clique_of_edges(self, transcript: Transcript) -> frozenset[int] | None:
-        n = len(transcript.messages_in_round(0))  # everyone speaks in round 0
+        n = len(transcript.round_messages(0))  # everyone speaks in round 0
         active = self._active_set(transcript, n)
         sub = self._activated_subgraph(transcript, active)
         local = max_clique(sub & sub.T)
@@ -217,12 +222,8 @@ class PlantedCliqueSubsampleProtocol(Protocol):
             return None
         active = self._active_set(proc.transcript, proc.n)
         membership_round = len(active) + 1
-        claimants = frozenset(
-            e.sender
-            for e in proc.transcript.messages_in_round(membership_round)
-            if e.message == 1
-        )
-        return claimants
+        claims = proc.transcript.round_messages(membership_round)
+        return frozenset(sender for sender, claim in claims.items() if claim == 1)
 
     # ------------------------------------------------------------------
     # Symbolic cost model

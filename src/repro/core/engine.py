@@ -1126,7 +1126,7 @@ class Engine:
 
 
 # ----------------------------------------------------------------------
-# The execution core (moved verbatim from the original run_protocol)
+# The execution core
 # ----------------------------------------------------------------------
 def _execute(
     protocol: Protocol,
@@ -1140,7 +1140,6 @@ def _execute(
     """Run one protocol execution; the single place simulation happens."""
     from .errors import MessageSizeError
     from .simulator import ExecutionResult, make_contexts
-    from .transcript import BroadcastEvent
 
     contexts, transcript = make_contexts(
         inputs, rng=rng, private_bit_budget=private_bit_budget,
@@ -1156,43 +1155,33 @@ def _execute(
     for proc in contexts:
         protocol.setup(proc)
 
-    turn = 0
     rounds_run = 0
     for round_index in range(n_rounds):
         if rounds is None and protocol.finished(n, transcript, round_index):
             break
-        # The round's sender → payload map, filled as the round is
-        # published; every processor's receive() gets this one dict.
-        round_messages: dict[int, int] = {}
+        senders = list(scheduler.speaking_order(n, round_index))
         if scheduler.sees_current_round:
-            # Sequential turns: append each event immediately so later
+            # Sequential turns: push each broadcast immediately so later
             # speakers in the same round condition on it.
-            for proc_id in scheduler.speaking_order(n, round_index):
+            for proc_id in senders:
                 message = _checked_message(
                     protocol.broadcast(contexts[proc_id], round_index),
                     max_payload, proc_id, round_index,
                 )
-                transcript.append(
-                    BroadcastEvent(turn, round_index, proc_id, message, width)
-                )
-                round_messages[proc_id] = message
-                turn += 1
+                transcript._push(round_index, (proc_id,), (message,), width)
         else:
             # Synchronous round: compute all messages against the frozen
-            # transcript of previous rounds, then publish together.
-            pending: list[tuple[int, int]] = []
-            for proc_id in scheduler.speaking_order(n, round_index):
-                message = _checked_message(
+            # transcript of previous rounds, then publish them in one push.
+            payloads = [
+                _checked_message(
                     protocol.broadcast(contexts[proc_id], round_index),
                     max_payload, proc_id, round_index,
                 )
-                pending.append((proc_id, message))
-            for proc_id, message in pending:
-                transcript.append(
-                    BroadcastEvent(turn, round_index, proc_id, message, width)
-                )
-                round_messages[proc_id] = message
-                turn += 1
+                for proc_id in senders
+            ]
+            transcript._push(round_index, senders, payloads, width)
+        # Every processor's receive() gets this one sender → payload map.
+        round_messages = transcript.round_messages(round_index)
         for proc in contexts:
             protocol.receive(proc, round_index, round_messages)
         rounds_run = round_index + 1
@@ -1204,7 +1193,7 @@ def _execute(
     cost = CostReport(
         n_processors=n,
         rounds=rounds_run,
-        turns=turn,
+        turns=len(transcript),
         broadcast_bits=transcript.total_bits,
         message_size=width,
         private_bits_per_processor=[proc.coins.bits_used for proc in contexts],

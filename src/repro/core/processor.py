@@ -80,14 +80,16 @@ class ProcessorContext:
     # ------------------------------------------------------------------
     def my_previous_messages(self) -> list[int]:
         """Payloads this processor broadcast in earlier turns."""
-        return [e.message for e in self.transcript.messages_from(self.proc_id)]
+        transcript = self.transcript
+        return [
+            message
+            for sender, message in zip(transcript._senders, transcript._payloads)
+            if sender == self.proc_id
+        ]
 
     def round_messages(self, round_index: int) -> dict[int, int]:
         """Mapping ``sender → payload`` for a completed round."""
-        return {
-            e.sender: e.message
-            for e in self.transcript.messages_in_round(round_index)
-        }
+        return self.transcript.round_messages(round_index)
 
     def input_bit(self, j: int) -> int:
         """Bit ``j`` of the private input row."""

@@ -117,6 +117,10 @@ class Protocol:
         compute it through ``proc.transcript.derived(fn, turns)`` so it
         runs once per execution instead of ``n`` times.  See
         :meth:`~repro.core.transcript.Transcript.derived` for the contract.
+        Read payloads with
+        :meth:`~repro.core.transcript.Transcript.round_messages` (a
+        ``sender → payload`` dict per round, straight from the transcript's
+        columns) rather than by iterating its ``BroadcastEvent`` records.
         """
         return None
 

@@ -114,11 +114,12 @@ class TopSubmatrixRankProtocol(Protocol):
     def _revealed_block(self, transcript: Transcript) -> np.ndarray:
         """The ``k × j`` revealed left block (j = rounds actually run)."""
         j = min(self.rounds_budget, self.k)
-        block = np.zeros((self.k, j), dtype=np.uint8)
-        for event in transcript:
-            if event.sender < self.k and event.round_index < j:
-                block[event.sender, event.round_index] = event.message
-        return block
+        rows = [[0] * j for _ in range(self.k)]
+        for round_index in range(j):
+            for sender, message in transcript.round_messages(round_index).items():
+                if sender < self.k:
+                    rows[sender][round_index] = message
+        return np.array(rows, dtype=np.uint8)
 
     def output(self, proc: ProcessorContext) -> int:
         # The decision reads only the public transcript: one rank per

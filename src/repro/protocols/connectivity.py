@@ -34,10 +34,11 @@ def components_from_labels(labels: list[int]) -> int:
 
 
 def _final_component_count(transcript: Transcript) -> int:
-    """Distinct labels broadcast in the transcript's last round."""
-    final_round = transcript[-1].round_index
+    """Distinct labels broadcast in the transcript's last round (every
+    processor speaks once a round, so it ran ``turns / n`` rounds)."""
+    rounds_run = len(transcript) // len(transcript.round_messages(0))
     return components_from_labels(
-        [e.message for e in transcript.messages_in_round(final_round)]
+        list(transcript.round_messages(rounds_run - 1).values())
     )
 
 
@@ -84,32 +85,35 @@ class ConnectivityProtocol(Protocol):
     def finished(self, n: int, transcript: Transcript, completed_rounds: int) -> bool:
         if completed_rounds < 2:
             return False
-        last = [e.message for e in transcript.messages_in_round(completed_rounds - 1)]
-        prev = [e.message for e in transcript.messages_in_round(completed_rounds - 2)]
-        return last == prev
+        last = transcript.round_messages(completed_rounds - 1).values()
+        prev = transcript.round_messages(completed_rounds - 2).values()
+        return list(last) == list(prev)
 
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
-    def _current_label(self, proc: ProcessorContext) -> int:
-        return proc.memory.get("label", proc.proc_id)
+    def setup(self, proc: ProcessorContext) -> None:
+        proc.memory["label"] = proc.proc_id
+        proc.memory["neighbours"] = np.nonzero(proc.input)[0].tolist()
 
     def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
-        return self._current_label(proc)
+        return proc.memory["label"]
 
     def receive(
         self, proc: ProcessorContext, round_index: int, messages: dict[int, int]
     ) -> None:
-        label = self._current_label(proc)
-        neighbours = np.nonzero(proc.input)[0]
-        for j in neighbours:
-            label = min(label, messages[int(j)])
-        label = min(label, messages[proc.proc_id])
-        proc.memory["label"] = label
+        # A neighbour index >= n names a processor that never spoke, so its
+        # lookup raises KeyError (the batch path rejects such inputs).
+        memory = proc.memory
+        memory["label"] = min(
+            memory["label"],
+            messages[proc.proc_id],
+            *map(messages.__getitem__, memory["neighbours"]),
+        )
 
     def output(self, proc: ProcessorContext) -> tuple[int, int]:
         count = proc.transcript.derived(_final_component_count, len(proc.transcript))
-        return self._current_label(proc), count
+        return proc.memory["label"], count
 
     # ------------------------------------------------------------------
     # Vectorized fast path

@@ -112,6 +112,87 @@ class TestTranscript:
         assert t[0].message == 1
         assert [e.message for e in t] == [1, 0]
 
+    def test_prefix_rejects_negative_turns(self):
+        t = Transcript()
+        for turn in range(4):
+            t.append(make_event(turn))
+        for n_turns in (-1, -4, -5):
+            with pytest.raises(ValueError):
+                t.prefix(n_turns)
+
+    def test_constructor_checks_turns(self):
+        # A turn is a position in the columns, so a hand-built event list
+        # must number its turns 0, 1, 2, … exactly as append requires.
+        with pytest.raises(ValueError):
+            Transcript([make_event(1)])
+        with pytest.raises(ValueError):
+            Transcript([make_event(0), make_event(0)])
+
+    def test_hash_is_the_event_tuple_hash(self):
+        t = simulated_transcript()
+        assert hash(t) == hash(tuple(t))
+        assert hash(Transcript()) == hash(())
+
+
+def event_bits(transcript):
+    return tuple(b for e in transcript for b in e.bits())
+
+
+class TestColumnReads:
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_round_messages_match_events(self, scheduler):
+        t = simulated_transcript(scheduler)
+        for r in range(-1, t[-1].round_index + 2):
+            assert t.round_messages(r) == {
+                e.sender: e.message for e in linear_scan(t, r)
+            }
+
+    def test_round_messages_keep_turn_order_of_unordered_rounds(self):
+        senders = [3, 0, 1, 2, 4]
+        events = [
+            make_event(i, round_index=r, sender=s, message=(i + 1) % 2)
+            for i, (r, s) in enumerate(zip([1, 0, 1, 2, 0], senders))
+        ]
+        t = Transcript(events)
+        assert list(t.round_messages(1).items()) == [(3, 1), (1, 1)]
+        assert list(t.round_messages(0).items()) == [(0, 0), (4, 1)]
+
+    def test_bits_follow_appends_of_mixed_widths(self):
+        t = Transcript()
+        widths = [3, 1, 2, 1, 1, 4, 2]
+        for turn, width in enumerate(widths):
+            assert t.bits() == event_bits(t)
+            t.append(
+                make_event(turn, round_index=turn // 2, sender=turn % 2,
+                           message=(5 * turn + 3) % (1 << width), width=width)
+            )
+            assert t.bits() == event_bits(t)
+            assert len(t.bits()) == t.total_bits
+        for view in (
+            t.prefix(0),
+            t.prefix(3),
+            t.copy(),
+            pickle.loads(pickle.dumps(t)),
+            decode_value(encode_value(t)),
+            copy.deepcopy(t),
+        ):
+            assert view.bits() == event_bits(view)
+            assert view.key() == tuple(e.message for e in view)
+
+    def test_bit_column_is_not_state(self):
+        read = simulated_transcript()
+        unread = simulated_transcript()
+        read.bits()
+        assert read == unread
+        assert pickle.dumps(read) == pickle.dumps(unread)
+        assert encode_value(read) == encode_value(unread)
+
+    def test_each_event_is_built_once(self):
+        t = simulated_transcript()
+        first = list(t)
+        assert all(a is b for a, b in zip(first, t))
+        assert t.messages_in_round(1)[0] is first[6]
+
 
 def linear_scan(transcript, round_index):
     return [e for e in transcript if e.round_index == round_index]
@@ -280,3 +361,82 @@ class TestDerived:
     def test_decoded_state_must_hold_events(self):
         with pytest.raises(TypeError):
             Transcript().__setstate__((None, {"_events": [("not", "an", "event")]}))
+
+
+def pinned_transcript():
+    """Two rounds of two processors, widths 1 then 3."""
+    return Transcript(
+        [
+            make_event(0, round_index=0, sender=0, message=1, width=1),
+            make_event(1, round_index=0, sender=1, message=0, width=1),
+            make_event(2, round_index=1, sender=0, message=5, width=3),
+            make_event(3, round_index=1, sender=1, message=6, width=3),
+        ]
+    )
+
+
+# Bytes of ``pinned_transcript()`` as written by the event-list transcript
+# that preceded the columnar one: a worker and a client on either side of
+# that change must keep exchanging transcripts.
+PINNED_WIRE = bytes.fromhex(
+    "4f0000000000000020726570726f2e636f72652e7472616e7363726970743a54"
+    "72616e7363726970747400000000000000024e44000000000000000173000000"
+    "00000000075f6576656e74736c00000000000000044f00000000000000247265"
+    "70726f2e636f72652e7472616e7363726970743a42726f616463617374457665"
+    "6e744400000000000000057300000000000000047475726e6900000000000000"
+    "0073000000000000000b726f756e645f696e6465786900000000000000007300"
+    "0000000000000673656e6465726900000000000000007300000000000000076d"
+    "6573736167656900000000000000017300000000000000057769647468690000"
+    "0000000000014f0000000000000024726570726f2e636f72652e7472616e7363"
+    "726970743a42726f6164636173744576656e7444000000000000000573000000"
+    "00000000047475726e69000000000000000173000000000000000b726f756e64"
+    "5f696e64657869000000000000000073000000000000000673656e6465726900"
+    "000000000000017300000000000000076d657373616765690000000000000000"
+    "73000000000000000577696474686900000000000000014f0000000000000024"
+    "726570726f2e636f72652e7472616e7363726970743a42726f61646361737445"
+    "76656e744400000000000000057300000000000000047475726e690000000000"
+    "00000273000000000000000b726f756e645f696e646578690000000000000001"
+    "73000000000000000673656e6465726900000000000000007300000000000000"
+    "076d657373616765690000000000000005730000000000000005776964746869"
+    "00000000000000034f0000000000000024726570726f2e636f72652e7472616e"
+    "7363726970743a42726f6164636173744576656e744400000000000000057300"
+    "000000000000047475726e69000000000000000373000000000000000b726f75"
+    "6e645f696e64657869000000000000000173000000000000000673656e646572"
+    "6900000000000000017300000000000000076d65737361676569000000000000"
+    "00067300000000000000057769647468690000000000000003"
+)
+PINNED_PICKLE = bytes.fromhex(
+    "800495f1000000000000008c15726570726f2e636f72652e7472616e73637269"
+    "7074948c0a5472616e7363726970749493942981944e7d948c075f6576656e74"
+    "73945d942868008c0e42726f6164636173744576656e749493942981947d9428"
+    "8c047475726e944b008c0b726f756e645f696e646578944b008c0673656e6465"
+    "72944b008c076d657373616765944b018c057769647468944b01756268082981"
+    "947d9428680b4b01680c4b00680d4b01680e4b00680f4b01756268082981947d"
+    "9428680b4b02680c4b01680d4b00680e4b05680f4b03756268082981947d9428"
+    "680b4b03680c4b01680d4b01680e4b06680f4b03756265738694622e"
+)
+
+
+class TestStateFormat:
+    def test_wire_bytes_are_pinned(self):
+        t = pinned_transcript()
+        assert decode_value(PINNED_WIRE) == t
+        assert encode_value(t) == PINNED_WIRE
+        assert encode_value(decode_value(PINNED_WIRE)) == PINNED_WIRE
+
+    def test_pickle_bytes_are_pinned(self):
+        t = pinned_transcript()
+        assert pickle.loads(PINNED_PICKLE) == t
+        assert pickle.dumps(t, protocol=4) == PINNED_PICKLE
+        assert pickle.dumps(pickle.loads(PINNED_PICKLE), protocol=4) == PINNED_PICKLE
+
+    def test_decoded_reads_agree_with_events(self):
+        for t in (pickle.loads(PINNED_PICKLE), decode_value(PINNED_WIRE)):
+            events = list(t)
+            assert t.key() == (1, 0, 5, 6) == tuple(e.message for e in events)
+            assert t.bits() == tuple(b for e in events for b in e.bits())
+            for r in (0, 1):
+                assert t.round_messages(r) == {
+                    e.sender: e.message for e in t.messages_in_round(r)
+                }
+            assert t.total_bits == 8

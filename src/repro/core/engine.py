@@ -54,15 +54,6 @@ back to the scalar path with a
 :class:`~repro.core.errors.BatchFallbackWarning`; ``Engine.batch_fallbacks``
 counts the downgrades.
 
-**Shared-memory inputs.**  When a batch has a fixed input matrix and runs
-on a :class:`repro.exec.WorkerPool`, large inputs are published once
-through ``multiprocessing.shared_memory`` instead of being pickled into
-every worker task; workers attach read-only views on first use.  The
-lifecycle is owned by the executor (:meth:`Executor.publish_inputs` /
-:meth:`Executor.release_inputs`): the pool keeps segments (and the
-workers attached to them) alive across successive batches and unlinks
-them when it closes or idles out.
-
 **Asynchronous batches.**  :meth:`Engine.submit_batch` schedules a batch
 on a background submission thread and returns a
 :class:`repro.exec.BatchFuture` immediately, so callers can overlap many
@@ -81,7 +72,6 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor as _ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import shared_memory as _shared_memory
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -98,6 +88,7 @@ from .transcript import Transcript
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..distributions.base import InputDistribution
     from ..exec.futures import BatchFuture
+    from ..exec.worker import PublishedInput
     from .simulator import ExecutionResult
 
 __all__ = [
@@ -514,92 +505,6 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory input handles
-# ----------------------------------------------------------------------
-#: Process-local cache of attached shared-memory blocks, keyed by segment
-#: name.  Blocks stay attached for the life of the worker process; the
-#: parent unlinks the segment when its pool closes or idles out, which on
-#: POSIX is safe while mappings remain open.
-_SHARED_ATTACHMENTS: dict[str, tuple[Any, np.ndarray]] = {}
-
-
-class _SharedInput:
-    """Pickle-light handle to a fixed input matrix living in shared memory.
-
-    It travels only into :class:`repro.exec.WorkerPool` processes on the
-    same machine.  It is not in the wire vocabulary, so no frame can make
-    a remote worker open a segment named by its client.
-    """
-
-    __slots__ = ("name", "shape", "dtype_str")
-
-    def __init__(self, name: str, shape: tuple[int, ...], dtype: np.dtype):
-        self.name = name
-        self.shape = shape
-        self.dtype_str = np.dtype(dtype).str
-
-    def attach(self) -> np.ndarray:
-        """A read-only array view of the segment (cached per process)."""
-        cached = _SHARED_ATTACHMENTS.get(self.name)
-        if cached is None:
-            # Attaching re-registers the segment with the resource tracker
-            # (bpo-38119), but fork-started pool workers share the parent's
-            # tracker, so the registration is an idempotent set-add and the
-            # parent's unlink() at pool close removes the single entry.
-            block = _shared_memory.SharedMemory(name=self.name)
-            array = np.ndarray(self.shape, dtype=self.dtype_str, buffer=block.buf)
-            array.flags.writeable = False
-            cached = (block, array)
-            _SHARED_ATTACHMENTS[self.name] = cached
-        return cached[1]
-
-
-#: Stand-in satisfying RunSpec validation while the real fixed inputs
-#: travel through shared memory instead of the pickle stream.
-_SHARED_INPUT_PLACEHOLDER = np.empty((0, 0), dtype=np.uint8)
-
-
-def _content_digest(inputs: np.ndarray) -> str:
-    """Content identity of a fixed input matrix: shape, dtype, and bytes.
-
-    The key under which executors cache published inputs — two arrays
-    with the same digest are interchangeable, so repeated batches over
-    the same matrix (the common sweep shape) publish it exactly once per
-    pool / per remote worker.  Executors hash at every publication, so a
-    buffer refilled in place between batches gets its new digest and is
-    never served from the copy published for its old contents.
-    """
-    import hashlib
-
-    return hashlib.sha256(
-        repr((inputs.shape, np.dtype(inputs.dtype).str)).encode()
-        + np.ascontiguousarray(inputs).tobytes()
-    ).hexdigest()
-
-
-def _create_shared_segment(
-    inputs: np.ndarray,
-) -> tuple[_shared_memory.SharedMemory, _SharedInput]:
-    """Copy ``inputs`` into a fresh shared-memory segment; return block + handle."""
-    block = _shared_memory.SharedMemory(create=True, size=inputs.nbytes)
-    view = np.ndarray(inputs.shape, dtype=inputs.dtype, buffer=block.buf)
-    view[:] = inputs
-    return block, _SharedInput(block.name, inputs.shape, inputs.dtype)
-
-
-def _evict_shared_attachment(name: str) -> None:
-    """Drop the calling process's cached attachment of segment ``name``.
-
-    The parent may have attached its own view of a segment it published
-    (serial fallback for unpicklable tasks); the mapping must be closed
-    before the segment is unlinked so it does not outlive its pool.
-    """
-    cached = _SHARED_ATTACHMENTS.pop(name, None)
-    if cached is not None:
-        cached[0].close()
-
-
-# ----------------------------------------------------------------------
 # Trial runner (module level so process pools can pickle it)
 # ----------------------------------------------------------------------
 def _normalize_batch_keys(
@@ -629,10 +534,52 @@ def _normalize_batch_keys(
     return [tuple(np.asarray(key).tolist()) for key in keys]
 
 
-class _TrialRunner:
-    """Callable shipping a spec to workers: ``(index, SeedSequence) → TrialResult``."""
+def _run_trial(
+    spec: RunSpec,
+    protocol: Protocol,
+    rng: np.random.Generator,
+    fixed_inputs: np.ndarray | None,
+) -> "tuple[np.ndarray, ExecutionResult]":
+    """One trial of ``spec``: its inputs and its execution.
 
-    def __init__(self, spec: RunSpec, shared_input: _SharedInput | None = None):
+    The one trial body behind :meth:`Engine.run` and every batch trial.
+    It draws from ``rng`` in one order — the input sample (a spec without
+    a distribution runs on ``fixed_inputs``), then a public-coin factory's
+    source, then the processor seeds inside ``make_contexts`` — the order
+    the vectorized path replays.
+    """
+    if spec.distribution is not None:
+        inputs = spec.distribution.sample(rng)
+    else:
+        inputs = fixed_inputs
+    public = spec.public_coins
+    if public is not None and not isinstance(public, CoinSource):
+        public = public(rng)
+    return inputs, _execute(
+        protocol,
+        inputs,
+        _resolve_scheduler(spec.scheduler),
+        rng,
+        spec.rounds,
+        spec.private_bit_budget,
+        public,
+    )
+
+
+#: Stand-in satisfying RunSpec validation while the real fixed inputs
+#: travel as a published handle instead of inside every encoded task.
+_SHARED_INPUT_PLACEHOLDER = np.empty((0, 0), dtype=np.uint8)
+
+
+class _TrialRunner:
+    """Callable shipping a spec to workers: ``(index, SeedSequence) → TrialResult``.
+
+    ``shared_input`` is the handle :meth:`Executor.publish_inputs` returned
+    for the spec's fixed inputs; the matrix then travels once per worker
+    instead of inside every encoded runner.
+    """
+
+    def __init__(self, spec: RunSpec, shared_input: "PublishedInput | None" = None):
         self.spec = spec
         self.shared_input = shared_input
 
@@ -646,43 +593,21 @@ class _TrialRunner:
         self.spec = state["spec"]
         self.shared_input = state["shared_input"]
 
-    def _fixed_inputs(self) -> np.ndarray:
-        if self.shared_input is not None:
-            return self.shared_input.attach()
-        return self.spec.inputs
-
     def __call__(self, task: tuple[int, np.random.SeedSequence]) -> TrialResult:
         index, seed_seq = task
         spec = self.spec
-        rng = np.random.default_rng(seed_seq)
-        protocol = spec.fresh_protocol()
-        recorded = None
-        if spec.distribution is not None:
-            inputs = spec.distribution.sample(rng)
-            recorded = inputs
-        else:
-            inputs = self._fixed_inputs()
-            # Recorded inputs must survive the batch; a shared-memory view
-            # dies when the parent unlinks the segment, so copy it out.
-            recorded = np.array(inputs) if self.shared_input is not None else inputs
-        public = spec.public_coins
-        if public is not None and not isinstance(public, CoinSource):
-            public = public(rng)
-        result = _execute(
-            protocol,
-            inputs,
-            _resolve_scheduler(spec.scheduler),
-            rng,
-            spec.rounds,
-            spec.private_bit_budget,
-            public,
+        fixed = spec.inputs
+        if self.shared_input is not None:
+            fixed = self.shared_input.attach()
+        inputs, result = _run_trial(
+            spec, spec.fresh_protocol(), np.random.default_rng(seed_seq), fixed
         )
         return TrialResult(
             trial_index=index,
             outputs=result.outputs,
             transcript_key=result.transcript.key(),
             cost=result.cost,
-            inputs=recorded if spec.record_inputs else None,
+            inputs=inputs if spec.record_inputs else None,
             transcript=result.transcript if spec.record_transcripts else None,
         )
 
@@ -738,13 +663,12 @@ class Executor:
         )
         return [fn(item) for item in items]
 
-    # -- shared-memory input protocol -----------------------------------
-    # Executors own the lifecycle of shared fixed-input segments because
-    # only they know how long workers live: a warm pool keeps workers
-    # (and their attachments) alive across batches and releases segments
-    # only when it closes or idles out.
+    # -- published-input protocol ---------------------------------------
+    # Executors own the lifecycle of published fixed inputs because only
+    # they know how long their workers' caches live: a fleet keeps each
+    # matrix cached on its workers across batches.
 
-    def publish_inputs(self, inputs: np.ndarray) -> _SharedInput | None:
+    def publish_inputs(self, inputs: np.ndarray) -> "PublishedInput | None":
         """Publish ``inputs`` to workers once, for every task to share.
 
         ``None`` means "ship the matrix inside every task": the default,
@@ -752,7 +676,7 @@ class Executor:
         """
         return None
 
-    def release_inputs(self, handle: _SharedInput) -> None:
+    def release_inputs(self, handle: "PublishedInput") -> None:
         """Called by the engine once the batch using ``handle`` completed."""
 
 
@@ -768,9 +692,9 @@ class SerialExecutor(Executor):
 def resolve_executor(executor: Executor | str | None) -> Executor:
     """Coerce ``None`` / ``"serial"`` / an instance to an Executor.
 
-    Process backends own workers and shared segments, so they are never
-    built from a name: hold a :class:`repro.exec.WorkerPool` in a
-    ``with`` block and pass the pool itself.
+    Process backends own worker processes, so they are never built from
+    a name: hold a :class:`repro.exec.WorkerPool` in a ``with`` block and
+    pass the pool itself.
     """
     if executor is None or executor == "serial":
         return SerialExecutor()
@@ -920,22 +844,7 @@ class Engine:
             if isinstance(spec.protocol, Protocol)
             else spec.fresh_protocol()
         )
-        if spec.distribution is not None:
-            inputs = spec.distribution.sample(rng)
-        else:
-            inputs = spec.inputs
-        public = spec.public_coins
-        if public is not None and not isinstance(public, CoinSource):
-            public = public(rng)
-        return _execute(
-            protocol,
-            inputs,
-            _resolve_scheduler(spec.scheduler),
-            rng,
-            spec.rounds,
-            spec.private_bit_budget,
-            public,
-        )
+        return _run_trial(spec, protocol, rng, spec.inputs)[1]
 
     def run_batch(self, spec: RunSpec, trials: int) -> BatchResult:
         """Execute ``trials`` independent trials of ``spec``.
@@ -955,13 +864,13 @@ class Engine:
                 if batch is not None:
                     return batch
             seeds = spec.seed_sequence().spawn(trials)
-            runner = _TrialRunner(spec)
             handle = None
             if trials > 1 and spec.inputs is not None:
                 handle = self.executor.publish_inputs(spec.inputs)
-                runner.shared_input = handle
             try:
-                results = self.executor.map(runner, list(enumerate(seeds)))
+                results = self.executor.map(
+                    _TrialRunner(spec, handle), list(enumerate(seeds))
+                )
             finally:
                 if handle is not None:
                     self.executor.release_inputs(handle)
@@ -1113,7 +1022,7 @@ class Engine:
             if coin_bits:
                 # Exactly the per-processor seed draw make_contexts
                 # performs on the scalar path, from the same generator
-                # after the input draw (the order _TrialRunner uses), so
+                # after the input draw (the order _run_trial uses), so
                 # batched coin protocols replay the same private coins.
                 coin_seeds = np.stack(
                     [

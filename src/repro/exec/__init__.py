@@ -15,8 +15,8 @@ with every estimator, sweep, and benchmark that already takes
   slow worker delays a batch by at most one chunk, not its whole dealt
   share;
 * :mod:`repro.exec.pool` — :class:`WorkerPool`, a warm process pool
-  (plus its shared-memory input segments) reused across batches, with
-  idle-timeout reaping;
+  reused across batches, with idle-timeout reaping; tasks are pickled
+  into its workers;
 * :mod:`repro.exec.distributed` — :class:`DistributedExecutor` /
   :class:`LoopbackWorker` and the :mod:`repro.exec.worker` serve loop:
   the ``Executor.map`` contract over sockets, with content-digest-keyed

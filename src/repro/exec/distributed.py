@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from ..core.engine import Executor, _content_digest
+from ..core.engine import Executor
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -100,7 +100,7 @@ from .wire import (
     function_digest,
     register_wire_function,
 )
-from .worker import PublishedInput, serve
+from .worker import PublishedInput, _content_digest, serve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import ssl

@@ -8,15 +8,13 @@ one pool alive across successive ``run_batch`` / ``submit_batch`` calls
 instead, amortizing start-up to zero after the first batch (the
 pooling-over-per-task-provisioning argument: provision the expensive
 resource once, share it across many small jobs).  Hold it in a ``with``
-block so the workers and segments are released deterministically.
+block so the workers are released deterministically.
 
-Warm state the pool preserves across batches:
-
-* **worker processes** — created once, reused by every subsequent map;
-* **shared-memory input segments** — fixed input matrices published via
-  :meth:`publish_inputs` stay mapped for the life of the pool (keyed by
-  content digest, so repeated batches over the same matrix publish it
-  exactly once) and workers keep their attachments cached.
+Work reaches a worker one way: each chunk is pickled into it together
+with the task callable, and an engine batch's fixed input matrix travels
+inside that callable like every other ``RunSpec`` field.  The pool
+caches no inputs, so a batch leaves nothing behind in the workers or on
+the machine.
 
 Failure semantics: an exception *raised by a task* propagates to the
 caller and leaves the pool warm and reusable (trials are independent; one
@@ -26,11 +24,10 @@ scratch — trials are pure, so a retry is safe; if the rebuilt pool breaks
 too, the batch falls back to in-process serial execution with a warning.
 
 ``idle_timeout`` reaps the worker processes after the pool has been
-unused that long (a timer thread calls ``shutdown`` on the inner pool)
-and unlinks the published shared-memory segments along with them, so an
-idle pool pins no resources; the next map transparently rebuilds the
-workers and republishes whatever inputs it needs.  :meth:`close` (or the
-context-manager exit) does the same, permanently.
+unused that long (a timer thread calls ``shutdown`` on the inner pool),
+so an idle pool pins no processes; the next map transparently rebuilds
+the workers.  :meth:`close` (or the context-manager exit) does the same,
+permanently.
 
 Scheduling: each map call runs through the shared
 :func:`~repro.exec.stealing.dispatch` loop — one feeder thread per
@@ -47,18 +44,9 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory as _shared_memory
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
-from ..core.engine import (
-    Executor,
-    _content_digest,
-    _SharedInput,
-    _create_shared_segment,
-    _evict_shared_attachment,
-)
+from ..core.engine import Executor
 from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -105,13 +93,9 @@ class WorkerPool(Executor):
     idle_timeout:
         Seconds of disuse after which worker processes are reaped (the
         next map call rebuilds them).  ``None`` keeps workers forever.
-    share_inputs_min_bytes:
-        Fixed input matrices at least this large are published once into
-        ``multiprocessing.shared_memory`` and kept mapped until the pool
-        idles out (``idle_timeout``) or closes.
 
-    Use as a context manager (or call :meth:`close`) to release workers
-    and shared segments deterministically:
+    Use as a context manager (or call :meth:`close`) to release the
+    workers deterministically:
 
     >>> import numpy as np
     >>> from repro.core import Engine, RunSpec
@@ -139,7 +123,6 @@ class WorkerPool(Executor):
         max_workers: int | None = None,
         chunksize: int | None = None,
         idle_timeout: float | None = None,
-        share_inputs_min_bytes: int = 1 << 16,
         registry: "MetricsRegistry | None" = None,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         recorder: "FlightRecorder | None" = None,
@@ -148,12 +131,9 @@ class WorkerPool(Executor):
             raise ValueError("max_workers must be >= 1")
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError("idle_timeout must be positive")
-        if share_inputs_min_bytes < 1:
-            raise ValueError("share_inputs_min_bytes must be >= 1")
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.chunksize = chunksize
         self.idle_timeout = idle_timeout
-        self.share_inputs_min_bytes = share_inputs_min_bytes
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.RLock()
         self._active_maps = 0
@@ -163,8 +143,6 @@ class WorkerPool(Executor):
         #: lost the race to a map that used the pool in the meantime).
         self._reap_generation = 0
         self._closed = False
-        #: digest -> (segment block, handle), alive until close/idle-reap
-        self._segments: dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]] = {}
         #: Unified metrics/trace/flight-recorder hooks (private instances
         #: unless shared ones are passed in).  ``pool_broken_total``
         #: counts pools discarded because a worker died, and
@@ -214,27 +192,7 @@ class WorkerPool(Executor):
             if generation != self._reap_generation or self._active_maps:
                 return
             self._discard_pool()
-            # The workers holding the attachments are gone; free the
-            # segments too so an idle pool pins no shared memory (the
-            # next batch simply republishes what it needs).
-            segments = self._take_segments()
             self._reap_timer = None
-        self._release_segments(segments)
-
-    def _take_segments(
-        self,
-    ) -> dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]]:
-        segments, self._segments = self._segments, {}
-        return segments
-
-    @staticmethod
-    def _release_segments(
-        segments: dict[str, tuple[_shared_memory.SharedMemory, _SharedInput]],
-    ) -> None:
-        for block, handle in segments.values():
-            _evict_shared_attachment(handle.name)
-            block.close()
-            block.unlink()
 
     # -- Executor contract ----------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
@@ -301,46 +259,17 @@ class WorkerPool(Executor):
         results, _ = dispatch(items, lanes, self.chunksize, self.tracer, self.registry)
         return results
 
-    # -- shared-memory input protocol -----------------------------------
-    def publish_inputs(self, inputs: np.ndarray) -> _SharedInput | None:
-        """Publish once per distinct matrix; reuse the segment afterwards.
-
-        Keyed by content digest (plus shape/dtype), so every batch over
-        the same fixed inputs — the common sweep shape — shares a single
-        machine-wide copy, and warm workers keep their attachment from
-        one batch to the next.  The digest is taken on every call, so a
-        buffer refilled in place gets a fresh segment.  A one-worker
-        pool, or a matrix under ``share_inputs_min_bytes``, returns
-        ``None``: the matrix then rides inside every task.
-        """
-        if self.max_workers == 1 or inputs.nbytes < self.share_inputs_min_bytes:
-            return None
-        digest = _content_digest(inputs)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("WorkerPool is closed")
-            cached = self._segments.get(digest)
-            if cached is None:
-                cached = _create_shared_segment(inputs)
-                self._segments[digest] = cached
-            return cached[1]
-
-    def release_inputs(self, handle: _SharedInput) -> None:
-        """Per-batch no-op: warm segments live until the pool closes."""
-
     # -- teardown -------------------------------------------------------
     def close(self) -> None:
-        """Shut workers down and unlink every published shared segment."""
+        """Shut the workers down; the pool refuses work afterwards."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._cancel_reap_timer()
             pool, self._pool = self._pool, None
-            segments = self._take_segments()
         if pool is not None:
             pool.shutdown(wait=True)
-        self._release_segments(segments)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -26,6 +26,7 @@ import numpy as np
 from ..distinguish.exact import (
     ProtocolSpec,
     exact_transcript_pmf,
+    mixture_transcript_pmf,
     transcript_distance,
 )
 from ..distributions.base import (
@@ -98,10 +99,7 @@ def real_distance_curve(
     property test of the framework itself.
     """
     reference_pmf = exact_transcript_pmf(spec, reference)
-    mixture_pmf: dict[tuple[int, ...], float] = {}
-    for weight, component in mixture.components():
-        for key, p in exact_transcript_pmf(spec, component).items():
-            mixture_pmf[key] = mixture_pmf.get(key, 0.0) + weight * p
+    mixture_pmf = mixture_transcript_pmf(spec, mixture)
     total_turns = spec.n_rounds * spec.n
     return [
         transcript_distance(

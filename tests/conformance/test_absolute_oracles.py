@@ -10,7 +10,10 @@ answers the repo computes without simulating:
   two-sided binomial test), and exactly zero accepts at every truncated
   budget;
 * the empirical transcript law of a small deterministic protocol under
-  both schedulers against ``exact_transcript_pmf`` (a chi-square test).
+  both schedulers against ``exact_transcript_pmf`` (a chi-square test);
+* the transcript law of :class:`GlobalParityProtocol` on the toy PRG,
+  scalar and vectorized, against ``mixture_transcript_pmf`` of its
+  one-round ``ProtocolSpec`` twin (a chi-square test).
 
 Each cell is pre-registered: a pinned seed, a fixed trial count and the
 significance level ``ALPHA`` below, so it is deterministic and never
@@ -23,10 +26,15 @@ import numpy as np
 import pytest
 
 from repro.core import Engine, RunSpec
-from repro.distinguish.exact import ProtocolSpec, exact_transcript_pmf
-from repro.distributions import UniformRows
+from repro.distinguish.exact import (
+    ProtocolSpec,
+    exact_transcript_pmf,
+    mixture_transcript_pmf,
+)
+from repro.distributions import ToyPRGOutput, UniformRows
 from repro.linalg.rank_distribution import full_rank_probability
 from repro.lowerbounds import TopSubmatrixRankProtocol
+from repro.protocols import GlobalParityProtocol
 
 #: Pre-registered significance level of every cell in this module.
 ALPHA = 1e-3
@@ -55,19 +63,43 @@ def binomial_two_sided_p(successes: int, trials: int, p: float) -> float:
 
 
 def chi_square_sf(statistic: float, dof: int) -> float:
-    """``Pr[χ²_dof ≥ statistic]`` via the series of the regularized lower
-    incomplete gamma function ``P(dof/2, statistic/2)``."""
+    """``Pr[χ²_dof ≥ statistic]``: the regularized upper incomplete gamma
+    function ``Q(a, x)`` at ``a = dof/2``, ``x = statistic/2``.
+
+    Below ``x = a + 1`` the series of the lower function ``P`` converges
+    fast and ``Q = 1 − P``.  Above it, ``Q`` comes from its continued
+    fraction (modified Lentz), so a large statistic yields its small
+    upper tail directly: the series would overflow, or cancel ``1 − P``
+    to zero, long before the tail leaves the double range.
+    """
     a, x = dof / 2.0, statistic / 2.0
     if x <= 0.0:
         return 1.0
-    term = total = 1.0 / a
-    k = 0
-    while term > 1e-17 * total:
-        k += 1
-        term *= x / (a + k)
-        total += term
-    lower = math.exp(a * math.log(x) - x - math.lgamma(a)) * total
-    return max(0.0, 1.0 - lower)
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = 0
+        while term > 1e-17 * total:
+            k += 1
+            term *= x / (a + k)
+            total += term
+        return max(0.0, 1.0 - scale * total)
+    # Q = scale / (x + 1 − a − 1·(1 − a) / (x + 3 − a − 2·(2 − a) / …)).
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    fraction = d
+    for i in range(1, 10_000):
+        coefficient = -i * (i - a)
+        b += 2.0
+        d = coefficient * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + coefficient / c
+        c = c if abs(c) > tiny else tiny
+        fraction *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return scale * fraction
 
 
 def chi_square_p(counts: dict, pmf: dict, trials: int, min_expected: float = 5.0) -> float:
@@ -120,6 +152,25 @@ class TestStatisticHelpers:
     )
     def test_chi_square_sf_known_values(self, statistic, dof, expected):
         assert chi_square_sf(statistic, dof) == pytest.approx(expected, rel=1e-9)
+
+    def test_chi_square_sf_far_upper_tail(self):
+        """Statistics where ``1 − P`` cancels to 0 (and, further out, the
+        lower series overflows) still get their upper tail."""
+        assert chi_square_sf(200.0, 4) == pytest.approx(
+            math.exp(-100.0) * (1 + 100.0), rel=1e-9
+        )
+        assert chi_square_sf(1400.0, 2) == pytest.approx(
+            math.exp(-700.0), rel=1e-9
+        )
+        # Half-integer a = 15/2: Q(a, x) = erfc(√x) + e^{-x} Σ_{j<7}
+        # x^{j+1/2} / Γ(j + 3/2), at the parity cell's 15 degrees of freedom.
+        x = 500.0
+        closed = math.erfc(math.sqrt(x)) + math.exp(-x) * sum(
+            x ** (j + 0.5) / math.gamma(j + 1.5) for j in range(7)
+        )
+        assert chi_square_sf(2 * x, 15) == pytest.approx(closed, rel=1e-9)
+        # e^{-747.5} is below the smallest double: 0.0, not nan.
+        assert chi_square_sf(1580.0, 15) == 0.0
 
     def test_chi_square_rejects_a_wrong_law(self):
         pmf = {0: 0.5, 1: 0.5}
@@ -203,3 +254,43 @@ def test_transcript_law_matches_exact_pmf(scheduler, other, seed):
     # a scheduler that leaked (or hid) same-round messages fails the cell.
     wrong = exact_transcript_pmf(_law_spec(other), dist)
     assert set(counts) - set(wrong) or chi_square_p(counts, wrong, LAW_TRIALS) < ALPHA
+
+
+# ----------------------------------------------------------------------
+# Parity transcript law on the toy PRG against mixture_transcript_pmf
+# ----------------------------------------------------------------------
+PARITY_N, PARITY_K = 4, 2
+
+
+def _row_parity(proc_id: int, rows: np.ndarray, p: tuple[int, ...]) -> np.ndarray:
+    """``GlobalParityProtocol``'s one broadcast: the speaker's row parity."""
+    return (rows.sum(axis=1) % 2).astype(np.int64)
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
+@pytest.mark.parametrize("seed", [7201, 7202])
+def test_parity_law_matches_mixture_pmf(seed, vectorized):
+    dist = ToyPRGOutput(PARITY_N, PARITY_K)
+    spec = ProtocolSpec(PARITY_N, 1, _row_parity, sees_current_round=False)
+    pmf = mixture_transcript_pmf(spec, dist)
+    # Not uniform: the secret b = (1, 1) makes every row parity 0, so the
+    # all-zero transcript has mass 1/4 + 3/4 · 1/16.
+    assert pmf[(0,) * PARITY_N] == pytest.approx(19 / 64)
+    batch = Engine().run_batch(
+        RunSpec(
+            protocol=GlobalParityProtocol(),
+            distribution=dist,
+            seed=seed,
+            vectorized=vectorized,
+        ),
+        LAW_TRIALS,
+    )
+    counts = batch.key_counts()
+    impossible = set(counts) - set(pmf)
+    assert not impossible, f"transcripts outside the exact support: {impossible}"
+    p_value = chi_square_p(counts, pmf, LAW_TRIALS)
+    assert p_value > ALPHA, f"chi-square p = {p_value:.3g}"
+    # Power: the uniform-rows law (every transcript 1/16) is rejected on
+    # the same sample, so a parity that ignored the secret fails the cell.
+    uniform = exact_transcript_pmf(spec, UniformRows(PARITY_N, PARITY_K + 1))
+    assert chi_square_p(counts, uniform, LAW_TRIALS) < ALPHA

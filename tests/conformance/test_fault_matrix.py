@@ -347,7 +347,7 @@ class TestWorkerPoolCells:
         from concurrent.futures.process import BrokenProcessPool
 
         breakages = chaos_seed % 3
-        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
+        with WorkerPool(max_workers=2) as pool:
             real_map_once = pool._map_once
             remaining = [breakages]
 

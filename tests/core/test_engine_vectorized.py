@@ -1,11 +1,11 @@
-"""The engine's vectorized fast path and shared-memory fixed-input path.
+"""The engine's vectorized fast path, and fixed inputs on a process pool.
 
 The contract under test: ``vectorized=True`` produces outputs, recorded
 inputs, *transcript keys* and costs bit-identical to the scalar engine
 path for protocols that support batching, falls back with a
 ``BatchFallbackWarning`` (counted on ``engine_batch_fallbacks_total``)
-otherwise, and the shared-memory input publication changes nothing but
-the transport.
+otherwise, and a fixed input matrix pickled into pool workers comes back
+unchanged in recorded inputs.
 """
 
 import dataclasses
@@ -316,7 +316,10 @@ class TestVectorizedEstimators:
             assert scalar == fast
 
 
-class TestSharedMemoryInputs:
+class TestFixedInputsOnPool:
+    """A pool batch over a fixed matrix pickles the matrix into every
+    chunk; recorded inputs come back equal to it."""
+
     def test_parallel_matches_serial_with_forced_sharing(self, rng):
         inputs = rng.integers(0, 2, size=(12, 9), dtype=np.uint8)
         spec = RunSpec(
@@ -326,29 +329,9 @@ class TestSharedMemoryInputs:
             record_inputs=True,
         )
         serial = Engine().run_batch(spec, 12)
-        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
+        with WorkerPool(max_workers=2) as pool:
             parallel = Engine(pool).run_batch(spec, 12)
         assert serial.outputs == parallel.outputs
         assert serial.transcript_keys == parallel.transcript_keys
         for trial in parallel:
             assert np.array_equal(trial.inputs, inputs)
-
-    def test_below_threshold_skips_sharing(self, rng):
-        inputs = rng.integers(0, 2, size=(6, 5), dtype=np.uint8)
-        spec = RunSpec(protocol=SupportMembershipAttack(k=3), inputs=inputs, seed=2)
-        serial = Engine().run_batch(spec, 8)
-        with WorkerPool(max_workers=2) as pool:
-            assert pool.publish_inputs(inputs) is None
-            parallel = Engine(pool).run_batch(spec, 8)
-            assert pool._segments == {}
-        assert serial.outputs == parallel.outputs
-
-    def test_distribution_specs_never_share(self):
-        spec = RunSpec(
-            protocol=SupportMembershipAttack(k=3),
-            distribution=UniformRows(8, 5),
-            seed=2,
-        )
-        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
-            Engine(pool).run_batch(spec, 8)
-            assert pool._segments == {}

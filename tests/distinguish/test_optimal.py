@@ -7,6 +7,7 @@ from repro.distinguish import (
     ProtocolSpec,
     exact_transcript_pmf,
     first_round_distance_ceiling,
+    mixture_transcript_pmf,
     optimal_single_broadcast_distance,
     row_marginal_pmf,
     transcript_distance,
@@ -83,12 +84,9 @@ class TestOptimalDistance:
         spec = ProtocolSpec(n, 1, lone_speaker)
         reference = RandomDigraph(n)
         mixture = PlantedClique(n, k)
-        mixture_pmf: dict = {}
-        for w, comp in mixture.components():
-            for key, p in exact_transcript_pmf(spec, comp).items():
-                mixture_pmf[key] = mixture_pmf.get(key, 0.0) + w * p
         measured = transcript_distance(
-            exact_transcript_pmf(spec, reference), mixture_pmf
+            exact_transcript_pmf(spec, reference),
+            mixture_transcript_pmf(spec, mixture),
         )
         ceiling = optimal_single_broadcast_distance(reference, mixture, 0)
         assert measured <= ceiling + 1e-12

@@ -11,6 +11,7 @@ from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import WorkerPool
 from repro.lowerbounds import TopSubmatrixRankProtocol
+from repro.protocols import GlobalParityProtocol
 
 
 def _square(x):
@@ -174,85 +175,59 @@ class TestIdleReaping:
             WorkerPool(max_workers=0)
         with pytest.raises(ValueError):
             WorkerPool(idle_timeout=0.0)
-        with pytest.raises(ValueError):
-            WorkerPool(share_inputs_min_bytes=0)
+        # Fixed inputs are pickled into every chunk; there is no
+        # shared-memory threshold to set.
+        with pytest.raises(TypeError):
+            WorkerPool(share_inputs_min_bytes=1 << 16)
 
 
 class TestSharedInputs:
-    def test_segment_reused_across_batches(self, rng):
-        inputs = rng.integers(0, 2, size=(12, 9), dtype=np.uint8)
-        spec = rank_spec(distribution=None, inputs=inputs, record_inputs=True)
-        golden = Engine(SerialExecutor()).run_batch(spec, 10)
-        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
-            engine = Engine(pool)
-            first = engine.run_batch(spec, 10)
-            assert len(pool._segments) == 1
-            second = engine.run_batch(spec, 10)
-            # Same matrix => same digest => the one segment is reused.
-            assert len(pool._segments) == 1
-            assert first.outputs == golden.outputs == second.outputs
-            for trial in first:
-                assert np.array_equal(trial.inputs, inputs)
-
-    def test_segments_unlinked_on_close(self, rng):
-        before = set(glob.glob("/dev/shm/psm_*"))
-        inputs = rng.integers(0, 2, size=(16, 9), dtype=np.uint8)
-        spec = rank_spec(distribution=None, inputs=inputs)
-        pool = WorkerPool(max_workers=2, share_inputs_min_bytes=1)
-        try:
-            Engine(pool).run_batch(spec, 10)
-        finally:
-            pool.close()
-        assert set(glob.glob("/dev/shm/psm_*")) <= before
-
-    def test_idle_reap_releases_segments(self, rng):
-        inputs = rng.integers(0, 2, size=(12, 9), dtype=np.uint8)
-        spec = rank_spec(distribution=None, inputs=inputs)
-        golden = Engine(SerialExecutor()).run_batch(spec, 6)
-        with WorkerPool(
-            max_workers=2,
-            idle_timeout=TestIdleReaping.LONG_IDLE,
-            share_inputs_min_bytes=1,
-        ) as pool:
-            engine = Engine(pool)
-            engine.run_batch(spec, 6)
-            assert len(pool._segments) == 1  # safe: reap is minutes away
-            pool.idle_timeout = TestIdleReaping.SHORT_IDLE
-            engine.run_batch(spec, 6)  # schedules the short reap
-            TestIdleReaping._wait_reaped(
-                pool, lambda: not pool.warm and not pool._segments
-            )
-            assert not pool.warm
-            assert pool._segments == {}  # idle pool pins no shared memory
-            # The next batch republishes and still matches the golden run;
-            # restore the long timeout so its asserts cannot race a reap.
-            pool.idle_timeout = TestIdleReaping.LONG_IDLE
-            assert engine.run_batch(spec, 6).outputs == golden.outputs
-            assert len(pool._segments) == 1
+    """A fixed input matrix shared by every trial of a batch rides inside
+    each pickled chunk, like every other ``RunSpec`` field."""
 
     def test_buffer_refilled_in_place_is_republished(self):
-        """A fixed-input buffer refilled between batches gets a fresh
-        segment; workers never run the second batch on the segment
-        published for the first."""
+        """A fixed-input buffer refilled between batches ships its new
+        contents; workers never run the second batch on the first's."""
         buffer = np.zeros((16, 16), dtype=np.uint8)
         spec = rank_spec(distribution=None, inputs=buffer)
-        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
+        with WorkerPool(max_workers=2) as pool:
             engine = Engine(pool)
             engine.run_batch(spec, 8)
             buffer[:] = np.eye(16, dtype=np.uint8)
             batch = engine.run_batch(spec, 8)
             golden = Engine(SerialExecutor()).run_batch(spec, 8)
             assert batch.outputs == golden.outputs
-            assert len(pool._segments) == 2
 
-    def test_distinct_matrices_get_distinct_segments(self, rng):
-        with WorkerPool(max_workers=2, share_inputs_min_bytes=1) as pool:
+    def test_warm_pool_pins_no_shared_memory(self):
+        """Twenty distinct 64 KiB matrices on one warm pool leave no
+        ``/dev/shm`` segment behind while the pool stays open, and every
+        batch (recorded inputs included) equals the serial one.  64 KiB
+        is where the pool used to copy a matrix into a shared-memory
+        segment and keep it until close."""
+        before = set(glob.glob("/dev/shm/psm_*"))
+        rng = np.random.default_rng(64)
+        matrices = [
+            rng.integers(0, 2, size=(256, 256), dtype=np.uint8) for _ in range(20)
+        ]
+        specs = [
+            RunSpec(
+                protocol=GlobalParityProtocol(),
+                inputs=inputs,
+                seed=seed,
+                record_inputs=True,
+            )
+            for seed, inputs in enumerate(matrices)
+        ]
+        serial = Engine(SerialExecutor())
+        with WorkerPool(max_workers=2) as pool:
             engine = Engine(pool)
-            for seed in (1, 2):
-                inputs = np.random.default_rng(seed).integers(
-                    0, 2, size=(12, 9), dtype=np.uint8
-                )
-                engine.run_batch(
-                    rank_spec(distribution=None, inputs=inputs), 6
-                )
-            assert len(pool._segments) == 2
+            for spec in specs:
+                batch = engine.run_batch(spec, 4)
+                golden = serial.run_batch(spec, 4)
+                assert batch.outputs == golden.outputs
+                assert batch.transcript_keys == golden.transcript_keys
+                assert batch.cost_totals() == golden.cost_totals()
+                for trial in batch:
+                    assert np.array_equal(trial.inputs, spec.inputs)
+            assert pool.warm
+            assert set(glob.glob("/dev/shm/psm_*")) <= before

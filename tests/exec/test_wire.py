@@ -130,16 +130,12 @@ class TestValueCodec:
         with pytest.raises(UnencodableError):
             encode_value(Private())
 
-    def test_shared_memory_handle_never_travels(self):
-        """A ``_SharedInput`` names a segment on the local machine.  It is
-        not in the wire vocabulary, so no frame can make a worker open a
-        segment its client names (and echo its bytes back)."""
-        from repro.core.engine import _SharedInput
-
-        with pytest.raises(UnencodableError):
-            encode_value(_SharedInput("psm_any", (2, 2), np.dtype(np.uint8)))
-        name = b"repro.core.engine:_SharedInput"
-        state = (None, {"name": "psm_any", "shape": (2, 2), "dtype_str": "|u1"})
+    def test_forged_class_name_refused_on_decode(self):
+        """Decoding resolves registered names only: a frame naming a class
+        outside the wire vocabulary is refused, even one the worker's
+        process could import."""
+        name = b"repro.exec.pool:WorkerPool"
+        state = (None, {"max_workers": 2})
         forged = b"O" + _LENGTH.pack(len(name)) + name + encode_value(state)
         with pytest.raises(CorruptFrameError):
             decode_value(forged)

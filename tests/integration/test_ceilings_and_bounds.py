@@ -18,6 +18,7 @@ from repro.distinguish import (
     ProtocolSpec,
     exact_transcript_pmf,
     first_round_distance_ceiling,
+    mixture_transcript_pmf,
     optimal_single_broadcast_distance,
     transcript_distance,
 )
@@ -42,14 +43,6 @@ def degree_spec(n):
     return ProtocolSpec(n, 1, fn)
 
 
-def mixture_pmf(spec, mixture):
-    pmf: dict = {}
-    for w, comp in mixture.components():
-        for key, p in exact_transcript_pmf(spec, comp).items():
-            pmf[key] = pmf.get(key, 0.0) + w * p
-    return pmf
-
-
 class TestPlantedCliqueChain:
     @pytest.mark.parametrize("k", [2, 3])
     def test_three_layer_chain(self, k):
@@ -59,7 +52,7 @@ class TestPlantedCliqueChain:
         mixture = PlantedClique(n, k)
         measured = transcript_distance(
             exact_transcript_pmf(spec, reference),
-            mixture_pmf(spec, mixture),
+            mixture_transcript_pmf(spec, mixture),
         )
         ceiling = first_round_distance_ceiling(reference, mixture)
         bound = planted_clique_one_round_bound(n, k, constant=1.0)
@@ -103,7 +96,7 @@ class TestToyPRGChain:
         pseudo = ToyPRGOutput(n, k)
         measured = transcript_distance(
             exact_transcript_pmf(spec, uniform),
-            mixture_pmf(spec, pseudo),
+            mixture_transcript_pmf(spec, pseudo),
         )
         ceiling = first_round_distance_ceiling(uniform, pseudo)
         bound = toy_prg_one_round_bound(n, k, constant=1.0)

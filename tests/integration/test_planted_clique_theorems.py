@@ -13,6 +13,7 @@ from repro.distinguish import (
     ProtocolSpec,
     exact_transcript_pmf,
     expected_component_distance,
+    mixture_transcript_pmf,
     transcript_distance,
 )
 from repro.distinguish.distinguishers import random_function_protocol
@@ -58,7 +59,7 @@ class TestTheorem16OneRound:
         spec = degree_spec(n)
         distance = transcript_distance(
             exact_transcript_pmf(spec, RandomDigraph(n)),
-            _mixture_pmf(spec, PlantedClique(n, k)),
+            mixture_transcript_pmf(spec, PlantedClique(n, k)),
         )
         assert distance <= planted_clique_one_round_bound(n, k, constant=1.0)
 
@@ -70,7 +71,7 @@ class TestTheorem16OneRound:
         for spec in random_specs(n, 1, seeds=range(4)):
             distance = transcript_distance(
                 exact_transcript_pmf(spec, reference),
-                _mixture_pmf(spec, mixture),
+                mixture_transcript_pmf(spec, mixture),
             )
             assert distance <= bound
 
@@ -82,7 +83,7 @@ class TestTheorem16OneRound:
         reference_pmf = exact_transcript_pmf(spec, RandomDigraph(n))
         distances = {
             k: transcript_distance(
-                reference_pmf, _mixture_pmf(spec, PlantedClique(n, k))
+                reference_pmf, mixture_transcript_pmf(spec, PlantedClique(n, k))
             )
             for k in (2, 4, 6)
         }
@@ -97,7 +98,7 @@ class TestTheorem16OneRound:
         progress = expected_component_distance(spec, mixture, reference)
         real = transcript_distance(
             exact_transcript_pmf(spec, reference),
-            _mixture_pmf(spec, mixture),
+            mixture_transcript_pmf(spec, mixture),
         )
         assert real <= progress + 1e-12
         assert progress <= planted_clique_one_round_bound(n, k, constant=2.0)
@@ -114,7 +115,7 @@ class TestTheorem41MultiRound:
         for spec in random_specs(n, j, seeds=(0, 1)):
             distance = transcript_distance(
                 exact_transcript_pmf(spec, reference),
-                _mixture_pmf(spec, mixture),
+                mixture_transcript_pmf(spec, mixture),
             )
             assert distance <= planted_clique_bound(n, k, j, constant=1.0)
 
@@ -156,11 +157,11 @@ class TestTheorem41MultiRound:
             )
         round_distance = transcript_distance(
             exact_transcript_pmf(round_spec, reference),
-            _mixture_pmf(round_spec, mixture),
+            mixture_transcript_pmf(round_spec, mixture),
         )
         turn_distance = transcript_distance(
             exact_transcript_pmf(turn_spec, reference),
-            _mixture_pmf(turn_spec, mixture),
+            mixture_transcript_pmf(turn_spec, mixture),
         )
         assert turn_distance == pytest.approx(round_distance)
 
@@ -196,11 +197,3 @@ class TestSingleComponentIsEasy:
             exact_transcript_pmf(spec, PlantedCliqueAt(n, clique)),
         )
         assert distance == pytest.approx(0.75)  # 1 - 1/4
-
-
-def _mixture_pmf(spec, mixture):
-    pmf: dict = {}
-    for w, comp in mixture.components():
-        for key, p in exact_transcript_pmf(spec, comp).items():
-            pmf[key] = pmf.get(key, 0.0) + w * p
-    return pmf

@@ -7,6 +7,7 @@ from repro.core import run_protocol
 from repro.distinguish import (
     ProtocolSpec,
     exact_transcript_pmf,
+    mixture_transcript_pmf,
     transcript_distance,
 )
 from repro.distinguish.distinguishers import random_function_protocol
@@ -29,14 +30,6 @@ def spec_from_random_protocol(n, rounds, seed):
     return ProtocolSpec(n, rounds, fn)
 
 
-def mixture_pmf(spec, mixture):
-    pmf: dict = {}
-    for w, comp in mixture.components():
-        for key, p in exact_transcript_pmf(spec, comp).items():
-            pmf[key] = pmf.get(key, 0.0) + w * p
-    return pmf
-
-
 class TestTheorem51OneRound:
     """Toy PRG fools one-round protocols: distance <= O(n / 2^{k/2})."""
 
@@ -50,7 +43,7 @@ class TestTheorem51OneRound:
             spec = spec_from_random_protocol(n, 1, seed)
             distance = transcript_distance(
                 exact_transcript_pmf(spec, uniform),
-                mixture_pmf(spec, pseudo),
+                mixture_transcript_pmf(spec, pseudo),
             )
             assert distance <= bound
 
@@ -68,7 +61,7 @@ class TestTheorem51OneRound:
             spec = ProtocolSpec(n, 1, last_bit_fn)
             distances[k] = transcript_distance(
                 exact_transcript_pmf(spec, UniformRows(n, k + 1)),
-                mixture_pmf(spec, ToyPRGOutput(n, k)),
+                mixture_transcript_pmf(spec, ToyPRGOutput(n, k)),
             )
         assert distances[2] > distances[4] > distances[8]
         # log-scale slope: each +2 in k buys at least a factor ~2.
@@ -88,7 +81,7 @@ class TestTheorem53MultiRound:
             spec = spec_from_random_protocol(n, j, seed)
             distance = transcript_distance(
                 exact_transcript_pmf(spec, uniform),
-                mixture_pmf(spec, pseudo),
+                mixture_transcript_pmf(spec, pseudo),
             )
             assert distance <= toy_prg_bound(n, k, j, constant=1.0)
 
@@ -104,7 +97,7 @@ class TestTheorem54FullPRG:
             spec = spec_from_random_protocol(n, 1, seed)
             distance = transcript_distance(
                 exact_transcript_pmf(spec, uniform),
-                mixture_pmf(spec, pseudo),
+                mixture_transcript_pmf(spec, pseudo),
             )
             # j=1 <= k/10 fails formally (k=4); we still verify the
             # qualitative claim with the theorem's envelope at constant 1.

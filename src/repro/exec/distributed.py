@@ -92,6 +92,7 @@ from .wire import (
     AuthenticationError,
     CorruptFrameError,
     FrameAuthenticationError,
+    ProtocolVersionError,
     UnencodableError,
     WireProtocolError,
     WireSession,
@@ -156,11 +157,13 @@ class _WorkerLink:
     at all.  ``connect_retries`` extra attempts are made (spaced by the
     deterministic ``retry_policy`` backoff) before the link reports
     itself unreachable — except on :class:`~repro.exec.wire
-    .AuthenticationError`, which no retry will heal (the secrets
-    disagree) and which is reported immediately.  Every handled failure
-    is recorded in ``telemetry`` under the link's worker address, and
-    handshake outcomes are counted on ``registry``
-    (``exec_handshakes_total{outcome=ok|auth|error}``).
+    .AuthenticationError` (the secrets disagree) and
+    :class:`~repro.exec.wire.ProtocolVersionError` (the worker runs
+    another wire version), which no retry will heal and which are
+    reported immediately, as ``"auth"`` and ``"version"``.  Every
+    handled failure is recorded in ``telemetry`` under the link's worker
+    address, and handshake outcomes are counted on ``registry``
+    (``exec_handshakes_total{outcome=ok|auth|version|error}``).
     """
 
     def __init__(
@@ -226,20 +229,21 @@ class _WorkerLink:
                         sock, server_hostname=self.address[0]
                     )
                 session = WireSession.client(sock, self.secret)
-            except AuthenticationError:
-                # The worker refused our proof (or presented a bad one):
-                # the secrets disagree, and no retry heals that.  Loud
+            except (AuthenticationError, ProtocolVersionError) as exc:
+                # The worker refused our proof (or presented a bad one),
+                # or speaks another wire version: the secrets or the
+                # deployed code disagree, and no retry heals that.  Loud
                 # and immediate — a misconfigured fleet must not look
                 # like a flaky network.
-                self._record("auth")
-                self._count_handshake("auth")
+                category = "auth" if isinstance(exc, AuthenticationError) else "version"
+                self._record(category)
+                self._count_handshake(category)
                 if sock is not None:
                     sock.close()
                 return False
             except WireProtocolError:
-                # Handshake failed for a non-auth reason (truncated or
-                # malformed exchange — e.g. the peer is not speaking
-                # this protocol version).
+                # Handshake failed for another reason (a truncated or
+                # malformed exchange).
                 self._record("connect")
                 self._count_handshake("error")
                 if sock is not None:
@@ -660,8 +664,8 @@ class DistributedExecutor(Executor):
             recorder=self.recorder,
         )
         #: Per-worker, per-category counters of every *handled* failure
-        #: (connect, auth, transport, timeout, corrupt, heartbeat, ping,
-        #: release, close, protocol) — nothing is silently swallowed.
+        #: (connect, auth, version, transport, timeout, corrupt, heartbeat,
+        #: ping, release, close, protocol) — nothing is silently swallowed.
         #: Served from :attr:`registry` as ``exec_errors_total``.
         self.telemetry = ErrorTelemetry(registry=self.registry)
         self._retry_policy = RetryPolicy(

@@ -262,7 +262,8 @@ class ErrorTelemetry:
     recorded here, keyed by worker address and a short category string:
     ``"connect"`` (dial/handshake transport failures), ``"auth"``
     (a frame or handshake failed MAC verification — tampering, a replay,
-    or a secret mismatch), ``"corrupt"`` (a frame passed its MAC but
+    or a secret mismatch), ``"version"`` (the worker announced another
+    wire protocol version), ``"corrupt"`` (a frame passed its MAC but
     violated the schema — a peer-side encoder bug, not an attacker),
     ``"transport"`` (torn frames, resets, timeouts at the socket layer),
     ``"timeout"``, ``"heartbeat"``, ``"ping"``, ``"release"``,

@@ -3,17 +3,24 @@
 This module is the trust boundary of the distributed stack.  Until v2
 the protocol was ``8-byte length || pickle`` — any peer that could reach
 a worker socket owned the process, because ``pickle.loads`` constructs
-arbitrary objects.  v2 replaces the payload with a **closed-vocabulary
-schema codec** plus a **mandatory authenticated session**:
+arbitrary objects.  v2 replaced the payload with a **closed-vocabulary
+schema codec** plus a **mandatory authenticated session**; v3 (this
+version) adds packed int runs to the vocabulary:
 
 * **Schema codec.**  :func:`encode_value` / :func:`decode_value` handle
   a fixed, tagged vocabulary: ``None``/bools/ints/floats/strings/bytes,
-  lists/tuples/dicts/sets, numpy arrays as ``dtype || shape || bytes``
-  (object dtypes refused), numpy scalars, ``SeedSequence`` and
-  ``Generator`` state, exceptions by registered name + arguments, and
-  *registered* classes/functions only.  Decoding never imports a module,
-  never calls ``__reduce__``, and only instantiates classes explicitly
-  placed in the registry (:func:`register_wire_type` /
+  lists/tuples/dicts/sets/frozensets, numpy arrays as
+  ``dtype || shape || bytes`` (object dtypes refused), numpy scalars,
+  ``SeedSequence`` and ``Generator`` state, exceptions by registered
+  name + arguments, and *registered* classes/functions only.  A
+  non-empty list/tuple/set/frozenset whose elements are all plain
+  ``int`` in 0..255 travels as one **packed run** —
+  ``R || container tag || count || one byte per value`` — so a
+  ``BCAST(b)`` transcript key or an output vertex set costs a byte per
+  value instead of a 9-byte tagged int; bools, numpy scalars, mixed
+  types and ints outside 0..255 keep element-wise tags.  Decoding never
+  imports a module, never calls ``__reduce__``, and only instantiates
+  classes explicitly placed in the registry (:func:`register_wire_type` /
   :func:`register_wire_function`, plus the lazy sweep over the repo's
   own ``Protocol``/``InputDistribution``/… hierarchies) — a worker never
   deserializes code, it looks up callables it already has.
@@ -38,7 +45,9 @@ handle it like any other transport failure:
   (unregistered names and malformed structures raise the
   :class:`SchemaViolationError` refinement);
 * a failed handshake — :class:`AuthenticationError`; a per-frame MAC
-  mismatch (tampering or replay) — :class:`FrameAuthenticationError`.
+  mismatch (tampering or replay) — :class:`FrameAuthenticationError`;
+* a worker announcing another protocol version —
+  :class:`ProtocolVersionError`.
 
 The raw framing layer (:func:`send_frame` / :func:`recv_frame`) is
 ``8-byte big-endian length || schema payload`` and carries only the
@@ -91,6 +100,7 @@ __all__ = [
     "SchemaViolationError",
     "AuthenticationError",
     "FrameAuthenticationError",
+    "ProtocolVersionError",
     "UnencodableError",
     "RemoteError",
     "register_wire_type",
@@ -111,6 +121,19 @@ _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
 
+#: Element-wise tag of each container kind; a packed int run names its
+#: container by the same tag, and the decoder rebuilds it from the tag.
+_CONTAINER_TAGS: dict[type, bytes] = {
+    list: b"l",
+    tuple: b"t",
+    set: b"h",
+    frozenset: b"H",
+}
+_RUN_CONTAINERS: dict[int, type] = {
+    tag[0]: kind for kind, tag in _CONTAINER_TAGS.items()
+}
+_PLAIN_INT = frozenset({int})
+
 #: Refuse frames beyond this size (a corrupt length prefix would
 #: otherwise ask us to allocate petabytes).  Checked on *both* sides:
 #: the sender raises before writing a byte, the receiver before
@@ -118,9 +141,11 @@ _U32 = struct.Struct(">I")
 MAX_FRAME_BYTES = 1 << 32
 
 #: Version announced in the handshake challenge.  v1 was the pickle
-#: protocol; v2 is the schema'd, authenticated protocol.  There is no
-#: cross-version negotiation — both ends must speak the same version.
-PROTOCOL_VERSION = 2
+#: protocol; v2 the schema'd, authenticated protocol; v3 adds packed int
+#: runs, which a v2 decoder cannot read.  There is no cross-version
+#: negotiation — both ends must speak the same version, and a client
+#: meeting another one raises :class:`ProtocolVersionError`.
+PROTOCOL_VERSION = 3
 
 #: Array-payload codecs this end can decode, in preference order.
 #: ``gf2pack`` bit-packs 0/1 ``uint8`` matrices (8x smaller on the
@@ -179,6 +204,10 @@ class AuthenticationError(WireProtocolError):
 
 class FrameAuthenticationError(AuthenticationError):
     """A frame's MAC did not verify — tampering or replay."""
+
+
+class ProtocolVersionError(WireProtocolError):
+    """The peer speaks another wire protocol version (no retry heals it)."""
 
 
 class UnencodableError(TypeError):
@@ -405,6 +434,24 @@ def _encode_str(enc: _Encoder, tag: bytes, text: str) -> None:
     enc.write(tag + _LENGTH.pack(len(data)) + data)
 
 
+def _encode_int_run(obj: Any, container_tag: bytes, enc: _Encoder) -> bool:
+    """Write ``obj`` as one packed run if every element is a plain ``int``
+    in 0..255.
+
+    The run is ``R || container tag || count || one byte per value``.
+    Returns ``False`` (nothing written) otherwise: a bool or numpy scalar
+    keeps its own tag, and any other int its 9-byte ``i`` tag.
+    """
+    if set(map(type, obj)) != _PLAIN_INT:
+        return False
+    try:
+        data = bytes(obj)
+    except ValueError:  # a value outside 0..255
+        return False
+    enc.write(b"R" + container_tag + _LENGTH.pack(len(obj)) + data)
+    return True
+
+
 def _lookup_function_name(obj: Any) -> str | None:
     try:
         return _FUNCTION_NAMES.get(obj)
@@ -442,8 +489,11 @@ def _encode(obj: Any, enc: _Encoder, depth: int) -> None:
         enc.write(b"b" + _LENGTH.pack(len(data)))
         enc.write_big(data)
         return
-    if kind is list or kind is tuple:
-        enc.write((b"l" if kind is list else b"t") + _LENGTH.pack(len(obj)))
+    container_tag = _CONTAINER_TAGS.get(kind)
+    if container_tag is not None:
+        if obj and _encode_int_run(obj, container_tag, enc):
+            return
+        enc.write(container_tag + _LENGTH.pack(len(obj)))
         for item in obj:
             _encode(item, enc, depth + 1)
         return
@@ -452,11 +502,6 @@ def _encode(obj: Any, enc: _Encoder, depth: int) -> None:
         for key, value in obj.items():
             _encode(key, enc, depth + 1)
             _encode(value, enc, depth + 1)
-        return
-    if kind is set or kind is frozenset:
-        enc.write((b"h" if kind is set else b"H") + _LENGTH.pack(len(obj)))
-        for item in obj:
-            _encode(item, enc, depth + 1)
         return
     if isinstance(obj, np.ndarray):
         if obj.dtype.hasobject:
@@ -645,6 +690,8 @@ class _Decoder:
         if tag == b"b":
             length = self.u64()
             return bytes(self.take(length))
+        if tag == b"R":
+            return self._int_run()
         if tag in (b"l", b"t"):
             size = self.count()
             items = [self.value(depth + 1) for _ in range(size)]
@@ -690,6 +737,15 @@ class _Decoder:
         raise CorruptFrameError(f"unknown wire tag {tag!r}")
 
     # -- composite decoders ---------------------------------------------
+    def _int_run(self) -> Any:
+        container_tag = self.take(1)[0]
+        container = _RUN_CONTAINERS.get(container_tag)
+        if container is None:
+            raise CorruptFrameError(
+                f"packed int run of unknown container kind {container_tag:#04x}"
+            )
+        return container(self.take(self.u64()))
+
     def _dtype(self, dtype_str: str) -> np.dtype:
         try:
             dtype = np.dtype(dtype_str)
@@ -1113,7 +1169,7 @@ class WireSession:
             )
         _, version, server_nonce, server_codecs = challenge
         if version != PROTOCOL_VERSION:
-            raise WireProtocolError(
+            raise ProtocolVersionError(
                 f"worker speaks wire protocol v{version}, this client "
                 f"speaks v{PROTOCOL_VERSION}"
             )

@@ -1,7 +1,5 @@
 """Tests for the spectral planted-clique baseline."""
 
-import numpy as np
-
 from repro.cliques import recovery_quality, spectral_recover
 from repro.distributions import PlantedClique, RandomDigraph
 

@@ -27,10 +27,7 @@ from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
 from repro.core import Engine, Protocol, RunSpec, run_protocol
 from repro.costs import COST_KINDS
 from repro.distributions import UniformRows
-from repro.distributions.undirected import (
-    UndirectedPlantedClique,
-    UndirectedRandomGraph,
-)
+from repro.distributions.undirected import UndirectedRandomGraph
 from repro.lowerbounds.hierarchy import TopSubmatrixRankProtocol
 from repro.prg.attacks import SupportMembershipAttack
 from repro.protocols import DeterministicEqualityProtocol, GlobalParityProtocol

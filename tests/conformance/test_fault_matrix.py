@@ -35,7 +35,6 @@ from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import DistributedExecutor, LoopbackWorker, WorkerPool
 from repro.exec.faults import (
-    DEFAULT_KINDS,
     FaultEvent,
     FaultInjector,
     FaultPlan,
@@ -115,7 +114,8 @@ def _chaos_executor(endpoints, **overrides):
     The heartbeat monitor is disabled because its probes consume
     ``accept``/``ping`` fault-schedule slots, which would make the
     replayed schedule depend on wall-clock probe timing; hangs are not
-    in :data:`DEFAULT_KINDS`, so the deadline alone bounds every cell.
+    in :data:`repro.exec.faults.DEFAULT_KINDS`, so the deadline alone
+    bounds every cell.
     """
     options = dict(
         chunksize=3,

@@ -11,7 +11,7 @@ from repro.distinguish import (
     simulate_deterministic,
     transcript_distance,
 )
-from repro.distributions import RandomDigraph, UniformRows
+from repro.distributions import RandomDigraph
 
 
 class TestSimulateDeterministic:

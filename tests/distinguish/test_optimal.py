@@ -60,8 +60,6 @@ class TestOptimalDistance:
         # member prob = k/n; over the C(n-1, k-1) placements, each forces
         # k-1 bits to 1: TV = (k/n) * (1 - 2^{-(k-1)}) only when placements
         # don't overlap... compute instead by direct enumeration here:
-        from itertools import combinations
-
         rand_pmf = row_marginal_pmf(RandomDigraph(n), 0)
         planted_pmf = row_marginal_pmf(PlantedClique(n, k), 0)
         manual = 0.5 * sum(

@@ -8,7 +8,6 @@ cross-session splicing — plus a TLS loopback run over certificates
 minted with the ``openssl`` CLI.
 """
 
-import os
 import shutil
 import socket
 import ssl
@@ -18,15 +17,20 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import Engine, RunSpec, SerialExecutor
+from repro.distributions import UniformRows
 from repro.exec import wire
 from repro.exec.distributed import DistributedExecutor, LoopbackWorker
 from repro.exec.health import FleetDegradedWarning
 from repro.exec.wire import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    WIRE_CODECS,
     AuthenticationError,
     CorruptFrameError,
     FrameAuthenticationError,
     FrameSizeError,
+    ProtocolVersionError,
     TruncatedFrameError,
     UnencodableError,
     WireProtocolError,
@@ -41,6 +45,7 @@ from repro.exec.wire import (
     resolve_secret,
     send_frame,
 )
+from repro.lowerbounds import TopSubmatrixRankProtocol
 
 _LENGTH = wire._LENGTH
 
@@ -86,6 +91,24 @@ def _session_pair(client_secret=None, server_secret=None,
     return results["client"], results["server"], left, right
 
 
+def _assert_same_types(decoded, value):
+    """Equality alone hides a wrong kind: ``{1} == frozenset({1})`` and
+    ``True == 1`` both hold, so compare container and element types too."""
+    assert type(decoded) is type(value)
+    if isinstance(value, (list, tuple)):
+        for out, item in zip(decoded, value):
+            _assert_same_types(out, item)
+    elif isinstance(value, (set, frozenset)):
+        assert {(type(x), x) for x in decoded} == {(type(x), x) for x in value}
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _assert_same_types(decoded[key], item)
+
+
+#: Header of a packed int run: tag, container tag, count.
+_RUN_HEADER_BYTES = 2 + _LENGTH.size
+
+
 class TestValueCodec:
     ROUND_TRIPS = [
         None,
@@ -103,11 +126,87 @@ class TestValueCodec:
         ("nested", (1, [2, {"three": 4}])),
         [1, 2, 3],
         {"a": 1, 2: "b"},
+        # Packed int runs: every container kind holding a 0/1 key ...
+        [0, 1, 1, 0],
+        (1, 0, 0, 1),
+        {0, 1},
+        frozenset({1, 0}),
+        # ... negative ints, values above 255, the i64 bounds and one
+        # element of 2**63 (all element-wise), bools mixed with ints
+        # (they stay bools), numpy-int elements (they stay numpy
+        # scalars), ...
+        (-1, 0, 5),
+        [256, 3, 70000],
+        (-(1 << 63), (1 << 63) - 1),
+        (1, 1 << 63),
+        [True, 0, 1, False],
+        (np.int64(3), np.uint8(1), 2),
+        # ... and empty and one-element containers.
+        [],
+        set(),
+        frozenset(),
+        (7,),
+        [300],
+        {0},
+        frozenset({-2}),
     ]
 
     @pytest.mark.parametrize("value", ROUND_TRIPS, ids=repr)
     def test_round_trip(self, value):
-        assert decode_value(encode_value(value)) == value
+        decoded = decode_value(encode_value(value))
+        assert decoded == value
+        _assert_same_types(decoded, value)
+
+    @pytest.mark.parametrize(
+        "value", [[0, 1, 1], (255, 0), {3}, frozenset({7, 200})], ids=repr
+    )
+    def test_byte_int_containers_travel_as_one_run(self, value):
+        payload = encode_value(value)
+        assert payload[:1] == b"R"
+        assert len(payload) == _RUN_HEADER_BYTES + len(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [(-1, 2), [256], frozenset({(1 << 63) - 1}), (1, 1 << 63), [True, 1],
+         (np.int64(1),)],
+        ids=repr,
+    )
+    def test_other_containers_keep_element_tags(self, value):
+        assert encode_value(value)[:1] != b"R"
+
+    def test_bcast1_key_costs_one_byte_per_turn(self):
+        """A 160-turn BCAST(1) transcript key: a byte per turn plus the
+        run header (1,449 bytes as 9-byte tagged ints)."""
+        spec = RunSpec(
+            protocol=TopSubmatrixRankProtocol(5),
+            distribution=UniformRows(32, 5),
+            seed=3,
+        )
+        key = Engine(SerialExecutor()).run(spec).transcript.key()
+        assert len(key) == 160
+        payload = encode_value(key)
+        assert len(payload) <= len(key) + _RUN_HEADER_BYTES
+        assert decode_value(payload) == key
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # a run truncated in its header, its count or its payload
+            b"R",
+            b"Rt" + _LENGTH.pack(3)[:5],
+            b"Rl" + _LENGTH.pack(2) + bytes(1),
+            # a count beyond the payload
+            b"Rt" + _LENGTH.pack(100) + bytes(10),
+            b"RH" + _LENGTH.pack((1 << 64) - 1),
+            # an unknown container kind
+            b"RD" + _LENGTH.pack(1) + b"\x00",
+            b"R\x00" + _LENGTH.pack(1) + b"\x00",
+        ],
+        ids=repr,
+    )
+    def test_malformed_run_is_typed(self, payload):
+        with pytest.raises(CorruptFrameError):
+            decode_value(payload)
 
     def test_numpy_array_round_trip(self):
         array = np.arange(12, dtype=np.uint8).reshape(3, 4)
@@ -364,6 +463,77 @@ class TestSessionAuth:
         finally:
             left.close()
             right.close()
+
+
+class _StaleWorker:
+    """A listener answering every connection with an old-version challenge."""
+
+    def __init__(self, version):
+        self.version = version
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.address = self._listener.getsockname()[:2]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            with conn:
+                conn.settimeout(5.0)
+                send_frame(conn, ("challenge", self.version, bytes(16), WIRE_CODECS))
+                try:
+                    conn.recv(1)  # until the client hangs up
+                except OSError:  # the client reset the connection: also done
+                    pass
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+
+
+class TestVersionMismatch:
+    def test_client_names_both_versions(self):
+        left, right = _socketpair()
+        try:
+            send_frame(
+                right, ("challenge", PROTOCOL_VERSION - 1, bytes(16), WIRE_CODECS)
+            )
+            with pytest.raises(ProtocolVersionError) as err:
+                WireSession.client(left)
+            assert f"v{PROTOCOL_VERSION - 1}" in str(err.value)
+            assert f"v{PROTOCOL_VERSION}" in str(err.value)
+            assert isinstance(err.value, WireProtocolError)
+            assert not isinstance(err.value, AuthenticationError)
+        finally:
+            left.close()
+            right.close()
+
+    def test_stale_worker_is_reported_once_without_retry(self):
+        """A worker on the previous version is named at once — one
+        connect, its own telemetry category and handshake outcome — not
+        retried with backoff like a torn handshake."""
+        stale = _StaleWorker(PROTOCOL_VERSION - 1)
+        try:
+            with DistributedExecutor(
+                [stale.address], connect_retries=3, heartbeat_interval=None
+            ) as executor:
+                with pytest.warns(FleetDegradedWarning):
+                    assert executor.map(_double, [1, 2]) == [2, 4]
+                assert stale.connections == 1
+                assert executor.telemetry.counts() == {stale.address: {"version": 1}}
+                total = executor.registry.total
+                assert total("exec_handshakes_total", outcome="version") == 1
+                assert total("exec_handshakes_total") == 1
+        finally:
+            stale.close()
 
 
 class TestArrayPayloadCodec:

@@ -2,7 +2,6 @@
 Corollary 7.1 (derandomized pipeline) and Appendix B, end to end."""
 
 import numpy as np
-import pytest
 
 from repro.cliques import (
     PlantedCliqueSubsampleProtocol,

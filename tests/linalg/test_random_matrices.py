@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.linalg import (
-    BitMatrix,
     matrix_with_rank,
     prg_matrix,
     rank_deficient_matrix,

@@ -5,7 +5,6 @@ import pytest
 from repro.core import run_protocol
 from repro.prg import (
     MatrixPRGProtocol,
-    PRGParameters,
     choose_parameters,
     matrix_prg_rounds,
 )

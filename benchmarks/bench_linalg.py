@@ -12,8 +12,11 @@ scalar implementations** (frozen verbatim below as ``_legacy_*``) and
 writes the medians to ``BENCH_linalg.json`` in the repo root — the
 machine-readable perf trajectory CI uploads as an artifact.  The claims
 it asserts: batched lock-step rank is ≥ 10× faster than 256 scalar
-eliminations at n = 256, and the masked-XOR ``vecmat`` is ≥ 5× faster
-than the pre-PR per-bit row loop at n = 4096.  The ``rank_prefix`` record
+eliminations at n = 256, the masked-XOR ``vecmat`` is ≥ 5× faster
+than the pre-PR per-bit row loop at n = 4096, and the XOR-basis scalar
+``rank`` is ≥ 5× faster than the column-elimination loop at 32×32 (the
+shape ``TopSubmatrixRankProtocol(32)`` ranks once per trial; the 8×8 and
+256×256 scalar records are recorded, not gated).  The ``rank_prefix`` record
 (one elimination reporting a leading block's rank too, against two
 eliminations, on the seed-length attack's shape) is recorded, not gated.
 """
@@ -33,6 +36,13 @@ N = 256
 #: Batched-rank acceptance shape: 256 uniform 256×256 matrices.
 RANK_BATCH = 256
 RANK_N = 256
+#: Scalar ``BitMatrix.rank`` shapes (n × n): the blocks the scalar paths
+#: rank one trial at a time (8 on ``budget-sweep-pool``, 32 on
+#: ``hierarchy-scalar``) and the batched acceptance size.
+SCALAR_RANK_NS = (8, 32, RANK_N)
+#: Gated scalar shape and its bar over ``_legacy_rank``.
+SCALAR_RANK_GATED_N = 32
+SCALAR_RANK_BAR = 5.0
 #: vecmat acceptance shape: x^T M with M uniform 4096×4096.
 VECMAT_N = 4096
 #: Prefix-rank shape: the seed-length attack's ``[X | y]`` blocks on the
@@ -100,13 +110,32 @@ def collect_linalg_records() -> list[dict]:
     # matvec at n=4096 (popcount parities; no legacy loop to compare).
     matvec_ns = median_ns(big.matvec, x, repeats=9)
 
-    # scalar rank at n=256 and the batched lock-step elimination over
-    # 256 matrices vs 256 legacy scalar eliminations.
+    # scalar XOR-basis rank vs the legacy column elimination, one matrix
+    # at a time, at the shapes the scalar paths rank.
+    scalar_records = []
+    for n in SCALAR_RANK_NS:
+        matrix = BitMatrix.random(n, n, rng)
+        assert matrix.rank() == _legacy_rank(matrix)
+        number = max(1, 4096 // (n * n))
+        scalar_ns = median_ns(matrix.rank, repeats=9, number=number)
+        legacy_ns = median_ns(_legacy_rank, matrix, repeats=9, number=number)
+        scalar_records.append(
+            {
+                "kernel": "rank",
+                "n": n,
+                "ns_per_op": scalar_ns,
+                "legacy_ns_per_op": legacy_ns,
+                "speedup": legacy_ns / scalar_ns,
+            }
+        )
+
+    # the batched lock-step elimination over 256 matrices vs 256 legacy
+    # scalar eliminations.
     batch = BitMatrixBatch.random(RANK_BATCH, RANK_N, RANK_N, rng)
     matrices = list(batch)
     legacy_ranks = [_legacy_rank(m) for m in matrices]
     assert np.array_equal(batch.rank(), legacy_ranks)
-    rank_ns = median_ns(matrices[0].rank, repeats=5)
+    assert [m.rank() for m in matrices] == legacy_ranks
     rank_batched_ns = median_ns(batch.rank, repeats=5)
     rank_legacy_ns = median_ns(
         lambda: [_legacy_rank(m) for m in matrices], repeats=3
@@ -138,11 +167,7 @@ def collect_linalg_records() -> list[dict]:
             "legacy_ns_per_op": vecmat_legacy_ns,
             "speedup": vecmat_legacy_ns / vecmat_ns,
         },
-        {
-            "kernel": "rank",
-            "n": RANK_N,
-            "ns_per_op": rank_ns,
-        },
+        *scalar_records,
         {
             "kernel": "rank_batched",
             "n": RANK_N,
@@ -190,20 +215,26 @@ def _report(records: list[dict]) -> None:
 
 
 def _assert_speedups(records: list[dict]) -> None:
-    by_kernel = {r["kernel"]: r for r in records}
+    by_kernel = {r["kernel"]: r for r in records if r["kernel"] != "rank"}
+    scalar_rank = {r["n"]: r for r in records if r["kernel"] == "rank"}
     rank_speedup = by_kernel["rank_batched"]["speedup"]
     vecmat_speedup = by_kernel["vecmat"]["speedup"]
+    scalar_speedup = scalar_rank[SCALAR_RANK_GATED_N]["speedup"]
     assert rank_speedup >= 10.0, (
         f"batched rank speedup {rank_speedup:.1f}x below the 10x bar"
     )
     assert vecmat_speedup >= 5.0, (
         f"vecmat speedup {vecmat_speedup:.1f}x below the 5x bar"
     )
+    assert scalar_speedup >= SCALAR_RANK_BAR, (
+        f"scalar rank speedup {scalar_speedup:.1f}x at n={SCALAR_RANK_GATED_N} "
+        f"below the {SCALAR_RANK_BAR:.0f}x bar"
+    )
 
 
 def test_batched_kernel_trajectory():
-    """Batched rank ≥ 10× and vecmat ≥ 5× over the pre-PR scalar kernels,
-    with medians recorded in BENCH_linalg.json."""
+    """Batched rank ≥ 10×, vecmat ≥ 5× and 32×32 scalar rank ≥ 5× over
+    the pre-PR kernels, with medians recorded in BENCH_linalg.json."""
     records = collect_linalg_records()
     _report(records)
     _assert_speedups(records)
@@ -274,4 +305,7 @@ if __name__ == "__main__":
     _records = collect_linalg_records()
     _report(_records)
     _assert_speedups(_records)
-    print("speedup bars met: batched rank >= 10x, vecmat >= 5x")
+    print(
+        "speedup bars met: batched rank >= 10x, vecmat >= 5x, "
+        f"scalar rank >= {SCALAR_RANK_BAR:.0f}x at n={SCALAR_RANK_GATED_N}"
+    )

@@ -1064,6 +1064,12 @@ def _execute(
     for proc in contexts:
         protocol.setup(proc)
 
+    broadcast = protocol.broadcast
+    receive = protocol.receive
+    # Read Protocol.receive now, not at import: a tracer that wraps the
+    # base no-op in place still compares equal here.
+    notify = getattr(receive, "__func__", None) is not Protocol.receive
+
     rounds_run = 0
     for round_index in range(n_rounds):
         if rounds is None and protocol.finished(n, transcript, round_index):
@@ -1074,25 +1080,26 @@ def _execute(
             # speakers in the same round condition on it.
             for proc_id in senders:
                 message = _checked_message(
-                    protocol.broadcast(contexts[proc_id], round_index),
+                    broadcast(contexts[proc_id], round_index),
                     max_payload, proc_id, round_index,
                 )
                 transcript._push(round_index, (proc_id,), (message,), width)
         else:
             # Synchronous round: compute all messages against the frozen
-            # transcript of previous rounds, then publish them in one push.
+            # transcript of previous rounds, width-check the round once,
+            # then publish it in one push.
             payloads = [
-                _checked_message(
-                    protocol.broadcast(contexts[proc_id], round_index),
-                    max_payload, proc_id, round_index,
-                )
-                for proc_id in senders
+                int(broadcast(contexts[proc_id], round_index)) for proc_id in senders
             ]
+            if payloads and (min(payloads) < 0 or max(payloads) >= max_payload):
+                for proc_id, message in zip(senders, payloads):
+                    _checked_message(message, max_payload, proc_id, round_index)
             transcript._push(round_index, senders, payloads, width)
-        # Every processor's receive() gets this one sender → payload map.
-        round_messages = transcript.round_messages(round_index)
-        for proc in contexts:
-            protocol.receive(proc, round_index, round_messages)
+        if notify:
+            # Every processor's receive() gets this one sender → payload map.
+            round_messages = transcript.round_messages(round_index)
+            for proc in contexts:
+                receive(proc, round_index, round_messages)
         rounds_run = round_index + 1
 
     outputs = [protocol.output(proc) for proc in contexts]

@@ -5,8 +5,8 @@ A :class:`BitMatrix` stores each row as packed 64-bit words (see
 operations the reproduction needs:
 
 * matrix–vector and matrix–matrix multiplication over GF(2),
-* Gaussian-elimination rank (and rank of leading submatrices, used by the
-  time-hierarchy function of Theorem 1.5),
+* rank (and rank of leading submatrices, used by the time-hierarchy
+  function of Theorem 1.5) by reducing rows against an XOR basis,
 * row access as :class:`~repro.linalg.bitvec.BitVector`,
 * uniform random sampling.
 
@@ -16,8 +16,11 @@ popcount, conversions go through the vectorized pack/unpack helpers of
 bit-block swap network directly on the packed words, ``vecmat`` is a
 masked XOR-reduce over the rows selected by the vector's one-bits, and
 ``matmul`` blocks its popcount temporary so large products stay
-cache-sized.  For whole batches of matrices (Monte-Carlo trials), see
-:mod:`repro.linalg.batch`.
+cache-sized.  ``rank`` is the exception: it turns each packed row into
+one Python int and XORs whole rows, which beats a few numpy calls per
+pivot column on every size the reproduction ranks one matrix at a time
+(up to 256×256).  For whole batches of matrices (Monte-Carlo trials),
+see :mod:`repro.linalg.batch`.
 """
 
 from __future__ import annotations
@@ -306,27 +309,34 @@ class BitMatrix:
     # Rank and elimination
     # ------------------------------------------------------------------
     def rank(self) -> int:
-        """Rank over GF(2) via Gaussian elimination on packed rows."""
-        work = self.words.copy()
-        n_rows = self.rows
-        pivot_row = 0
-        for j in range(self.cols):
-            if pivot_row >= n_rows:
-                break
-            word, bit = j // _WORD_BITS, np.uint64(j % _WORD_BITS)
-            col_bits = (work[pivot_row:, word] >> bit) & np.uint64(1)
-            hits = np.nonzero(col_bits)[0]
-            if hits.size == 0:
-                continue
-            pivot = pivot_row + int(hits[0])
-            if pivot != pivot_row:
-                work[[pivot_row, pivot]] = work[[pivot, pivot_row]]
-            # Clear column j in every row below the pivot.
-            below = (work[pivot_row + 1 :, word] >> bit) & np.uint64(1)
-            mask = below.astype(bool)
-            work[pivot_row + 1 :][mask] ^= work[pivot_row]
-            pivot_row += 1
-        return pivot_row
+        """Rank over GF(2) by reducing every row against an XOR basis.
+
+        Each packed row becomes one Python int (bit ``j`` is column ``j``)
+        and is XORed with the basis row owning its leading bit until it
+        either vanishes or has a leading bit no basis row owns, when it
+        joins the basis.  Basis rows have distinct leading bits, so they
+        are independent and span the row space: the rank is the basis
+        size.  Each XOR is one Python int operation on a whole row, not a
+        few numpy calls per pivot column, and the algorithm shares nothing
+        with :class:`~repro.linalg.batch.BitMatrixBatch`'s column
+        elimination, which the batch tests compare against it.
+        """
+        if not self.rows or not self.cols:
+            return 0
+        raw = self.words.astype("<u8", copy=False).tobytes()
+        stride = len(raw) // self.rows
+        basis: dict[int, int] = {}
+        owner = basis.get
+        for start in range(0, len(raw), stride):
+            row = int.from_bytes(raw[start : start + stride], "little")
+            while row:
+                lead = row.bit_length()
+                pivot = owner(lead)
+                if pivot is None:
+                    basis[lead] = row
+                    break
+                row ^= pivot
+        return len(basis)
 
     def is_full_rank(self) -> bool:
         """True iff the rank equals ``min(rows, cols)``."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.processor import ProcessorContext
 from ..core.protocol import Protocol, require_bits
+from ..core.transcript import Transcript
 from ..costs import CostModel, Phase, Sym
 from ..linalg.batch import BitMatrixBatch
 from ..linalg.bitmatrix import BitMatrix
@@ -96,16 +97,22 @@ class SupportMembershipAttack(Protocol):
             )
         return int(proc.input[round_index])
 
-    def _revealed(self, proc: ProcessorContext) -> np.ndarray:
+    def output(self, proc: ProcessorContext) -> int:
+        # The test reads only the public transcript: two ranks per trial,
+        # shared by every processor.
+        return proc.transcript.derived(self._decision, len(proc.transcript))
+
+    def _revealed(self, transcript: Transcript) -> np.ndarray:
         """The ``n × (k+1)`` matrix of revealed prefixes."""
-        revealed = np.zeros((proc.n, self.k + 1), dtype=np.uint8)
-        for event in proc.transcript:
-            if event.round_index <= self.k:
-                revealed[event.sender, event.round_index] = event.message
+        n = len(transcript.round_messages(0))  # everyone speaks in round 0
+        revealed = np.zeros((n, self.k + 1), dtype=np.uint8)
+        for round_index in range(self.k + 1):
+            for sender, message in transcript.round_messages(round_index).items():
+                revealed[sender, round_index] = message
         return revealed
 
-    def output(self, proc: ProcessorContext) -> int:
-        revealed = self._revealed(proc)
+    def _decision(self, transcript: Transcript) -> int:
+        revealed = self._revealed(transcript)
         seed_block = BitMatrix.from_array(revealed[:, : self.k])
         full = BitMatrix.from_array(revealed)
         return int(full.rank() == seed_block.rank())

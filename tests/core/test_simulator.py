@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ComposedProtocol,
     FunctionProtocol,
     MessageSizeError,
     Protocol,
     PublicCoins,
     RandomnessExhausted,
     RoundScheduler,
+    Scheduler,
     SchedulingError,
     TurnScheduler,
     run_protocol,
@@ -47,6 +49,44 @@ class PeekCurrentRoundProtocol(Protocol):
 
     def broadcast(self, proc, round_index):
         return int(len(proc.transcript.last_round_messages()) > 0)
+
+
+class ReversedScheduler(Scheduler):
+    """Highest processor id speaks first; turn-style visibility on request."""
+
+    def __init__(self, sees_current_round):
+        self.sees_current_round = sees_current_round
+
+    def speaking_order(self, n, round_index):
+        return reversed(range(n))
+
+
+class OverflowInRoundOne(Protocol):
+    """Round 0 is clean; in round 1 processors 1 and 3 broadcast ``bad``."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def num_rounds(self, n):
+        return 2
+
+    def broadcast(self, proc, round_index):
+        if round_index == 1 and proc.proc_id in (1, 3):
+            return self.bad
+        return 0
+
+
+class RecordsReceive(Protocol):
+    """Broadcasts ``(proc_id + round) % 2`` and logs every receive call."""
+
+    def num_rounds(self, n):
+        return 3
+
+    def broadcast(self, proc, round_index):
+        return (proc.proc_id + round_index) % 2
+
+    def receive(self, proc, round_index, messages):
+        proc.memory.setdefault("received", []).append((round_index, dict(messages)))
 
 
 class TestBasics:
@@ -103,6 +143,56 @@ class TestBroadcastConstraint:
         result = run_protocol(protocol, np.zeros((2, 1), dtype=np.uint8), rng=rng)
         assert result.transcript.total_bits == 6
         assert result.cost.bcast1_equivalent_rounds() == 3
+
+    @pytest.mark.parametrize("sees_current_round", [False, True])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_first_overflow_in_speaking_order_is_reported(
+        self, rng, sees_current_round, bad
+    ):
+        # Processors 1 and 3 overflow in round 1; speaking order is
+        # reversed, so processor 3 is the first to break the width.
+        with pytest.raises(
+            MessageSizeError,
+            match=rf"processor 3 broadcast payload {bad} in round 1,",
+        ):
+            run_protocol(
+                OverflowInRoundOne(bad),
+                np.zeros((5, 1), dtype=np.uint8),
+                scheduler=ReversedScheduler(sees_current_round),
+                rng=rng,
+            )
+
+
+class TestReceive:
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_override_gets_every_round_map(self, rng, scheduler):
+        n = 4
+        result = run_protocol(
+            RecordsReceive(),
+            np.zeros((n, 1), dtype=np.uint8),
+            scheduler=scheduler,
+            rng=rng,
+        )
+        expected = [(r, {p: (p + r) % 2 for p in range(n)}) for r in range(3)]
+        for proc in result.contexts:
+            assert proc.memory["received"] == expected
+        assert sum(len(proc.memory["received"]) for proc in result.contexts) == n * 3
+
+    def test_composed_inner_override_gets_local_rounds(self, rng):
+        n = 3
+        first = FunctionProtocol(2, lambda i, row, p: 1)
+        result = run_protocol(
+            ComposedProtocol(first, RecordsReceive()),
+            np.zeros((n, 1), dtype=np.uint8),
+            rng=rng,
+        )
+        # The inner phase sees its own round numbers and each global
+        # round's map, once per processor per round.
+        expected = [(r, {p: (p + r) % 2 for p in range(n)}) for r in range(3)]
+        for proc in result.contexts:
+            assert proc.memory["received"] == expected
+        for r in range(3):
+            assert result.transcript.round_messages(2 + r) == expected[r][1]
 
 
 class TestScheduling:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import BitMatrix, BitVector
+from repro.linalg import BitMatrix, BitVector, count_matrices_of_rank
 
 
 def numpy_gf2_rank(arr: np.ndarray) -> int:
@@ -174,6 +174,48 @@ class TestRank:
         arr2[0] ^= arr2[1]  # row operation preserves rank
         assert BitMatrix.from_array(arr2).rank() == base
 
+    @pytest.mark.parametrize("rows,cols", [(2, 5), (3, 4), (4, 4)])
+    def test_rank_histogram_matches_exact_count(self, rows, cols):
+        # Every rows × cols matrix, once: the rank histogram must equal the
+        # closed-form count of matrices of each rank.
+        codes = np.arange(2 ** (rows * cols), dtype=np.int64)
+        bits = (codes[:, None] >> np.arange(rows * cols)) & 1
+        stack = bits.reshape(-1, rows, cols).astype(np.uint8)
+        ranks = [BitMatrix.from_array(arr).rank() for arr in stack]
+        histogram = np.bincount(ranks, minlength=min(rows, cols) + 1)
+        expected = [
+            count_matrices_of_rank(rows, cols, r) for r in range(min(rows, cols) + 1)
+        ]
+        assert histogram.tolist() == expected
+
+    @pytest.mark.parametrize("cols", [63, 64, 65, 127, 128, 129])
+    def test_word_boundary_columns(self, rng, cols):
+        for rows in (3, cols - 1, cols + 2):
+            arr = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            assert BitMatrix.from_array(arr).rank() == numpy_gf2_rank(arr)
+        # A set bit only in the last column must still count.
+        last = np.zeros((2, cols), dtype=np.uint8)
+        last[1, -1] = 1
+        assert BitMatrix.from_array(last).rank() == 1
+
+    @pytest.mark.parametrize("rows,cols", [(5, 0), (0, 7), (0, 0), (0, 130)])
+    def test_empty_matrices_have_rank_zero(self, rows, cols):
+        m = BitMatrix.zeros(rows, cols)
+        assert m.rank() == 0
+        assert m.is_full_rank()
+
+    def test_multiword_full_rank_and_row_space(self, rng):
+        tail = rng.integers(0, 2, size=(5, 95), dtype=np.uint8)
+        arr = np.hstack([np.eye(5, dtype=np.uint8), tail])
+        m = BitMatrix.from_array(arr)
+        assert m.is_full_rank()
+        assert m.row_space_contains(BitVector.from_array(arr[1] ^ arr[3]))
+        outside = np.zeros(100, dtype=np.uint8)
+        outside[99] = 1
+        assert not m.row_space_contains(BitVector.from_array(outside))
+        dependent = np.vstack([arr, arr[0] ^ arr[4]])
+        assert not BitMatrix.from_array(dependent).is_full_rank()
+
 
 class TestDunder:
     def test_equality_hash(self, rng):
@@ -189,8 +231,8 @@ class TestDunder:
 
 
 @given(
-    rows=st.integers(1, 8),
-    cols=st.integers(1, 80),
+    rows=st.integers(0, 70),
+    cols=st.integers(0, 130),
     seed=st.integers(0, 2**31),
 )
 @settings(max_examples=40, deadline=None)

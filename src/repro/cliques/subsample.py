@@ -157,12 +157,16 @@ class PlantedCliqueSubsampleProtocol(Protocol):
             active = int(draw < p * (1 << _COIN_PRECISION))
             proc.memory["active"] = bool(active)
             return active
-        active = self._active_set(proc.transcript, proc.n)
+        active = proc.memory.get("active_set")
+        if active is None:
+            # Fixed once round 0 is over: look it up once per processor.
+            active = proc.memory["active_set"] = self._active_set(
+                proc.transcript, proc.n
+            )
         if round_index <= len(active):
             # Edge-broadcast phase: my edge toward the t-th activated vertex.
             if proc.memory.get("active"):
-                target = active[round_index - 1]
-                return int(proc.input[target])
+                return proc.input_bits[active[round_index - 1]]
             return 0
         # Membership round.
         return self._membership_claim(proc)
@@ -209,7 +213,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         others = [v for v in clique if v != proc.proc_id]
         if not others:
             return 0
-        support = sum(int(proc.input[v]) for v in others)
+        support = sum(proc.input_bits[v] for v in others)
         return int(support >= self.support_fraction * len(others))
 
     # ------------------------------------------------------------------

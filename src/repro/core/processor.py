@@ -32,7 +32,13 @@ class ProcessorContext:
     input:
         The processor's private input row, a numpy ``uint8`` 0/1 array.
         For graph problems this is row ``proc_id`` of the adjacency matrix
-        (its out-edge indicator vector).
+        (its out-edge indicator vector).  Use it for array maths (sums,
+        dot products, ``np.nonzero``).
+    input_bits:
+        The same row as a list of plain Python ints, read-only by
+        contract.  Callbacks that read single bits index this list:
+        ``proc.input_bits[j]`` is a list lookup, where ``int(proc.input[j])``
+        builds a numpy scalar and converts it on every call.
     coins:
         Private randomness (metered).
     public_coins:
@@ -48,6 +54,7 @@ class ProcessorContext:
         "proc_id",
         "n",
         "input",
+        "input_bits",
         "coins",
         "public_coins",
         "transcript",
@@ -63,12 +70,21 @@ class ProcessorContext:
         coins: CoinSource,
         public_coins: CoinSource | None,
         transcript: Transcript,
+        input_bits: list[int] | None = None,
     ):
+        """``input_bits`` must equal ``input_row.tolist()`` for a ``uint8``
+        row: :func:`~repro.core.simulator.make_contexts` passes both,
+        converted once per trial.  Left out, both are derived from
+        ``input_row`` here."""
         if not 0 <= proc_id < n:
             raise ValueError(f"processor id {proc_id} out of range for n={n}")
+        if input_bits is None:
+            input_row = np.asarray(input_row, dtype=np.uint8)
+            input_bits = input_row.tolist()
         self.proc_id = proc_id
         self.n = n
-        self.input = np.asarray(input_row, dtype=np.uint8)
+        self.input = input_row
+        self.input_bits = input_bits
         self.coins = coins
         self.public_coins = public_coins
         self.transcript = transcript
@@ -80,10 +96,9 @@ class ProcessorContext:
     # ------------------------------------------------------------------
     def my_previous_messages(self) -> list[int]:
         """Payloads this processor broadcast in earlier turns."""
-        transcript = self.transcript
         return [
-            message
-            for sender, message in zip(transcript._senders, transcript._payloads)
+            payload
+            for _, sender, payload in self.transcript.broadcasts()
             if sender == self.proc_id
         ]
 
@@ -93,7 +108,7 @@ class ProcessorContext:
 
     def input_bit(self, j: int) -> int:
         """Bit ``j`` of the private input row."""
-        return int(self.input[j])
+        return self.input_bits[j]
 
     def __repr__(self) -> str:
         return f"ProcessorContext(proc_id={self.proc_id}, n={self.n})"

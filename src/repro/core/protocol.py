@@ -99,7 +99,14 @@ class Protocol:
 
     def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
         """Return the message (integer in ``[0, 2^message_size)``) that
-        ``proc`` broadcasts in ``round_index``."""
+        ``proc`` broadcasts in ``round_index``.
+
+        Called ``n`` times a round, so keep it cheap: read single input
+        bits from ``proc.input_bits`` (a list of ints) rather than
+        ``int(proc.input[j])``, check the input's shape once in
+        :meth:`setup`, and keep per-processor values that a phase fixes
+        in ``proc.memory`` instead of looking them up every round.
+        """
         raise NotImplementedError
 
     def receive(
@@ -120,7 +127,10 @@ class Protocol:
         Read payloads with
         :meth:`~repro.core.transcript.Transcript.round_messages` (a
         ``sender → payload`` dict per round, straight from the transcript's
-        columns) rather than by iterating its ``BroadcastEvent`` records.
+        columns) or, to decode many rounds at once,
+        :meth:`~repro.core.transcript.Transcript.broadcasts` (one pass of
+        ``(round_index, sender, payload)`` triples), rather than by
+        iterating its ``BroadcastEvent`` records.
         """
         return None
 

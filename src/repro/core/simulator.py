@@ -58,9 +58,11 @@ def make_contexts(
     """Build per-processor contexts sharing one transcript.
 
     ``inputs`` is an ``n × m`` 0/1 array; row ``i`` becomes processor
-    ``i``'s private input.  Each processor receives an independent private
-    coin source derived from ``rng``: the ``n`` seeds are drawn here, the
-    generators on each processor's first coin flip.
+    ``i``'s private input, both as a numpy row and as the list of ints
+    in ``input_bits`` (one ``tolist`` per trial).  Each processor
+    receives an independent private coin source derived from ``rng``:
+    the ``n`` seeds are drawn here, the generators on each processor's
+    first coin flip.
     """
     inputs = np.asarray(inputs, dtype=np.uint8)
     if inputs.ndim != 2:
@@ -71,17 +73,18 @@ def make_contexts(
         # runs go through the engine, which always passes a seeded rng.
         rng = fresh_generator()
     transcript = Transcript()
-    seeds = rng.integers(0, 2**63, size=n, dtype=np.int64)
+    seeds = rng.integers(0, 2**63, size=n, dtype=np.int64).tolist()
     contexts = [
         ProcessorContext(
             proc_id=i,
             n=n,
-            input_row=inputs[i],
-            coins=PrivateCoins.from_seed(int(seeds[i]), budget=private_bit_budget),
+            input_row=row,
+            coins=PrivateCoins.from_seed(seed, budget=private_bit_budget),
             public_coins=public_coins,
             transcript=transcript,
+            input_bits=bits,
         )
-        for i in range(n)
+        for i, (row, bits, seed) in enumerate(zip(inputs, inputs.tolist(), seeds))
     ]
     return contexts, transcript
 

@@ -13,8 +13,8 @@ Because the model is a broadcast clique, the sequence of senders is fixed by
 the scheduler; the information content of a transcript is exactly the
 message payloads in order, which is what :meth:`key` encodes.  Reads that
 return integers (:meth:`key`, :meth:`bits`, :meth:`round_messages`,
-``len``, :attr:`total_bits`) come straight from the columns and build no
-event.
+:meth:`broadcasts`, ``len``, :attr:`total_bits`) come straight from the
+columns and build no event.
 
 Every processor of an execution holds the same transcript object, so a
 value computed from it alone is public: :meth:`Transcript.derived`
@@ -229,6 +229,16 @@ class Transcript:
         senders, payloads = self._senders, self._payloads
         turns = self._rounds.get(round_index, ())
         return {senders[turn]: payloads[turn] for turn in turns}
+
+    def broadcasts(self) -> Iterator[tuple[int, int, int]]:
+        """Each broadcast's ``(round_index, sender, payload)``, in turn order.
+
+        One read-only pass over the round, sender and payload columns
+        that builds no event: the read for a callback that decodes many
+        rounds at once (a revealed matrix, say), where a
+        :meth:`round_messages` dict per round would cost a dict each.
+        """
+        return zip(self._round_ids, self._senders, self._payloads)
 
     def last_round_messages(self) -> list[BroadcastEvent]:
         """Broadcasts of the most recent (possibly partial) round."""

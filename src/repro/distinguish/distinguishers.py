@@ -64,7 +64,7 @@ class DegreeThresholdDistinguisher(Protocol):
         return int(int(proc.input.sum()) >= self.degree_threshold)
 
     def output(self, proc: ProcessorContext) -> int:
-        votes = sum(e.message for e in proc.transcript.messages_in_round(0))
+        votes = sum(proc.transcript.round_messages(0).values())
         return int(votes >= self.vote_threshold)
 
 
@@ -103,20 +103,20 @@ class NeighborhoodVoteDistinguisher(Protocol):
         if round_index == 0:
             return int(int(proc.input.sum()) >= self.degree_threshold)
         claimants = [
-            e.sender
-            for e in proc.transcript.messages_in_round(0)
-            if e.message == 1
+            sender
+            for sender, message in proc.transcript.round_messages(0).items()
+            if message == 1
         ]
         if not claimants:
             return 0
-        support = sum(int(proc.input[v]) for v in claimants if v != proc.proc_id)
+        support = sum(proc.input_bits[v] for v in claimants if v != proc.proc_id)
         others = sum(1 for v in claimants if v != proc.proc_id)
         if others == 0:
             return 0
         return int(support >= self.support_fraction * others)
 
     def output(self, proc: ProcessorContext) -> int:
-        votes = sum(e.message for e in proc.transcript.messages_in_round(1))
+        votes = sum(proc.transcript.round_messages(1).values())
         return int(votes >= self.vote_threshold)
 
 
@@ -151,7 +151,7 @@ class RandomParityProbe(Protocol):
 
     def output(self, proc: ProcessorContext) -> int:
         for r in range(self._n_rounds):
-            messages = [e.message for e in proc.transcript.messages_in_round(r)]
+            messages = proc.transcript.round_messages(r).values()
             if messages and (all(m == 0 for m in messages) or
                              all(m == 1 for m in messages)):
                 return 1

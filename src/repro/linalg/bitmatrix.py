@@ -25,6 +25,8 @@ see :mod:`repro.linalg.batch`.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .bitvec import (
@@ -156,6 +158,18 @@ class BitMatrix:
         bits = (arr != 0).astype(np.uint8)
         rows, cols = bits.shape
         return cls(rows, cols, _pack_bits(bits))
+
+    @classmethod
+    def from_ints(cls, rows: Sequence[int], cols: int) -> "BitMatrix":
+        """Build from rows given as Python ints (bit ``j`` of ``rows[i]``
+        → entry ``(i, j)``): the row form :meth:`rank` reduces, so rows
+        already held as ints need no 0/1 array in between."""
+        if any(row < 0 or row >> cols for row in rows):
+            raise ValueError(f"every row must be an int in [0, 2^{cols})")
+        n_words = _n_words(cols)
+        raw = b"".join(row.to_bytes(8 * n_words, "little") for row in rows)
+        words = np.frombuffer(raw, dtype="<u8").astype(np.uint64)
+        return cls(len(rows), cols, words.reshape(len(rows), n_words))
 
     @classmethod
     def from_rows(cls, rows: list[BitVector]) -> "BitMatrix":

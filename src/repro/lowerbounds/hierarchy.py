@@ -106,20 +106,24 @@ class TopSubmatrixRankProtocol(Protocol):
             params={"k": self.k, "budget": self.rounds_budget},
         )
 
+    def _require_block(self, shape: tuple[int, ...], ndim: int) -> None:
+        """Reject an ``ndim``-axis input ``shape`` (processors, then bits,
+        last) without a ``k × j`` revealed block.  The scalar and the
+        vectorized path share it, so both refuse the same inputs alike."""
+        j = min(self.rounds_budget, self.k)
+        if len(shape) != ndim or shape[-2] < self.k or shape[-1] < j:
+            raise ValueError(
+                f"inputs must expose a {self.k} x {j} revealed block, got "
+                f"shape {shape}"
+            )
+
+    def setup(self, proc: ProcessorContext) -> None:
+        self._require_block((proc.n, len(proc.input_bits)), 2)
+
     def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
         if proc.proc_id < self.k and round_index < self.k:
-            return int(proc.input[round_index])
+            return proc.input_bits[round_index]
         return 0
-
-    def _revealed_block(self, transcript: Transcript) -> np.ndarray:
-        """The ``k × j`` revealed left block (j = rounds actually run)."""
-        j = min(self.rounds_budget, self.k)
-        rows = [[0] * j for _ in range(self.k)]
-        for round_index in range(j):
-            for sender, message in transcript.round_messages(round_index).items():
-                if sender < self.k:
-                    rows[sender][round_index] = message
-        return np.array(rows, dtype=np.uint8)
 
     def output(self, proc: ProcessorContext) -> int:
         # The decision reads only the public transcript: one rank per
@@ -127,17 +131,26 @@ class TopSubmatrixRankProtocol(Protocol):
         return proc.transcript.derived(self._decision, len(proc.transcript))
 
     def _decision(self, transcript: Transcript) -> int:
-        block = self._revealed_block(transcript)
-        j = block.shape[1]
-        if j >= self.k:
-            return int(BitMatrix.from_array(block).is_full_rank())
+        k, j = self.k, min(self.rounds_budget, self.k)
         if j == 0:
             # No information: majority class is "not full rank".
             return 0
-        revealed_rank = BitMatrix.from_array(block).rank()
+        # Row p of the revealed k × j block as an int whose bit r is
+        # processor p's round-r payload, in one pass over the columns.
+        # Keyed by sender, so the speaking order does not matter.
+        rows = [0] * k
+        for round_index, sender, payload in transcript.broadcasts():
+            if payload and sender < k:
+                rows[sender] |= 1 << round_index
+        # A ``rounds`` override may run rounds j … k-1 too; they are not
+        # part of the block.
+        mask = (1 << j) - 1
+        revealed_rank = BitMatrix.from_ints([row & mask for row in rows], j).rank()
+        if j >= k:
+            return int(revealed_rank == k)
         if revealed_rank < j:
             return 0  # dependent columns already — certainly not full rank
-        posterior = conditional_full_rank_probability(self.k, j)
+        posterior = conditional_full_rank_probability(k, j)
         return int(posterior > 0.5)
 
     def batch_decisions(
@@ -151,12 +164,8 @@ class TopSubmatrixRankProtocol(Protocol):
         broadcasts 0.
         """
         inputs = np.asarray(inputs)
+        self._require_block(inputs.shape, 3)
         j = min(self.rounds_budget, self.k)
-        if inputs.ndim != 3 or inputs.shape[1] < self.k or inputs.shape[2] < j:
-            raise ValueError(
-                f"inputs must expose a {self.k} x {j} revealed block, got "
-                f"shape {inputs.shape}"
-            )
         revealed = inputs[:, : self.k, :j]
         require_bits(revealed, "revealed block entries")
         trials, n = inputs.shape[0], inputs.shape[1]

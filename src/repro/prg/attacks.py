@@ -90,12 +90,14 @@ class SupportMembershipAttack(Protocol):
             params={"k": self.k},
         )
 
-    def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
-        if round_index >= proc.input.shape[0]:
+    def setup(self, proc: ProcessorContext) -> None:
+        if len(proc.input_bits) < self.k + 1:
             raise ValueError(
                 f"input rows must have at least {self.k + 1} bits for the attack"
             )
-        return int(proc.input[round_index])
+
+    def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
+        return proc.input_bits[round_index]
 
     def output(self, proc: ProcessorContext) -> int:
         # The test reads only the public transcript: two ranks per trial,

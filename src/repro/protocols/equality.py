@@ -72,11 +72,11 @@ class DeterministicEqualityProtocol(Protocol):
         )
 
     def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
-        return int(proc.input[round_index])
+        return proc.input_bits[round_index]
 
     def output(self, proc: ProcessorContext) -> int:
         for r in range(self.m):
-            bits = {e.message for e in proc.transcript.messages_in_round(r)}
+            bits = set(proc.transcript.round_messages(r).values())
             if len(bits) > 1:
                 return 0
         return 1
@@ -152,7 +152,7 @@ class FingerprintEqualityProtocol(Protocol):
 
     def output(self, proc: ProcessorContext) -> int:
         for r in range(self.t_probes):
-            bits = {e.message for e in proc.transcript.messages_in_round(r)}
+            bits = set(proc.transcript.round_messages(r).values())
             if len(bits) > 1:
                 return 0
         return 1

@@ -118,20 +118,21 @@ class FullExchangeTriangleProtocol(Protocol):
     def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
         payload = 0
         base = round_index * self.message_size
+        bits = proc.input_bits
         for t in range(self.message_size):
             j = base + t
             if j < self.n:
-                payload |= int(proc.input[j]) << t
+                payload |= bits[j] << t
         return payload
 
     def reconstructed_graph(self, proc: ProcessorContext) -> np.ndarray:
         adjacency = np.zeros((proc.n, self.n), dtype=np.uint8)
-        for event in proc.transcript:
-            base = event.round_index * self.message_size
+        for round_index, sender, message in proc.transcript.broadcasts():
+            base = round_index * self.message_size
             for t in range(self.message_size):
                 j = base + t
                 if j < self.n:
-                    adjacency[event.sender, j] = (event.message >> t) & 1
+                    adjacency[sender, j] = (message >> t) & 1
         return adjacency
 
     def output(self, proc: ProcessorContext) -> int:
@@ -223,20 +224,17 @@ class SampledTriangleProtocol(Protocol):
     def broadcast(self, proc: ProcessorContext, round_index: int) -> int:
         u, v, w = self._triples[round_index]
         if proc.proc_id == u:
-            return int(proc.input[v])
+            return proc.input_bits[v]
         if proc.proc_id == v:
-            return int(proc.input[w])
+            return proc.input_bits[w]
         if proc.proc_id == w:
-            return int(proc.input[u])
+            return proc.input_bits[u]
         return 0
 
     def output(self, proc: ProcessorContext) -> float:
         hits = 0
         for r, (u, v, w) in enumerate(self._triples):
-            messages = {
-                e.sender: e.message
-                for e in proc.transcript.messages_in_round(r)
-            }
+            messages = proc.transcript.round_messages(r)
             if messages[u] and messages[v] and messages[w]:
                 hits += 1
         total_triples = math.comb(self.n, 3)

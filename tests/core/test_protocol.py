@@ -9,6 +9,7 @@ from repro.core import (
     ProcessorContext,
     Protocol,
     ProtocolViolation,
+    make_contexts,
     run_protocol,
 )
 
@@ -141,6 +142,33 @@ class TestProcessorContext:
             ProcessorContext(
                 5, 3, np.zeros(2), PrivateCoins(rng), None, Transcript()
             )
+
+    def test_input_bits_are_each_row_as_ints(self, rng):
+        inputs = rng.integers(0, 2, size=(5, 7), dtype=np.uint8)
+        contexts, _ = make_contexts(inputs, rng=rng)
+        for proc, row in zip(contexts, inputs):
+            assert proc.input_bits == proc.input.tolist() == row.tolist()
+            assert all(type(bit) is int for bit in proc.input_bits)
+            assert [proc.input_bit(j) for j in range(7)] == proc.input_bits
+
+    def test_input_bits_of_every_simulated_processor(self, rng):
+        inputs = rng.integers(0, 2, size=(4, 6), dtype=np.uint8)
+        result = run_protocol(
+            FunctionProtocol(1, lambda i, row, p: int(row[0])), inputs, rng=rng
+        )
+        for proc in result.contexts:
+            assert proc.input_bits == proc.input.tolist()
+            assert all(type(bit) is int for bit in proc.input_bits)
+
+    def test_direct_construction_derives_input_bits(self, rng):
+        from repro.core import PrivateCoins, Transcript
+
+        proc = ProcessorContext(
+            0, 1, np.array([1.0, 0.0, 1.0]), PrivateCoins(rng), None, Transcript()
+        )
+        assert proc.input.dtype == np.uint8
+        assert proc.input_bits == [1, 0, 1]
+        assert all(type(bit) is int for bit in proc.input_bits)
 
     def test_views(self, rng):
         inputs = np.array([[1, 0], [0, 1]], dtype=np.uint8)

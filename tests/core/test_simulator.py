@@ -3,19 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
 from repro.core import (
     ComposedProtocol,
+    Engine,
     FunctionProtocol,
     MessageSizeError,
     Protocol,
     PublicCoins,
     RandomnessExhausted,
     RoundScheduler,
+    RunSpec,
     Scheduler,
     SchedulingError,
     TurnScheduler,
     run_protocol,
 )
+from repro.distributions import PlantedClique, UniformRows
+from repro.lowerbounds import TopSubmatrixRankProtocol, top_submatrix_full_rank
 
 
 def first_bit_protocol(n_rounds=1, message_size=1):
@@ -224,6 +229,44 @@ class TestScheduling:
         result = run_protocol(EchoPreviousProtocol(), inputs, rng=rng)
         round1 = result.transcript.messages_in_round(1)
         assert all(e.message == 1 for e in round1)
+
+
+class TestSpeakingOrder:
+    """Protocols that decode whole rounds key each payload by its sender,
+    so a reversed speaking order gives the outputs of the index order."""
+
+    @staticmethod
+    def run(scheduler, trials, **spec):
+        return Engine().run_batch(RunSpec(scheduler=scheduler, seed=17, **spec), trials)
+
+    @pytest.mark.parametrize("sees_current_round", [False, True])
+    @pytest.mark.parametrize("budget", [0, 3, 6])
+    def test_rank_protocol(self, sees_current_round, budget):
+        spec = dict(
+            protocol=TopSubmatrixRankProtocol(6, rounds_budget=budget),
+            distribution=UniformRows(9, 9),
+            record_inputs=True,
+        )
+        expected = self.run(RoundScheduler(), 40, **spec)
+        got = self.run(ReversedScheduler(sees_current_round), 40, **spec)
+        assert got.outputs == expected.outputs
+        if budget == 6:
+            decisions = [trial.outputs[0] for trial in got]
+            assert decisions == [
+                top_submatrix_full_rank(trial.inputs, 6) for trial in got
+            ]
+            assert set(decisions) == {0, 1}
+
+    @pytest.mark.parametrize("sees_current_round", [False, True])
+    def test_subsample_protocol(self, sees_current_round):
+        spec = dict(
+            protocol=PlantedCliqueSubsampleProtocol(12, activation_factor=0.5),
+            distribution=PlantedClique(16, 12),
+        )
+        expected = self.run(RoundScheduler(), 12, **spec)
+        got = self.run(ReversedScheduler(sees_current_round), 12, **spec)
+        assert got.outputs == expected.outputs
+        assert any(outputs[0] for outputs in expected.outputs)
 
 
 class TestDynamicTermination:

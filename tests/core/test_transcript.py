@@ -147,6 +147,26 @@ class TestColumnReads:
                 e.sender: e.message for e in linear_scan(t, r)
             }
 
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_broadcasts_match_events_and_build_none(self, scheduler):
+        t = simulated_transcript(scheduler)
+        assert list(t.broadcasts()) == [
+            (e.round_index, e.sender, e.message) for e in t.copy()
+        ]
+        assert t._events == []
+
+    def test_broadcasts_keep_turn_order_of_unordered_rounds(self):
+        rounds, senders = [1, 0, 1, 2, 0], [3, 0, 1, 2, 4]
+        t = Transcript(
+            make_event(i, round_index=r, sender=s, message=i % 2)
+            for i, (r, s) in enumerate(zip(rounds, senders))
+        )
+        assert list(t.broadcasts()) == [
+            (r, s, i % 2) for i, (r, s) in enumerate(zip(rounds, senders))
+        ]
+        assert list(t.prefix(2).broadcasts()) == [(1, 3, 0), (0, 0, 1)]
+        assert list(Transcript().broadcasts()) == []
+
     def test_round_messages_keep_turn_order_of_unordered_rounds(self):
         senders = [3, 0, 1, 2, 4]
         events = [

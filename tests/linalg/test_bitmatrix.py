@@ -52,6 +52,23 @@ class TestConstruction:
             m.to_array(), np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         )
 
+    @pytest.mark.parametrize(
+        "rows, cols", [(7, 130), (5, 64), (4, 3), (3, 0), (0, 5)]
+    )
+    def test_from_ints_matches_from_array(self, rng, rows, cols):
+        arr = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        ints = [sum(int(b) << j for j, b in enumerate(row)) for row in arr]
+        m = BitMatrix.from_ints(ints, cols)
+        assert m == BitMatrix.from_array(arr)
+        assert m.rank() == numpy_gf2_rank(arr)
+        if rows and cols:
+            m.set(0, 0, 1)  # the backing store is writable
+
+    @pytest.mark.parametrize("row", [-1, 1 << 3, 1 << 64])
+    def test_from_ints_rejects_rows_outside_the_columns(self, row):
+        with pytest.raises(ValueError):
+            BitMatrix.from_ints([0, row], 3)
+
     def test_from_rows_mismatched_raises(self):
         with pytest.raises(ValueError):
             BitMatrix.from_rows(

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import run_protocol
+from repro.core import Engine, RunSpec, run_protocol
+from repro.distributions import UniformRows
 from repro.linalg import full_rank_probability
 from repro.lowerbounds import (
     TopSubmatrixRankProtocol,
@@ -84,6 +85,84 @@ class TestTruncatedProtocol:
         matrix = rng.integers(0, 2, size=(8, 8), dtype=np.uint8)
         result = run_protocol(protocol, matrix, rng=rng)
         assert result.cost.rounds == 2
+
+
+def columns_independent(block):
+    """No nonempty set of ``block``'s columns XORs to zero (brute force)."""
+    j = block.shape[1]
+    return all(
+        np.bitwise_xor.reduce(block[:, [c for c in range(j) if mask >> c & 1]], axis=1)
+        .any()
+        for mask in range(1, 1 << j)
+    )
+
+
+class TestExhaustiveOracle:
+    def test_every_3x3_matrix_at_every_budget(self, rng):
+        """The scalar decision is ``F_3`` at the full budget and the Bayes
+        rule on the revealed columns below it, on all 512 matrices."""
+        k = 3
+        matrices = [
+            np.array([(code >> i) & 1 for i in range(k * k)], dtype=np.uint8)
+            .reshape(k, k)
+            for code in range(1 << (k * k))
+        ]
+        for j in range(k + 1):
+            protocol = TopSubmatrixRankProtocol(k, rounds_budget=j)
+            got = [run_protocol(protocol, m, rng=rng).outputs[0] for m in matrices]
+            if j == k:
+                expected = [top_submatrix_full_rank(m, k) for m in matrices]
+            else:
+                guess = int(conditional_full_rank_probability(k, j) > 0.5)
+                expected = [
+                    guess if j and columns_independent(m[:, :j]) else 0
+                    for m in matrices
+                ]
+            assert got == expected
+            decisions, _ = protocol.batch_decisions(np.stack(matrices))
+            assert decisions.tolist() == got
+
+
+class TestMalformedShapes:
+    """Inputs without a ``k × j`` block are refused alike by the scalar
+    and the vectorized path, under either scheduler."""
+
+    @staticmethod
+    def run(protocol, n, m, vectorized, scheduler):
+        spec = RunSpec(
+            protocol=protocol,
+            distribution=UniformRows(n, m),
+            seed=1,
+            vectorized=vectorized,
+            scheduler=scheduler,
+        )
+        return Engine().run_batch(spec, 4)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    @pytest.mark.parametrize(
+        "k, budget, n, m",
+        [
+            (8, None, 4, 8),  # fewer processors than k
+            (8, 0, 4, 8),  # even with nothing revealed
+            (8, None, 8, 4),  # rows shorter than the k revealed bits
+            (8, 3, 8, 2),  # rows shorter than the budget
+        ],
+    )
+    def test_rejected(self, vectorized, scheduler, k, budget, n, m):
+        j = k if budget is None else budget
+        with pytest.raises(
+            ValueError, match=f"inputs must expose a {k} x {j} revealed block"
+        ):
+            self.run(TopSubmatrixRankProtocol(k, budget), n, m, vectorized, scheduler)
+
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_rows_as_long_as_the_budget_suffice(self, scheduler):
+        protocol = TopSubmatrixRankProtocol(8, rounds_budget=3)
+        scalar = self.run(protocol, 8, 3, False, scheduler)
+        vectorized = self.run(protocol, 8, 3, True, scheduler)
+        assert scalar.outputs == vectorized.outputs
+        assert scalar.transcript_keys == vectorized.transcript_keys
 
 
 class TestClosedForms:

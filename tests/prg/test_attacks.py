@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import run_protocol
+from repro.core import Engine, RunSpec, run_protocol
 from repro.distributions import PRGOutput, UniformRows
 from repro.prg import SupportMembershipAttack, attack_rounds, false_positive_bound
 
@@ -23,6 +23,19 @@ class TestStructure:
         inputs = np.zeros((3, 2), dtype=np.uint8)  # rows too short
         with pytest.raises(ValueError):
             run_protocol(attack, inputs, rng=rng)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("scheduler", ["round", "turn"])
+    def test_short_rows_rejected_alike_on_both_paths(self, vectorized, scheduler):
+        spec = RunSpec(
+            protocol=SupportMembershipAttack(4),
+            distribution=UniformRows(3, 4),
+            seed=1,
+            vectorized=vectorized,
+            scheduler=scheduler,
+        )
+        with pytest.raises(ValueError, match="at least 5 bits for the attack"):
+            Engine().run_batch(spec, 2)
 
 
 class TestDetection:

@@ -136,16 +136,17 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         computed once per execution and shared by every processor."""
         return transcript.derived(_volunteers, min(n, len(transcript)))
 
-    def _aborted_after_activation(self, n: int, transcript: Transcript) -> bool:
-        active = self._active_set(transcript, n)
+    def _aborted_after_activation(self, n: int, active: tuple[int, ...]) -> bool:
         return len(active) > self._activation_cap(n) or len(active) < 2
 
     def finished(self, n: int, transcript: Transcript, completed_rounds: int) -> bool:
         if completed_rounds < 1:
             return False
-        if self._aborted_after_activation(n, transcript):
-            return True
-        return completed_rounds >= len(self._active_set(transcript, n)) + 2
+        active = self._active_set(transcript, n)
+        return (
+            self._aborted_after_activation(n, active)
+            or completed_rounds >= len(active) + 2
+        )
 
     # ------------------------------------------------------------------
     # Broadcasts
@@ -169,7 +170,7 @@ class PlantedCliqueSubsampleProtocol(Protocol):
                 return proc.input_bits[active[round_index - 1]]
             return 0
         # Membership round.
-        return self._membership_claim(proc)
+        return self._membership_claim(proc, active)
 
     @staticmethod
     def _activated_subgraph(
@@ -187,13 +188,12 @@ class PlantedCliqueSubsampleProtocol(Protocol):
         return sub
 
     def _active_clique(
-        self, transcript: Transcript, n: int
+        self, transcript: Transcript, n: int, active: tuple[int, ...]
     ) -> frozenset[int] | None:
         """Max clique of the activated bidirected subgraph (None if the
         abort threshold is missed).  It reads the activation and edge
         rounds only, so it is computed once per execution and shared by
         every processor."""
-        active = self._active_set(transcript, n)
         return transcript.derived(self._clique_of_edges, (len(active) + 1) * n)
 
     def _clique_of_edges(self, transcript: Transcript) -> frozenset[int] | None:
@@ -206,8 +206,10 @@ class PlantedCliqueSubsampleProtocol(Protocol):
             return None
         return frozenset(active[t] for t in local)
 
-    def _membership_claim(self, proc: ProcessorContext) -> int:
-        clique = self._active_clique(proc.transcript, proc.n)
+    def _membership_claim(
+        self, proc: ProcessorContext, active: tuple[int, ...]
+    ) -> int:
+        clique = self._active_clique(proc.transcript, proc.n, active)
         if clique is None:
             return 0
         others = [v for v in clique if v != proc.proc_id]
@@ -220,11 +222,11 @@ class PlantedCliqueSubsampleProtocol(Protocol):
     # Output
     # ------------------------------------------------------------------
     def output(self, proc: ProcessorContext) -> frozenset[int] | None:
-        if self._aborted_after_activation(proc.n, proc.transcript):
-            return None
-        if self._active_clique(proc.transcript, proc.n) is None:
-            return None
         active = self._active_set(proc.transcript, proc.n)
+        if self._aborted_after_activation(proc.n, active):
+            return None
+        if self._active_clique(proc.transcript, proc.n, active) is None:
+            return None
         membership_round = len(active) + 1
         claims = proc.transcript.round_messages(membership_round)
         return frozenset(sender for sender, claim in claims.items() if claim == 1)

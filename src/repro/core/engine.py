@@ -81,7 +81,7 @@ from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .errors import SchedulingError
 from .network import CostReport
 from .protocol import Protocol
-from .randomness import CoinSource
+from .randomness import CoinSource, spawn_generators
 from .scheduler import RoundScheduler, Scheduler, TurnScheduler
 from .transcript import Transcript
 
@@ -899,11 +899,13 @@ class Engine:
         """The batched-kernel fast path; ``None`` means "use the scalar path".
 
         Inputs are drawn from the same spawned seed children as the scalar
-        path (bit-identical): each chunk's generators go to the
-        distribution's ``sample_each`` in one call, and the input stack to
-        one ``batch_decisions`` call, which returns decisions and
-        transcript keys together.  A fixed input matrix under an
-        input-deterministic protocol is evaluated once and its row
+        path (bit-identical): each chunk's generators are built in one
+        :func:`~repro.core.randomness.spawn_generators` pass (which
+        advances a ``SeedSequence`` seed's counter as ``spawn`` would) and
+        go to the distribution's ``sample_each`` in one call, and the
+        input stack to one ``batch_decisions`` call, which returns
+        decisions and transcript keys together.  A fixed input matrix
+        under an input-deterministic protocol is evaluated once and its row
         broadcast to every trial.  Results stay columns, one
         :class:`_Columns` per chunk, and costs follow from each trial's
         realized turns — exact for batchable protocols, where every
@@ -1005,13 +1007,14 @@ class Engine:
             inputs = np.broadcast_to(spec.inputs, (trials,) + spec.inputs.shape)
             return BatchResult._from_columns([columns(0, inputs, decisions, keys)])
 
-        seeds = spec.seed_sequence().spawn(trials)
+        root = spec.seed_sequence()
         chunks = []
         for start in range(0, trials, self.VECTORIZED_CHUNK_TRIALS):
-            rngs = [
-                np.random.default_rng(seed)
-                for seed in seeds[start : start + self.VECTORIZED_CHUNK_TRIALS]
-            ]
+            # The chunk's seed children, built in one pass; this also
+            # advances a SeedSequence seed's counter as spawn(trials) does.
+            rngs = spawn_generators(
+                root, min(self.VECTORIZED_CHUNK_TRIALS, trials - start)
+            )
             if spec.distribution is None:
                 # Coin protocol on fixed inputs: trials differ only in
                 # their private coins; share one read-only input view.

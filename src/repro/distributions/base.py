@@ -65,6 +65,8 @@ class InputDistribution:
         Row ``t`` is exactly ``sample(rngs[t])`` and every generator ends
         in the state that call leaves it in, so a subclass may batch the
         arithmetic but must keep each generator's draws and their order.
+        Subclasses whose ``sample`` draws only fair bits get them for the
+        whole chunk from :func:`~repro.core.randomness.fair_bits`.
         """
         return np.stack([self.sample(rng) for rng in rngs])
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.randomness import fair_bits
 from .base import (
     MixtureDistribution,
     RowIndependentDistribution,
@@ -63,6 +64,14 @@ class PlantedCliqueAt(RowIndependentDistribution):
                 if i != j:
                     mat[i, j] = 1
         return mat
+
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        mats = fair_bits(rngs, (self.n, self.n))[0]
+        members = np.array(sorted(self.clique), dtype=np.intp)
+        mats[:, members[:, None], members] = 1
+        diagonal = np.arange(self.n)
+        mats[:, diagonal, diagonal] = 0
+        return mats
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         support = all_bitstrings(self.n)

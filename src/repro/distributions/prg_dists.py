@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.randomness import fair_bits
 from .base import (
     MixtureDistribution,
     RowIndependentDistribution,
@@ -33,8 +34,32 @@ __all__ = [
 ]
 
 #: Cap on the float32 bytes (both cast operands and the product) of one
-#: block of :meth:`PRGOutput.sample_each`'s tail products.
+#: block of :func:`_with_tails`'s products.
 _TAIL_BLOCK_BYTES = 1 << 20
+
+
+def _with_tails(xs: np.ndarray, secrets: np.ndarray) -> np.ndarray:
+    """Rows ``(x, x·S mod 2)`` for a ``(trials, n, k)`` stack of ``x``.
+
+    ``secrets`` is one ``(k, tail)`` matrix shared by every trial or a
+    ``(trials, k, tail)`` stack.  The products are ``float32``, exact
+    here: each entry is a sum of at most ``k`` products of bits, far
+    below ``2^24``.  They run over blocks of trials so their float
+    temporaries stay near ``_TAIL_BLOCK_BYTES`` instead of growing with
+    the batch.
+    """
+    count, n, k = xs.shape
+    tail = secrets.shape[-1]
+    out = np.empty((count, n, k + tail), dtype=np.uint8)
+    out[:, :, :k] = xs
+    per_trial = 4 * (n * k + k * tail + n * tail)
+    block = max(1, _TAIL_BLOCK_BYTES // max(1, per_trial))
+    for start in range(0, count, block):
+        trials = slice(start, start + block)
+        secret = secrets if secrets.ndim == 2 else secrets[trials]
+        tails = np.matmul(xs[trials], secret, dtype=np.float32)
+        out[trials, :, k:] = tails.astype(np.int32) & 1
+    return out
 
 
 class SharedVectorRows(RowIndependentDistribution):
@@ -61,6 +86,10 @@ class SharedVectorRows(RowIndependentDistribution):
         xs = rng.integers(0, 2, size=(self.n, self.k), dtype=np.uint8)
         parities = (xs @ self.secret) & 1
         return np.hstack([xs, parities[:, None].astype(np.uint8)])
+
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        xs = fair_bits(rngs, (self.n, self.k))[0]
+        return _with_tails(xs, self.secret[:, None])
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         xs = all_bitstrings(self.k)
@@ -89,6 +118,10 @@ class ToyPRGOutput(MixtureDistribution):
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_component(rng).sample(rng)
+
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        secrets, xs = fair_bits(rngs, (self.k,), (self.n, self.k))
+        return _with_tails(xs, secrets[:, :, None])
 
     def components(self) -> Iterator[tuple[float, SharedVectorRows]]:
         if self.k > 20:
@@ -134,6 +167,10 @@ class SharedMatrixRows(RowIndependentDistribution):
         tails = (xs @ self.secret) & 1
         return np.hstack([xs, tails.astype(np.uint8)])
 
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        xs = fair_bits(rngs, (self.n, self.k))[0]
+        return _with_tails(xs, self.secret)
+
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         xs = all_bitstrings(self.k)
         tails = (xs @ self.secret) & 1
@@ -174,26 +211,11 @@ class PRGOutput(MixtureDistribution):
         return self.sample_component(rng).sample(rng)
 
     def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Per generator, draw ``M`` then ``X`` exactly as :meth:`sample`
-        does; then the ``X M`` tails as batched products over the trials.
-
-        ``float32`` is exact here: each entry is a sum of at most ``k``
-        products of bits, far below ``2^24``.  The products run over
-        blocks of trials so their float temporaries stay near
-        ``_TAIL_BLOCK_BYTES`` instead of growing with the batch.
-        """
-        k, n, tail = self.k, self.n, self.m - self.k
-        secrets = np.empty((len(rngs), k, tail), dtype=np.uint8)
-        out = np.empty((len(rngs), n, self.m), dtype=np.uint8)
-        for secret, rows, rng in zip(secrets, out, rngs):
-            secret[:] = rng.integers(0, 2, size=secret.shape, dtype=np.uint8)
-            rows[:, :k] = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
-        block = max(1, _TAIL_BLOCK_BYTES // (4 * (n * k + k * tail + n * tail)))
-        for start in range(0, len(rngs), block):
-            trials = slice(start, start + block)
-            tails = np.matmul(out[trials, :, :k], secrets[trials], dtype=np.float32)
-            out[trials, :, k:] = tails.astype(np.int32) & 1
-        return out
+        """Per generator, ``M`` then ``X`` as :meth:`sample` draws them
+        (through :func:`~repro.core.randomness.fair_bits`); then every
+        trial's ``X M`` tail in blocked ``float32`` products."""
+        secrets, xs = fair_bits(rngs, (self.k, self.m - self.k), (self.n, self.k))
+        return _with_tails(xs, secrets)
 
     def components(self) -> Iterator[tuple[float, SharedMatrixRows]]:
         if self.secret_bits > 20:

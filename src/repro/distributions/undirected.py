@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..core.randomness import fair_bits
 from .base import InputDistribution
 
 __all__ = ["UndirectedRandomGraph", "UndirectedPlantedClique"]
@@ -54,6 +55,10 @@ class UndirectedRandomGraph(InputDistribution):
             rng.integers(0, 2, size=(self.n, self.n), dtype=np.uint8), 1
         )
         return upper | upper.T
+
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        upper = np.triu(fair_bits(rngs, (self.n, self.n))[0], 1)
+        return upper | upper.transpose(0, 2, 1)
 
     def n_edge_bits(self) -> int:
         return comb(self.n, 2)

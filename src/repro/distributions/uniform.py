@@ -10,8 +10,11 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from ..core.randomness import fair_bits
 from .base import RowIndependentDistribution, all_bitstrings
 
 __all__ = ["UniformRows", "RandomDigraph"]
@@ -28,6 +31,9 @@ class UniformRows(RowIndependentDistribution):
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, 2, size=(self.n, self.row_length), dtype=np.uint8)
+
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        return fair_bits(rngs, (self.n, self.row_length))[0]
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         support = all_bitstrings(self.row_length)
@@ -50,6 +56,12 @@ class RandomDigraph(RowIndependentDistribution):
         mat = rng.integers(0, 2, size=(self.n, self.n), dtype=np.uint8)
         np.fill_diagonal(mat, 0)
         return mat
+
+    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        mats = fair_bits(rngs, (self.n, self.n))[0]
+        diagonal = np.arange(self.n)
+        mats[:, diagonal, diagonal] = 0
+        return mats
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         support = all_bitstrings(self.n)

@@ -31,6 +31,7 @@ SECRET_M = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
 DISTRIBUTIONS = {
     "uniform": UniformRows(5, 7),
+    "uniform_odd_size": UniformRows(5, 3),
     "digraph": RandomDigraph(6),
     "shared_vector": SharedVectorRows(4, np.array([1, 0, 1], dtype=np.uint8)),
     "toy_prg": ToyPRGOutput(5, 3),
@@ -38,6 +39,7 @@ DISTRIBUTIONS = {
     "prg": PRGOutput(32, 48, 16),
     "prg_m_eq_k": PRGOutput(6, 5, 5),
     "prg_k1": PRGOutput(7, 9, 1),
+    "prg_odd_size": PRGOutput(5, 9, 3),
     "rank_deficient": RankDeficientMatrix(6),
     "planted_clique_at": PlantedCliqueAt(6, {0, 2, 3}),
     "planted_clique": PlantedClique(7, 3),

@@ -15,10 +15,19 @@ for the sequence) — asserts the warm pool beats the cold pool by
 repo root (uploaded as a CI artifact).  Both pool backends are pinned to
 ``WORKERS`` processes so the comparison isolates start-up amortization
 from host core count.
+
+It then gates the pool's per-chunk dispatch cost: the median of
+``DISPATCH_MAPS`` no-op ``DISPATCH_ITEMS``-item maps on the warm pool
+must beat the same maps through the lane the pool ran before its
+worker pipes — one ``ProcessPoolExecutor`` task per chunk under the
+same :func:`~repro.exec.stealing.dispatch` loop, frozen below as the
+reference — by ``MIN_DISPATCH_SPEEDUP``×.
 """
 
+import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -27,6 +36,7 @@ from _util import print_table, write_bench_json
 from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import WorkerPool
+from repro.exec.stealing import dispatch
 from repro.lowerbounds import TopSubmatrixRankProtocol
 from repro.obs import Tracer, validate_chrome_trace
 
@@ -37,6 +47,9 @@ BATCHES = 20        # the sweep shape: many small batches back to back
 WORKERS = 2         # pinned so 1-core CI runners still build real pools
 MIN_SPEEDUP = 1.2   # warm reuse must at least beat cold start-up by 20%
 REPEATS = 3         # best-of-N wall clocks to damp scheduler jitter
+DISPATCH_ITEMS = 64         # 8 chunks over 2 lanes under the default rule
+DISPATCH_MAPS = 30          # timed maps per side; the gate reads medians
+MIN_DISPATCH_SPEEDUP = 2.0  # worker pipes vs the executor lane, no-op maps
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_exec.json"
 TRACE_JSON = Path(__file__).resolve().parent.parent / "BENCH_exec_trace.json"
@@ -122,6 +135,55 @@ def measure() -> tuple[list[list], list[dict], float, bool]:
     return rows, records, speedup_vs_cold, identical
 
 
+def _noop(item: int) -> int:
+    return item
+
+
+def _run_chunk(fn, items):
+    return [fn(item) for item in items]
+
+
+class _ExecutorLane:
+    """The reference: the pool lane before worker pipes, frozen.
+
+    Each chunk was one ``ProcessPoolExecutor`` task, so it went through
+    the executor's manager thread and its call queue's feeder thread.
+    """
+
+    def __init__(self, executor: ProcessPoolExecutor, fn):
+        self.executor = executor
+        self.fn = fn
+
+    def ready(self) -> bool:
+        return True
+
+    def run(self, chunk, span) -> list:
+        return self.executor.submit(_run_chunk, self.fn, chunk.items).result()
+
+
+def median_map_s(run_map) -> float:
+    """Median seconds of ``DISPATCH_MAPS`` no-op maps, after a warm-up."""
+    items = list(range(DISPATCH_ITEMS))
+    for _ in range(5):
+        assert run_map(items) == items
+    samples = []
+    for _ in range(DISPATCH_MAPS):
+        start = time.perf_counter()
+        run_map(items)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def measure_dispatch() -> tuple[float, float]:
+    """``(reference_s, pool_s)``: median no-op map on each warm backend."""
+    with ProcessPoolExecutor(max_workers=WORKERS) as executor:
+        lanes = [_ExecutorLane(executor, _noop)] * WORKERS
+        reference_s = median_map_s(lambda items: dispatch(items, lanes)[0])
+    with WorkerPool(max_workers=WORKERS) as pool:
+        pool_s = median_map_s(lambda items: pool.map(_noop, items))
+    return reference_s, pool_s
+
+
 def trace_smoke() -> dict:
     """Run one traced warm-pool batch and export a validated Chrome trace.
 
@@ -152,6 +214,30 @@ def main() -> None:
         ["backend", "wall-clock s", "x vs warm pool"],
         rows,
     )
+    reference_s, pool_s = measure_dispatch()
+    dispatch_speedup = reference_s / pool_s
+    print_table(
+        f"E-EXEC dispatch: no-op {DISPATCH_ITEMS}-item map, {WORKERS} workers, "
+        f"median of {DISPATCH_MAPS}",
+        ["lane", "ms per map", "x vs executor lane"],
+        [
+            ["ProcessPoolExecutor task per chunk", 1e3 * reference_s, 1.0],
+            ["WorkerPool worker pipes", 1e3 * pool_s, dispatch_speedup],
+        ],
+    )
+    records.append(
+        {
+            "bench": "exec_pool",
+            "metric": "dispatch",
+            "items": DISPATCH_ITEMS,
+            "maps": DISPATCH_MAPS,
+            "workers": WORKERS,
+            "executor_lane_s": reference_s,
+            "worker_pool_s": pool_s,
+            "min_required": MIN_DISPATCH_SPEEDUP,
+            "speedup": dispatch_speedup,
+        }
+    )
     write_bench_json(BENCH_JSON, records)
     print(f"wrote {BENCH_JSON.name}")
     # Determinism first: all three backends must agree bit-for-bit.
@@ -163,6 +249,14 @@ def main() -> None:
     print(
         f"warm-pool reuse beats cold pool start-up: {speedup:.2f}x "
         f"(bar {MIN_SPEEDUP}x), outputs bit-identical"
+    )
+    assert dispatch_speedup >= MIN_DISPATCH_SPEEDUP, (
+        f"worker-pipe dispatch {dispatch_speedup:.2f}x vs the executor lane "
+        f"is below the {MIN_DISPATCH_SPEEDUP}x bar"
+    )
+    print(
+        f"worker-pipe dispatch beats the executor lane: {dispatch_speedup:.2f}x "
+        f"(bar {MIN_DISPATCH_SPEEDUP}x)"
     )
     payload = trace_smoke()
     print(
@@ -176,6 +270,12 @@ def test_warm_pool_beats_cold_startup():
     _rows, _records, speedup, identical = measure()
     assert identical
     assert speedup >= MIN_SPEEDUP
+
+
+def test_worker_pipes_beat_executor_lane():
+    """Pytest entry point mirroring the dispatch gate."""
+    reference_s, pool_s = measure_dispatch()
+    assert reference_s / pool_s >= MIN_DISPATCH_SPEEDUP
 
 
 def test_trace_export_schema():

@@ -83,6 +83,9 @@ class _ImportMap:
         self.numpy_roots: set[str] = set()
         #: names bound to the ``numpy.random`` submodule itself
         self.numpy_random_roots: set[str] = set()
+        #: local names imported ``from numpy.random import ...``, mapped
+        #: to the ``numpy.random`` attribute each one is bound to
+        self.numpy_random_names: dict[str, str] = {}
         self.stdlib_random_roots: set[str] = set()
         #: local names imported ``from random import ...``
         self.stdlib_random_names: set[str] = set()
@@ -106,6 +109,9 @@ class _ImportMap:
                     for alias in node.names:
                         if alias.name == "random":
                             self.numpy_random_roots.add(alias.asname or "random")
+                elif node.module == "numpy.random":
+                    for alias in node.names:
+                        self.numpy_random_names[alias.asname or alias.name] = alias.name
                 elif node.module == "random":
                     for alias in node.names:
                         self.stdlib_random_names.add(alias.asname or alias.name)
@@ -114,13 +120,14 @@ class _ImportMap:
                         self.time_names.add(alias.asname or alias.name)
 
     def numpy_random_tail(self, dotted: str) -> str | None:
-        """``"default_rng"`` for ``np.random.default_rng`` etc., else None."""
+        """``"default_rng"`` for ``np.random.default_rng``, a bare
+        ``default_rng`` imported from ``numpy.random`` etc., else None."""
         root, _, rest = dotted.partition(".")
         if root in self.numpy_roots and rest.startswith("random."):
             return rest.partition(".")[2]
         if root in self.numpy_random_roots and rest and "." not in rest:
             return rest
-        return None
+        return self.numpy_random_names.get(dotted)
 
     def is_clock_call(self, call: ast.Call) -> bool:
         name = dotted_name(call.func)

@@ -3,8 +3,8 @@
 Both :class:`~repro.exec.pool.WorkerPool` and
 :class:`~repro.exec.distributed.DistributedExecutor` face the same
 problem: a batch is split into contiguous chunks, the chunks must be
-spread over ``k`` lanes (pool feeder threads, remote worker
-connections), and the lanes are not equally fast — a loaded host, a
+spread over ``k`` lanes (one per pool worker process, one per remote
+worker connection), and the lanes are not equally fast — a loaded host, a
 5×-slower machine in a heterogeneous fleet, or plain OS jitter.  A
 *static* assignment (deal chunks round-robin up front, each lane runs
 only its own share) finishes when the **slowest** lane finishes its

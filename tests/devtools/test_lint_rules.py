@@ -129,6 +129,46 @@ class TestDET01:
         """
         assert "DET01" in rules_fired(src)
 
+    def test_flags_default_rng_imported_from_numpy_random_in_protocol(self):
+        src = """
+            from numpy.random import default_rng
+            from repro.core.protocol import Protocol
+
+            class MyProtocol(Protocol):
+                def broadcast(self, proc, round_index):
+                    return int(default_rng(7).integers(2))
+        """
+        assert "DET01" in rules_fired(src)
+
+    def test_flags_unseeded_default_rng_imported_under_an_alias(self):
+        src = """
+            from numpy.random import default_rng as make_rng
+
+            def helper():
+                return make_rng()
+        """
+        assert "DET01" in rules_fired(src)
+
+    def test_flags_legacy_seed_imported_from_numpy_random(self):
+        src = """
+            from numpy.random import seed
+
+            def reset():
+                seed(0)
+        """
+        assert "DET01" in rules_fired(src)
+
+    def test_allows_names_imported_from_numpy_random_for_plumbing(self):
+        # A seeded generator outside trial classes, and SeedSequence
+        # plumbing, are the sanctioned patterns whatever the import form.
+        src = """
+            from numpy.random import SeedSequence, default_rng
+
+            def make(seed, index):
+                return default_rng(SeedSequence(seed, spawn_key=(index,)))
+        """
+        assert "DET01" not in rules_fired(src)
+
 
 # ----------------------------------------------------------------------
 # DET02 — frozen spec mutation
@@ -417,7 +457,7 @@ class TestOneProcessBackend:
             if (starters := process_starters(path.read_text()))
         }
         pool = found.pop("repro/exec/pool.py", [])
-        assert "concurrent.futures.ProcessPoolExecutor" in pool
+        assert "multiprocessing.Process" in pool
         assert found == {}
 
 

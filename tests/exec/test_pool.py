@@ -2,11 +2,17 @@
 
 import glob
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Engine, RunSpec, SerialExecutor
 from repro.distributions import UniformRows
 from repro.exec import WorkerPool
@@ -20,6 +26,27 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"task {x} failed")
+
+
+def _raise_unpicklable(x):
+    raise ValueError(threading.Lock())
+
+
+def _return_unpicklable(x):
+    return threading.Lock()
+
+
+def _alive(pid):
+    """Whether process ``pid`` exists (a reaped worker does not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _worker_pids(pool):
+    return [process.pid for process in pool._pool._processes]
 
 
 def _exit_once(path):
@@ -62,7 +89,7 @@ class TestWarmReuse:
             assert inner is not None
             engine.run_batch(rank_spec(2), 8)
             engine.run_batch(rank_spec(3), 8)
-            # Same ProcessPoolExecutor object: no per-batch start-up.
+            # Same worker set: no per-batch start-up.
             assert pool._pool is inner
 
     def test_plain_map_contract(self):
@@ -134,6 +161,43 @@ class TestFailureRecovery:
             assert pool.registry.total("pool_broken_total") == 2
             assert pool.registry.total("pool_degraded_batches_total") == 1
 
+    def test_unpicklable_task_errors_are_typed_and_keep_the_pool(self):
+        """A reply that does not pickle comes back as a TypeError naming
+        the cause, from the same warm workers."""
+        with WorkerPool(max_workers=2) as pool:
+            assert pool.map(_square, range(4)) == [0, 1, 4, 9]
+            inner = pool._pool
+            with pytest.raises(TypeError, match="task's ValueError.*lock"):
+                pool.map(_raise_unpicklable, range(4))
+            with pytest.raises(TypeError, match="task's result.*lock"):
+                pool.map(_return_unpicklable, range(4))
+            assert pool._pool is inner
+            assert pool.map(_square, range(4)) == [0, 1, 4, 9]
+
+    def test_task_error_carries_the_worker_traceback(self):
+        with WorkerPool(max_workers=2) as pool:
+            with pytest.raises(ValueError) as info:
+                pool.map(_boom, [3])
+        assert "_boom" in str(info.value.__cause__)
+
+    def test_idle_worker_killed_between_maps_rebuilds_once(self):
+        golden = Engine(SerialExecutor()).run_batch(rank_spec(), 16)
+        with WorkerPool(max_workers=2) as pool:
+            engine = Engine(pool)
+            engine.run_batch(rank_spec(), 4)
+            old = _worker_pids(pool)
+            os.kill(old[0], signal.SIGKILL)
+            batch = engine.run_batch(rank_spec(), 16)
+            assert batch.outputs == golden.outputs
+            assert batch.transcript_keys == golden.transcript_keys
+            assert pool.registry.total("pool_broken_total") == 1
+            assert pool.registry.total("pool_degraded_batches_total") == 0
+            # Nothing leaks from the broken set: exactly max_workers
+            # worker processes are alive, all of them new.
+            new = _worker_pids(pool)
+            assert not any(_alive(pid) for pid in old)
+            assert len(new) == 2 and all(_alive(pid) for pid in new)
+
     def test_closed_pool_refuses_work(self):
         pool = WorkerPool(max_workers=2)
         pool.close()
@@ -169,6 +233,16 @@ class TestIdleReaping:
             pool.idle_timeout = self.LONG_IDLE
             assert pool.map(_square, [3]) == [9]
             assert pool.warm
+
+    def test_reap_leaves_no_worker_running(self):
+        with WorkerPool(max_workers=2, idle_timeout=self.LONG_IDLE) as pool:
+            assert pool.map(_square, [2]) == [4]
+            pids = _worker_pids(pool)
+            pool.idle_timeout = self.SHORT_IDLE
+            assert pool.map(_square, [4]) == [16]
+            self._wait_reaped(pool, lambda: not pool.warm)
+            assert not pool.warm
+            assert not any(_alive(pid) for pid in pids)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -231,3 +305,112 @@ class TestSharedInputs:
                     assert np.array_equal(trial.inputs, spec.inputs)
             assert pool.warm
             assert set(glob.glob("/dev/shm/psm_*")) <= before
+
+
+class TestWorkerLifecycle:
+    """Every worker process the pool starts is reaped by the pool."""
+
+    def test_close_leaves_no_worker_running(self):
+        pool = WorkerPool(max_workers=2)
+        assert pool.map(_square, range(4)) == [0, 1, 4, 9]
+        pids = _worker_pids(pool)
+        assert all(_alive(pid) for pid in pids)
+        pool.close()
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_rebuild_leaves_no_worker_of_the_broken_set(self, tmp_path):
+        sentinel = tmp_path / "die-once"
+        sentinel.write_text("")
+        with WorkerPool(max_workers=2) as pool:
+            assert pool.map(_square, [1, 2]) == [1, 4]
+            old = _worker_pids(pool)
+            assert pool.map(_exit_once, [str(sentinel)]) == ["recovered"]
+            new = _worker_pids(pool)
+            assert not any(_alive(pid) for pid in old)
+            assert len(new) == 2 and all(_alive(pid) for pid in new)
+        assert not any(_alive(pid) for pid in new)
+
+    def test_interpreter_exit_without_close_stops_the_workers(self):
+        """A pool left open at exit neither hangs the interpreter nor
+        leaves a worker running."""
+        script = (
+            "from repro.exec import WorkerPool\n"
+            "pool = WorkerPool(max_workers=2)\n"
+            "assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]\n"
+            "print(*[process.pid for process in pool._pool._processes])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+            timeout=60,
+        )
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_workers_read_eof_when_the_parent_end_closes(self):
+        """No worker holds a copy of any parent-side pipe end, so closing
+        the parent's ends alone stops every worker — what happens when
+        the parent dies without a stop message."""
+        with WorkerPool(max_workers=2) as pool:
+            assert pool.map(_square, range(4)) == [0, 1, 4, 9]
+            workers = pool._pool
+            for conn in workers._conns:
+                conn.close()
+            for process in workers._processes:
+                process.join(10.0)
+            assert [process.exitcode for process in workers._processes] == [0, 0]
+
+    def test_concurrent_batches_share_the_workers(self):
+        specs = [rank_spec(seed) for seed in range(4)]
+        serial = Engine(SerialExecutor())
+        with WorkerPool(max_workers=2) as pool:
+            engine = Engine(pool, max_inflight=4)
+            futures = [engine.submit_batch(spec, 24) for spec in specs]
+            batches = [future.result(timeout=60) for future in futures]
+            engine.close()
+            assert pool.registry.total("pool_broken_total") == 0
+        for spec, batch in zip(specs, batches):
+            golden = serial.run_batch(spec, 24)
+            assert batch.outputs == golden.outputs
+            assert batch.transcript_keys == golden.transcript_keys
+            assert batch.cost_totals() == golden.cost_totals()
+
+    def test_stress_many_lanes_on_few_workers(self):
+        """Eight threads mapping at once on two workers, with a tiny
+        switch interval: every result is right, and every worker is back
+        on the idle list afterwards, so none was lost or handed out
+        twice."""
+        errors = []
+
+        def hammer(offset):
+            try:
+                for round_ in range(10):
+                    items = list(range(offset, offset + 24 + round_))
+                    if pool.map(_square, items) != [x * x for x in items]:
+                        errors.append(f"wrong results at offset {offset}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(max_workers=2, chunksize=1) as pool:
+                threads = [
+                    threading.Thread(target=hammer, args=(100 * i,)) for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                workers = pool._pool
+                assert sorted(map(id, workers._idle)) == sorted(map(id, workers._conns))
+                assert pool.registry.total("pool_broken_total") == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []

@@ -13,8 +13,7 @@ surface, not test shortcuts:
    parsing the stdout announce line for the OS-assigned port;
 3. point a :class:`~repro.exec.DistributedExecutor` at it (same secret,
    a client SSL context pinned to the minted certificate) and run an
-   engine batch whose inputs travel as one MAC'd, gf2pack-compressed
-   ``publish_inputs`` frame;
+   engine batch over a fixed input matrix;
 4. verify the batch is bit-identical to
    :class:`~repro.core.engine.SerialExecutor` and that a client holding
    the *wrong* secret is rejected at the handshake.
@@ -106,18 +105,13 @@ def main() -> None:
                 [endpoint],
                 secret=SECRET,
                 ssl_context=client_tls_context(cert_pair),
-                share_inputs_min_bytes=1,
                 local_fallback=False,
             ) as executor:
                 batch = Engine(executor).run_batch(batch_spec(), TRIALS)
-                published = int(
-                    executor.registry.total("exec_publish_bytes_total")
-                )
             assert batch.outputs == golden.outputs, "fleet diverged from serial"
             print(
                 f"authenticated batch of {TRIALS} trials bit-identical to "
-                f"serial; inputs published as {published} MAC'd bytes "
-                f"({'TLS on' if cert_pair else 'TLS off'})"
+                f"serial ({'TLS on' if cert_pair else 'TLS off'})"
             )
 
             # The negative half: a wrong secret must fail closed.

@@ -21,9 +21,9 @@ A faithful, executable reproduction of Chen & Grossman (PODC 2019):
   Monte-Carlo advantage estimation with concrete distinguishers;
 * :mod:`repro.exec` — asynchronous job scheduling over the engine:
   batch futures, the shared work-stealing chunk scheduler, warm worker
-  pools, the distributed executor (with once-per-worker published
-  inputs), and resumable adaptive sweep driving with priorities and
-  cooperative preemption.
+  pools, the distributed executor (each task callable, fixed inputs
+  included, registered once per worker), and resumable adaptive sweep
+  driving with priorities and cooperative preemption.
 
 Quickstart — describe an execution with :class:`~repro.core.RunSpec` and
 run it through the :class:`~repro.core.Engine`::

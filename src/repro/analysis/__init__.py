@@ -1,4 +1,4 @@
-"""Experiment analysis: scaling-law fits and parameter-sweep running.
+"""Experiment analysis: scaling-law fits and parameter-sweep results.
 
 These are the tools DESIGN.md §4 commits to — checking asymptotic
 statements as finite-size scaling laws (fitted exponents/rates and
@@ -13,7 +13,7 @@ from .scaling import (
     fit_power_law,
     is_dominated,
 )
-from .sweep import SweepPoint, SweepResult, run_sweep
+from .sweep import SweepPoint, SweepResult
 
 __all__ = [
     "ExponentialFit",
@@ -24,5 +24,4 @@ __all__ = [
     "is_dominated",
     "SweepPoint",
     "SweepResult",
-    "run_sweep",
 ]

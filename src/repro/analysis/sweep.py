@@ -1,21 +1,20 @@
-"""Parameter-sweep runner for experiments.
+"""Parameter-sweep results for experiments.
 
-A tiny, dependency-free experiment harness: declare a grid of parameter
-points, a measurement function, and get back a :class:`SweepResult` that
-can select series, fit scaling laws, and render markdown — the shape every
-bench in ``benchmarks/`` follows, factored into the library so downstream
-users can add their own experiments in the same style.
+A :class:`SweepResult` holds the measured :class:`SweepPoint` of every
+grid point and can select series, fit scaling laws, and render markdown
+— the shape every bench in ``benchmarks/`` follows.
+:class:`~repro.exec.sweep.SweepDriver` runs the sweep itself (journaled,
+resumable, adaptive, over asynchronous batches) and returns one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from ..core.engine import Executor, resolve_executor
 from .scaling import ExponentialFit, PowerLawFit, fit_exponential_decay, fit_power_law
 
-__all__ = ["SweepPoint", "SweepResult", "run_sweep"]
+__all__ = ["SweepPoint", "SweepResult"]
 
 
 @dataclass(frozen=True)
@@ -70,52 +69,3 @@ class SweepResult:
 
     def column(self, key: str) -> list[Any]:
         return [p[key] for p in self.points]
-
-
-class _MeasureCall:
-    """Picklable ``params → measure(**params)`` wrapper for executors.
-
-    Validates the return type here, inside the mapped call, so a bad
-    ``measure`` fails on its first grid point instead of after the whole
-    (possibly expensive, possibly pooled) sweep has run.
-    """
-
-    def __init__(self, measure: Callable[..., Mapping[str, float]]):
-        self.measure = measure
-
-    def __call__(self, params: Mapping[str, Any]) -> Mapping[str, float]:
-        values = self.measure(**params)
-        if not isinstance(values, Mapping):
-            raise TypeError(
-                "measure must return a mapping of named values, got "
-                f"{type(values).__name__}"
-            )
-        return values
-
-
-def run_sweep(
-    grid: Iterable[Mapping[str, Any]],
-    measure: Callable[..., Mapping[str, float]],
-    executor: Executor | str | None = None,
-) -> SweepResult:
-    """Run ``measure(**params)`` for every grid point.
-
-    ``measure`` returns a mapping of measured values; parameters and
-    values are kept side by side in the result.  ``executor`` selects the
-    engine backend grid points run on: the default runs them serially in
-    order, and a :class:`~repro.exec.pool.WorkerPool` held in a ``with``
-    block spreads independent points over its warm process pool,
-    amortizing start-up across repeated sweeps (``measure`` must be
-    picklable — module-level functions and :func:`functools.partial`
-    are, closures are not and fall back to serial with a warning).
-
-    For a journaled, resumable sweep — plus adaptive trial counts and
-    overlapped asynchronous batches — use
-    :class:`~repro.exec.sweep.SweepDriver`.
-    """
-    grid = list(grid)
-    result = SweepResult()
-    all_values = resolve_executor(executor).map(_MeasureCall(measure), grid)
-    for params, values in zip(grid, all_values):
-        result.points.append(SweepPoint(params=dict(params), values=dict(values)))
-    return result

@@ -65,7 +65,6 @@ same spec — seeding never depends on scheduling.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import os
 import pickle
 import threading
@@ -88,7 +87,6 @@ from .transcript import Transcript
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..distributions.base import InputDistribution
     from ..exec.futures import BatchFuture
-    from ..exec.worker import PublishedInput
     from .simulator import ExecutionResult
 
 __all__ = [
@@ -566,41 +564,22 @@ def _run_trial(
     )
 
 
-#: Stand-in satisfying RunSpec validation while the real fixed inputs
-#: travel as a published handle instead of inside every encoded task.
-_SHARED_INPUT_PLACEHOLDER = np.empty((0, 0), dtype=np.uint8)
-
-
 class _TrialRunner:
     """Callable shipping a spec to workers: ``(index, SeedSequence) → TrialResult``.
 
-    ``shared_input`` is the handle :meth:`Executor.publish_inputs` returned
-    for the spec's fixed inputs; the matrix then travels once per worker
-    instead of inside every encoded runner.
+    A fixed input matrix travels inside ``spec`` like every other
+    ``RunSpec`` field: pickled into each pool chunk, and uploaded once
+    per fleet worker with the runner itself (``register_fn``).
     """
 
-    def __init__(self, spec: RunSpec, shared_input: "PublishedInput | None" = None):
+    def __init__(self, spec: RunSpec):
         self.spec = spec
-        self.shared_input = shared_input
-
-    def __getstate__(self) -> dict[str, Any]:
-        spec = self.spec
-        if self.shared_input is not None and spec.inputs is not None:
-            spec = dataclasses.replace(spec, inputs=_SHARED_INPUT_PLACEHOLDER)
-        return {"spec": spec, "shared_input": self.shared_input}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.spec = state["spec"]
-        self.shared_input = state["shared_input"]
 
     def __call__(self, task: tuple[int, np.random.SeedSequence]) -> TrialResult:
         index, seed_seq = task
         spec = self.spec
-        fixed = spec.inputs
-        if self.shared_input is not None:
-            fixed = self.shared_input.attach()
         inputs, result = _run_trial(
-            spec, spec.fresh_protocol(), np.random.default_rng(seed_seq), fixed
+            spec, spec.fresh_protocol(), np.random.default_rng(seed_seq), spec.inputs
         )
         return TrialResult(
             trial_index=index,
@@ -662,22 +641,6 @@ class Executor:
             stacklevel=3,
         )
         return [fn(item) for item in items]
-
-    # -- published-input protocol ---------------------------------------
-    # Executors own the lifecycle of published fixed inputs because only
-    # they know how long their workers' caches live: a fleet keeps each
-    # matrix cached on its workers across batches.
-
-    def publish_inputs(self, inputs: np.ndarray) -> "PublishedInput | None":
-        """Publish ``inputs`` to workers once, for every task to share.
-
-        ``None`` means "ship the matrix inside every task": the default,
-        and what a backend returns for inputs below its size threshold.
-        """
-        return None
-
-    def release_inputs(self, handle: "PublishedInput") -> None:
-        """Called by the engine once the batch using ``handle`` completed."""
 
 
 class SerialExecutor(Executor):
@@ -864,16 +827,7 @@ class Engine:
                 if batch is not None:
                     return batch
             seeds = spec.seed_sequence().spawn(trials)
-            handle = None
-            if trials > 1 and spec.inputs is not None:
-                handle = self.executor.publish_inputs(spec.inputs)
-            try:
-                results = self.executor.map(
-                    _TrialRunner(spec, handle), list(enumerate(seeds))
-                )
-            finally:
-                if handle is not None:
-                    self.executor.release_inputs(handle)
+            results = self.executor.map(_TrialRunner(spec), list(enumerate(seeds)))
             return BatchResult(trials=results)
 
     #: Trials evaluated per batched-kernel call on the vectorized fast

@@ -2,7 +2,7 @@
 
 Every correctness claim this repo makes — bit-identical results across
 the Serial/Parallel/WorkerPool/Distributed backends, exactly-once
-published-input frames, resumable sweeps — rests on invariants that are
+callable registration, resumable sweeps — rests on invariants that are
 easy to break silently:
 
 * trial code must draw randomness only from engine-spawned generators

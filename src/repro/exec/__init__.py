@@ -19,11 +19,11 @@ with every estimator, sweep, and benchmark that already takes
   into its workers;
 * :mod:`repro.exec.distributed` — :class:`DistributedExecutor` /
   :class:`LoopbackWorker` and the :mod:`repro.exec.worker` serve loop:
-  the ``Executor.map`` contract over sockets, with content-digest-keyed
-  ``publish_inputs`` frames so fixed input matrices ship **once per
-  worker** instead of once per batch (:class:`PublishedInput` is the
-  wire handle), bit-identical to serial execution thanks to per-trial
-  ``SeedSequence.spawn`` seeding;
+  the ``Executor.map`` contract over sockets, with each task callable
+  registered once per worker under its content digest (an engine trial
+  runner carries its fixed input matrix, so the matrix ships **once per
+  worker**, not once per chunk), bit-identical to serial execution
+  thanks to per-trial ``SeedSequence.spawn`` seeding;
 * :mod:`repro.exec.wire` — the schema'd, authenticated frame codec
   (``8-byte big-endian length || schema payload || HMAC-SHA256``): a
   closed vocabulary of versioned frames (callables travel as registered
@@ -31,9 +31,8 @@ with every estimator, sweep, and benchmark that already takes
   tree-wide by lint rule ``EXC01``), a mutual challenge–response
   handshake deriving a per-session key from a shared secret
   (``REPRO_WIRE_SECRET``), per-frame MACs over strict sequence numbers
-  (tamper- and replay-evident published inputs), optional TLS, and
-  negotiated payload codecs (``gf2pack`` bit-packs GF(2) matrices to
-  one-eighth of raw).  Typed frame errors (:class:`WireProtocolError` /
+  (tamper- and replay-evident frames), and optional TLS.  Typed frame
+  errors (:class:`WireProtocolError` /
   :class:`TruncatedFrameError` / :class:`CorruptFrameError` /
   :class:`~repro.exec.wire.AuthenticationError`) mean damaged or forged
   frames can never surface as a silent partial decode;
@@ -46,7 +45,7 @@ with every estimator, sweep, and benchmark that already takes
 * :mod:`repro.exec.faults` — deterministic, replayable fault injection:
   :class:`FaultPlan` (a pure function of a seed, JSON round-trip for
   replay) and :class:`FaultInjector` (crashes, refusals, torn/corrupt
-  frames, slow links, lost publishes, hangs), wired into the worker
+  frames, slow links, lost uploads, hangs), wired into the worker
   serve loop and ``python -m repro.exec.worker --fault-plan``;
 * :mod:`repro.exec.sweep` — :class:`SweepDriver`, resumable (JSONL
   checkpoint journal) adaptive (confidence-interval-targeted) grid
@@ -102,7 +101,6 @@ from .wire import (
     register_wire_type,
     send_frame,
 )
-from .worker import PublishedInput
 
 __all__ = [
     "BatchFuture",
@@ -112,7 +110,6 @@ __all__ = [
     "WorkerPool",
     "DistributedExecutor",
     "LoopbackWorker",
-    "PublishedInput",
     "MAX_FRAME_BYTES",
     "send_frame",
     "recv_frame",

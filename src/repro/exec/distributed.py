@@ -13,12 +13,14 @@ Every connection is an authenticated
 :class:`~repro.exec.wire.WireSession`: a shared-secret HMAC handshake at
 connect (optionally under TLS), then schema-encoded frames — **never
 pickle** — each carrying a MAC over the session key and a sequence
-number, so a tampered or replayed frame (including a published-input
-matrix) raises a typed error instead of being computed on.  Task
-callables do not travel either: the executor registers the encoded
-callable once per worker under its content digest (``register_fn``) and
-map frames reference the digest; a worker that restarted answers
-``("need_fn", digest)`` and is transparently re-registered.
+number, so a tampered or replayed frame raises a typed error instead of
+being computed on.  Task callables do not travel either: the executor
+registers the encoded callable once per worker under its content digest
+(``register_fn``) and map frames reference the digest; a worker that
+restarted answers ``("need_fn", digest)`` and is transparently
+re-registered.  An engine trial runner carries its spec, so a fixed
+input matrix rides that one upload: it reaches each worker once per
+distinct runner, never once per chunk.
 
 Dispatch runs the shared :func:`~repro.exec.stealing.dispatch` loop
 with one wire lane per worker — one feeder thread per connection, each
@@ -51,15 +53,6 @@ fault schedule the deterministic fault-injection harness
 :class:`~repro.core.engine.SerialExecutor` or the failure is a loud
 typed error — never silent partial output.
 
-Large **fixed input matrices** are not re-encoded into every map frame:
-the executor publishes them once per worker (``publish_inputs`` frames,
-keyed by content digest, compressed with the best codec the session
-negotiated — GF(2) matrices ride bit-packed at an eighth of the raw
-bytes) and workers cache them across connections and batches —
-consecutive batches over the same inputs transmit the matrix exactly
-once per worker.  A worker that restarted (and lost its cache) answers
-``("need", digest)`` and is transparently refilled.
-
 Workers for tests (or single-machine smoke runs) can live in-process:
 :class:`LoopbackWorker` hosts the same serve loop on a background thread
 bound to ``127.0.0.1``.
@@ -72,8 +65,6 @@ import threading
 import time
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterable
-
-import numpy as np
 
 from ..core.engine import Executor
 from ..obs.metrics import MetricsRegistry
@@ -96,12 +87,11 @@ from .wire import (
     UnencodableError,
     WireProtocolError,
     WireSession,
-    encode_array_payload,
     encode_value,
     function_digest,
     register_wire_function,
 )
-from .worker import PublishedInput, _content_digest, serve
+from .worker import serve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import ssl
@@ -201,12 +191,6 @@ class _WorkerLink:
             self.registry.counter(
                 "exec_handshakes_total", outcome=outcome
             ).inc()
-
-    @property
-    def codecs(self) -> tuple[str, ...]:
-        """Array codecs the session negotiated (``("raw",)`` until connected)."""
-        session = self.session
-        return session.codecs if session is not None else ("raw",)
 
     def ensure_connected(self) -> bool:
         if self.session is not None:
@@ -331,7 +315,6 @@ class _WireLane:
         index: int,
         fn_digest: str,
         fn_bytes: bytes,
-        handle: "PublishedInput | None",
     ):
         self.executor = executor
         # A private connection per map call, so overlapping batches never
@@ -350,7 +333,6 @@ class _WireLane:
         )
         self.fn_digest = fn_digest
         self.fn_bytes = fn_bytes
-        self.handle = handle
         #: Times this lane was lost in its map call.
         self.losses = 0
         self._lost = False
@@ -390,47 +372,24 @@ class _WireLane:
         )
         self.executor.tracer.instant("lane_death", track=f"lane-{self.link.lane}")
 
-    def _upload(self) -> None:
-        """Ship the callable, and the matrix, unless the worker acked them."""
-        executor, link, handle = self.executor, self.link, self.handle
-        executor._ensure_uploaded(
-            link,
-            executor._fn_acks,
-            self.fn_digest,
-            lambda: ("register_fn", self.fn_digest, self.fn_bytes),
-        )
-        if handle is not None:
-            executor._ensure_uploaded(
-                link,
-                executor._acked,
-                handle.digest,
-                lambda: executor._publish_frame(link, handle),
-            )
-
     def _heal(self, frame: tuple[Any, ...], reply: Any) -> Any:
-        """Resolve ``need`` / ``need_fn`` replies by re-uploading.
+        """Resolve ``need_fn`` replies by re-registering the callable.
 
-        The worker lost a digest (it restarted, or its own bounded
+        The worker lost the digest (it restarted, or its own bounded
         cache evicted it under concurrent-batch thrash): forget the
-        stale ack, re-upload, retry — a bounded number of times, so a
+        stale ack, re-register, retry — a bounded number of times, so a
         hot eviction loop degrades to a lane failure rather than
         spinning.
         """
         executor = self.executor
         for _ in range(3):
-            kind = reply[0]
-            if kind == "need":
-                acks = executor._acked
-                expected = self.handle.digest if self.handle is not None else None
-            elif kind == "need_fn":
-                acks, expected = executor._fn_acks, self.fn_digest
-            else:
+            if reply[0] != "need_fn":
                 break
-            with executor._publish_lock:
-                acks.get(self.link.address, set()).discard(reply[1])
-            if reply[1] != expected:
+            with executor._ack_lock:
+                executor._fn_acks.get(self.link.address, set()).discard(reply[1])
+            if reply[1] != self.fn_digest:
                 raise ConnectionError(f"worker demanded unknown digest {reply[1]!r}")
-            self._upload()
+            executor._register(self.link, self.fn_digest, self.fn_bytes)
             reply = self.link.request(frame)
         return reply
 
@@ -448,11 +407,11 @@ class _WireLane:
         else:
             frame = ("map", self.fn_digest, chunk.items)
         try:
-            # Upload lazily, only when this worker is about to receive a
-            # frame referencing the digests — a lane that never claims a
-            # chunk never gets the callable or the matrix.  O(1) after
-            # the first chunk (ack tables).
-            self._upload()
+            # Register lazily, only when this worker is about to receive
+            # a frame referencing the digest — a lane that never claims a
+            # chunk never gets the callable.  O(1) after the first chunk
+            # (the ack table).
+            executor._register(link, self.fn_digest, self.fn_bytes)
             reply = self._heal(frame, link.request(frame))
             if reply[0] == "ok":
                 payload = list(reply[1])
@@ -555,21 +514,6 @@ class DistributedExecutor(Executor):
         disconnected / unreachable).  ``False`` raises instead — for
         deployments where silent local execution would hide a fleet
         outage.
-    share_inputs_min_bytes:
-        Fixed input matrices at least this large are published to each
-        worker once (content-digest keyed ``publish_inputs`` frame,
-        compressed with the session-negotiated codec) and referenced by
-        handle in every subsequent map frame, instead of being encoded
-        into each chunk.  Workers cache published inputs across batches
-        until :meth:`close` releases them.
-    max_cached_inputs:
-        LRU bound on *distinct* matrices the executor keeps pinned for
-        publication — a long sweep whose grid varies the fixed inputs
-        must not accumulate every matrix it ever published.  Evicting a
-        digest also forgets its worker acks, so re-using evicted inputs
-        later simply republishes them (workers bound their own caches
-        the same way and answer ``("need", digest)`` after evicting —
-        the protocol is self-healing in both directions).
 
     The executor plugs into the engine like any other backend — here
     against an in-process loopback worker.  Task callables travel by
@@ -600,8 +544,6 @@ class DistributedExecutor(Executor):
         connect_timeout: float = 5.0,
         task_timeout: float | None = DEFAULT_TASK_TIMEOUT,
         local_fallback: bool = True,
-        share_inputs_min_bytes: int = 1 << 16,
-        max_cached_inputs: int = 32,
         heartbeat_interval: float | None = 5.0,
         suspect_after: int = 1,
         dead_after: int = 3,
@@ -623,10 +565,6 @@ class DistributedExecutor(Executor):
             raise ValueError("chunksize must be >= 1")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be positive")
-        if share_inputs_min_bytes < 1:
-            raise ValueError("share_inputs_min_bytes must be >= 1")
-        if max_cached_inputs < 1:
-            raise ValueError("max_cached_inputs must be >= 1")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive (or None)")
         if connect_retries < 0:
@@ -638,8 +576,6 @@ class DistributedExecutor(Executor):
         self.task_timeout = task_timeout
         self.chunksize = chunksize
         self.local_fallback = local_fallback
-        self.share_inputs_min_bytes = share_inputs_min_bytes
-        self.max_cached_inputs = max_cached_inputs
         self.heartbeat_interval = heartbeat_interval
         self.connect_retries = connect_retries
         self.lane_retries = lane_retries
@@ -665,32 +601,21 @@ class DistributedExecutor(Executor):
         )
         #: Per-worker, per-category counters of every *handled* failure
         #: (connect, auth, version, transport, timeout, corrupt, heartbeat,
-        #: ping, release, close, protocol) — nothing is silently swallowed.
+        #: ping, close, protocol) — nothing is silently swallowed.
         #: Served from :attr:`registry` as ``exec_errors_total``.
         self.telemetry = ErrorTelemetry(registry=self.registry)
         self._retry_policy = RetryPolicy(
             seed=retry_seed, base=backoff_base, cap=backoff_cap
         )
-        #: Published-input bookkeeping: the matrices themselves (digest →
-        #: array, LRU-bounded by ``max_cached_inputs``, for lazy
-        #: per-worker publication and local fallback), and which workers
-        #: acked which digests (address → digests).
-        self._inputs_by_digest: dict[str, np.ndarray] = {}
-        self._acked: dict[tuple[str, int], set[str]] = {}
         #: Which workers hold which registered callables (address →
-        #: function digests), healed like ``_acked`` through
-        #: ``("need_fn", digest)`` replies.
+        #: function digests), healed through ``("need_fn", digest)``
+        #: replies.
         self._fn_acks: dict[tuple[str, int], set[str]] = {}
-        #: digest → number of in-flight batches using it; pinned digests
-        #: are exempt from LRU eviction (evicting a matrix a running map
-        #: still references would fail that map on every lane).
-        self._pinned: dict[str, int] = {}
-        self._publish_lock = threading.Lock()
+        self._ack_lock = threading.Lock()
         #: One send-lock per worker address: concurrent map calls must
-        #: not each ship the same matrix (or callable) to the same
-        #: worker (the second sender waits, then sees the ack and
-        #: skips).
-        self._publish_send_locks: dict[tuple[str, int], threading.Lock] = {}
+        #: not each ship the same callable to the same worker (the
+        #: second sender waits, then sees the ack and skips).
+        self._send_locks: dict[tuple[str, int], threading.Lock] = {}
 
     @property
     def addresses(self) -> list[tuple[str, int]]:
@@ -778,89 +703,19 @@ class DistributedExecutor(Executor):
             alive.append(ok)
         return alive
 
-    # -- shared fixed-input publication ---------------------------------
-    def publish_inputs(self, inputs: np.ndarray) -> "PublishedInput | None":
-        """Register ``inputs`` for digest-keyed publication to workers.
+    # -- callable registration ------------------------------------------
+    def _register(self, link: _WorkerLink, digest: str, fn_bytes: bytes) -> None:
+        """Send ``register_fn`` to this link's worker unless it acked ``digest``.
 
-        A matrix under ``share_inputs_min_bytes`` returns ``None`` and
-        rides inside every map frame.  No network traffic happens here:
-        the actual ``publish_inputs`` frame goes out lazily, once per
-        worker, the first time a feeder is about to send that worker a
-        map frame referencing the digest — and never again while the
-        worker keeps its cache (the whole point: consecutive batches
-        over the same fixed inputs transmit the matrix exactly once per
-        worker).  The digest is taken on every call, so a buffer refilled
-        in place is published afresh instead of served from a worker's
-        copy of its old contents.
-        """
-        if inputs.nbytes < self.share_inputs_min_bytes:
-            return None
-        digest = _content_digest(inputs)
-        with self._publish_lock:
-            # Refresh the LRU position and pin the digest for the
-            # duration of its batch, then evict beyond the bound —
-            # oldest *unpinned* digest first, dropping its worker acks
-            # too, so later reuse republishes instead of referencing a
-            # forgotten matrix.  Pinned digests are never evicted (the
-            # bound may be exceeded transiently while more than
-            # ``max_cached_inputs`` distinct-input batches are in
-            # flight).
-            self._inputs_by_digest.pop(digest, None)
-            self._inputs_by_digest[digest] = inputs
-            self._pinned[digest] = self._pinned.get(digest, 0) + 1
-            while len(self._inputs_by_digest) > self.max_cached_inputs:
-                evictable = next(
-                    (
-                        d
-                        for d in self._inputs_by_digest
-                        if not self._pinned.get(d)
-                    ),
-                    None,
-                )
-                if evictable is None:
-                    break
-                del self._inputs_by_digest[evictable]
-                for digests in self._acked.values():
-                    digests.discard(evictable)
-        return PublishedInput(digest, tuple(inputs.shape), np.dtype(inputs.dtype).str)
+        The one upload: the encoded task callable — for an engine trial
+        runner its spec, fixed input matrix included — travels once per
+        (worker, digest), never per chunk.  The worker verifies the
+        digest against the bytes, and decodes a callable only against
+        its own registry — code never travels.
 
-    def release_inputs(self, handle: "PublishedInput") -> None:
-        """Unpin a completed batch's digest; the matrix stays cached.
-
-        Cross-batch reuse is the point of publication, so nothing is
-        released over the wire here — the digest merely becomes eligible
-        for LRU eviction once no in-flight batch references it.
-        """
-        with self._publish_lock:
-            count = self._pinned.get(handle.digest, 0) - 1
-            if count > 0:
-                self._pinned[handle.digest] = count
-            else:
-                self._pinned.pop(handle.digest, None)
-
-    def _ensure_uploaded(
-        self,
-        link: _WorkerLink,
-        acks: dict[tuple[str, int], set[str]],
-        digest: str,
-        build_frame: Callable[[], tuple[Any, ...]],
-    ) -> None:
-        """Send ``build_frame()`` to this link's worker unless it acked ``digest``.
-
-        The one path for both content-addressed uploads: ``register_fn``
-        (the encoded task callable, acked in ``_fn_acks``) and
-        ``publish_inputs`` (a fixed input matrix, acked in ``_acked``).
-        ``build_frame`` runs only when a frame is due, so a matrix is
-        encoded — in the best codec the session negotiated, ``gf2pack``
-        for GF(2) matrices — once per (worker, digest), never per chunk;
-        published bytes are counted per codec on
-        ``exec_publish_bytes_total``.  The worker verifies every digest
-        against the bytes, and decodes a callable only against its own
-        registry — code never travels.
-
-        Serialized per address: concurrent map calls racing to upload
-        the same digest to the same worker take the address's send lock
-        (then ``_publish_lock``, never the reverse), so the loser of the
+        Serialized per address: concurrent map calls racing to register
+        the same digest on the same worker take the address's send lock
+        (then ``_ack_lock``, never the reverse), so the loser of the
         race finds the ack and sends nothing — exactly one frame per
         (worker, digest).
 
@@ -869,61 +724,19 @@ class DistributedExecutor(Executor):
         failure (the link sits out the map call).
         """
         address = link.address
-        with self._publish_lock:
-            if digest in acks.setdefault(address, set()):
+        with self._ack_lock:
+            if digest in self._fn_acks.setdefault(address, set()):
                 return
-            send_lock = self._publish_send_locks.setdefault(
-                address, threading.Lock()
-            )
+            send_lock = self._send_locks.setdefault(address, threading.Lock())
         with send_lock:
-            with self._publish_lock:
-                if digest in acks.setdefault(address, set()):
-                    return  # another map call uploaded while we waited
-            frame = build_frame()
-            reply = link.request(frame)
+            with self._ack_lock:
+                if digest in self._fn_acks.setdefault(address, set()):
+                    return  # another map call registered while we waited
+            reply = link.request(("register_fn", digest, fn_bytes))
             if reply[0] != "ok":
-                raise ConnectionError(f"{frame[0]} rejected: {reply[0]!r}")
-            with self._publish_lock:
-                acks.setdefault(address, set()).add(digest)
-        if frame[0] == "publish_inputs":
-            codec, data = frame[4], frame[5]
-            self.registry.counter("exec_publish_frames_total").inc()
-            self.registry.counter(
-                "exec_publish_bytes_total", codec=codec
-            ).inc(len(data))
-
-    def _publish_frame(
-        self, link: _WorkerLink, handle: "PublishedInput"
-    ) -> tuple[Any, ...]:
-        """The ``publish_inputs`` frame of ``handle``'s matrix for ``link``."""
-        with self._publish_lock:
-            inputs = self._inputs_by_digest.get(handle.digest)
-        if inputs is None:  # pragma: no cover - engine publishes first
-            raise ConnectionError(f"unknown input digest {handle.digest[:12]}…")
-        codec, data = encode_array_payload(inputs, link.codecs)
-        return (
-            "publish_inputs",
-            handle.digest,
-            handle.shape,
-            handle.dtype_str,
-            codec,
-            data,
-        )
-
-    def _bind_local(self, fn: Callable[[Any], Any]) -> None:
-        """Give a locally-run task its published inputs back.
-
-        The local-fallback path executes the same callable the workers
-        would have decoded: if it references a published digest, the
-        matrix must be rebound from the executor's own store before
-        ``fn`` can run in this process.
-        """
-        handle = getattr(fn, "shared_input", None)
-        if isinstance(handle, PublishedInput) and not handle.bound:
-            with self._publish_lock:
-                inputs = self._inputs_by_digest.get(handle.digest)
-            if inputs is not None:
-                handle.bind(inputs)
+                raise ConnectionError(f"register_fn rejected: {reply[0]!r}")
+            with self._ack_lock:
+                self._fn_acks.setdefault(address, set()).add(digest)
 
     # -- Executor contract ----------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
@@ -939,7 +752,6 @@ class DistributedExecutor(Executor):
             fn_bytes = encode_value(fn)
             encode_value(items[0])
         except UnencodableError as probe_exc:
-            self._bind_local(fn)
             return self._unpicklable_fallback(
                 fn,
                 items,
@@ -948,10 +760,8 @@ class DistributedExecutor(Executor):
                 reason="not wire-encodable",
             )
         fn_digest = function_digest(fn_bytes)
-        shared = getattr(fn, "shared_input", None)
-        handle = shared if isinstance(shared, PublishedInput) else None
         lanes = [
-            _WireLane(self, index, fn_digest, fn_bytes, handle)
+            _WireLane(self, index, fn_digest, fn_bytes)
             for index in range(len(self._addresses))
         ]
         stop = threading.Event()
@@ -989,7 +799,6 @@ class DistributedExecutor(Executor):
                 FleetDegradedWarning,
                 stacklevel=2,
             )
-            self._bind_local(fn)
             with self.tracer.span("local_fallback", track="engine"):
                 for chunk in leftovers:
                     results[chunk.start : chunk.start + len(chunk)] = [
@@ -998,41 +807,15 @@ class DistributedExecutor(Executor):
         return results
 
     def close(self) -> None:
-        """Release published inputs on every worker that cached them.
+        """Forget which workers hold which callables; no network traffic.
 
-        Connections are per-call and already closed; what outlives a map
-        call is the workers' digest-keyed input caches.  Best-effort: a
-        worker that is unreachable right now loses nothing durable — its
-        cache dies with its process anyway.  So a worker the health board
-        marks dead is skipped (counted under ``"release"``), and the rest
-        get one :meth:`_probe_link` each: a hung worker costs the probe
-        deadline, not ``task_timeout``.
+        Connections are per map call and already closed, so what
+        outlives one is only the workers' registered callables, which
+        each worker bounds itself.  The executor stays usable: its next
+        map registers afresh.
         """
-        with self._publish_lock:
-            acked = {addr: set(digests) for addr, digests in self._acked.items()}
-            self._acked.clear()
+        with self._ack_lock:
             self._fn_acks.clear()
-            self._inputs_by_digest.clear()
-            self._pinned.clear()
-        for address, digests in acked.items():
-            if not digests:
-                continue
-            if self.health.is_dead(address):
-                self.telemetry.record(address, "release")
-                continue
-            link = self._probe_link(address)
-            if not link.ensure_connected():
-                continue
-            try:
-                for digest in digests:
-                    link.request(("release_inputs", digest))
-            except ConnectionError:
-                # Best-effort by design (the worker's cache dies with
-                # its process anyway) — but the failure is counted, not
-                # swallowed.
-                self.telemetry.record(address, "release")
-            finally:
-                link.drop()
 
     def __enter__(self) -> "DistributedExecutor":
         return self
@@ -1055,7 +838,7 @@ class LoopbackWorker:
 
     ``fault_injector`` arms the serve loop with a deterministic
     :class:`~repro.exec.faults.FaultPlan` schedule — crashes, torn and
-    corrupt frames, refusals, slow replies, lost publishes, hangs —
+    corrupt frames, refusals, slow replies, lost uploads, hangs —
     which is how the tests build flaky and straggling workers and how
     the fault-matrix conformance suite drives in-process chaos.
     ``tracer`` arms the serve loop with a (shared, in-process)
@@ -1066,7 +849,6 @@ class LoopbackWorker:
 
     def __init__(
         self,
-        max_cached_inputs: int = 32,
         fault_injector: "FaultInjector | None" = None,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
         secret: "bytes | str | None" = None,
@@ -1088,7 +870,6 @@ class LoopbackWorker:
                 port=0,
                 stop_event=self._stop,
                 ready_callback=on_ready,
-                max_cached_inputs=max_cached_inputs,
                 fault_injector=fault_injector,
                 tracer=tracer,
                 secret=secret,

@@ -26,9 +26,9 @@ kind                      effect at the worker
                           flipped — undecodable garbage
 ``"slow"``                sleep ``delay`` seconds, then answer normally —
                           a slow link / overloaded host
-``"lose_publish"``        acknowledge a ``publish_inputs`` frame but drop the
-                          matrix — a lost published-input frame (the client
-                          believes the worker holds inputs it does not)
+``"lose_publish"``        acknowledge a ``register_fn`` frame but drop the
+                          callable — a lost upload (the client believes the
+                          worker holds a runner it does not)
 ``"hang"``                stop answering **every** connection of this worker,
                           forever (sticky) — a wedged process, detectable
                           only by heartbeat / deadline
@@ -109,7 +109,7 @@ _SCOPE_FOR_KIND = {
     "refuse": "accept",
     "lose_publish": "publish",
 }
-_SCOPES = ("accept", "map", "publish", "ping", "release")
+_SCOPES = ("accept", "map", "publish", "ping")
 
 
 def _scope_for(kind: str) -> str:
@@ -122,7 +122,8 @@ class FaultEvent:
 
     ``op`` counts operations of that scope observed by the worker's
     injector from process start: accepted connections for ``accept``,
-    map frames for ``map``, publish frames for ``publish``, and so on.
+    map frames for ``map``, ``register_fn`` uploads for ``publish``, and
+    ping frames for ``ping``.
     ``delay`` is the injected latency for ``"slow"`` (ignored
     otherwise).
     """

@@ -266,8 +266,8 @@ class ErrorTelemetry:
     wire protocol version), ``"corrupt"`` (a frame passed its MAC but
     violated the schema — a peer-side encoder bug, not an attacker),
     ``"transport"`` (torn frames, resets, timeouts at the socket layer),
-    ``"timeout"``, ``"heartbeat"``, ``"ping"``, ``"release"``,
-    ``"close"``, ``"protocol"``.  Lint rule ``EXC03`` forbids the
+    ``"timeout"``, ``"heartbeat"``, ``"ping"``, ``"close"``,
+    ``"protocol"``.  Lint rule ``EXC03`` forbids the
     reason-less ``except: pass`` alternative in :mod:`repro.exec`.
 
     The counts live in a :class:`~repro.obs.metrics.MetricsRegistry` —

@@ -1,8 +1,8 @@
 """Resumable, adaptive, asynchronous parameter sweeps: ``SweepDriver``.
 
-:func:`repro.analysis.sweep.run_sweep` maps a measure function over a
-grid and blocks until the last point returns.  ``SweepDriver`` is its
-production-scale sibling built on the engine's asynchronous batches:
+A sweep runs a batch per grid point and collects the points into a
+:class:`~repro.analysis.sweep.SweepResult`.  ``SweepDriver`` builds it
+on the engine's asynchronous batches:
 
 * **async** — the whole grid is submitted up front via
   :meth:`~repro.core.engine.Engine.submit_batch`, so many points'

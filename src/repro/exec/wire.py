@@ -4,8 +4,9 @@ This module is the trust boundary of the distributed stack.  Until v2
 the protocol was ``8-byte length || pickle`` — any peer that could reach
 a worker socket owned the process, because ``pickle.loads`` constructs
 arbitrary objects.  v2 replaced the payload with a **closed-vocabulary
-schema codec** plus a **mandatory authenticated session**; v3 (this
-version) adds packed int runs to the vocabulary:
+schema codec** plus a **mandatory authenticated session**; v3 added
+packed int runs to the vocabulary, and v4 (this version) drops the codec
+lists from the handshake:
 
 * **Schema codec.**  :func:`encode_value` / :func:`decode_value` handle
   a fixed, tagged vocabulary: ``None``/bools/ints/floats/strings/bytes,
@@ -29,7 +30,7 @@ version) adds packed int runs to the vocabulary:
   proofs over fresh nonces, derived from a per-worker shared secret)
   and then MACs **every frame** over a direction label, the session key
   (which binds both nonces) and a strict per-direction sequence number
-  — so a tampered published-input matrix fails verification instead of
+  — so a tampered fixed input matrix fails verification instead of
   being computed on, and a replayed frame's MAC cannot match the
   expected sequence number.  Transport privacy is optional TLS
   (``ssl.SSLContext``) underneath; authentication is not optional.
@@ -53,9 +54,9 @@ The raw framing layer (:func:`send_frame` / :func:`recv_frame`) is
 ``8-byte big-endian length || schema payload`` and carries only the
 handshake; everything after the handshake travels through
 :meth:`WireSession.send` / :meth:`WireSession.recv`, which append the
-32-byte frame MAC.  Large payload chunks (published matrices) are
-written by reference — the frame is never materialized as one
-``header + payload`` copy.
+32-byte frame MAC.  Large payload chunks (a runner's fixed input
+matrix) are written by reference — the frame is never materialized as
+one ``header + payload`` copy.
 
 Key distribution is deliberately boring: both ends share a secret
 (``DistributedExecutor(secret=...)``, worker ``--secret-file``), by
@@ -84,14 +85,13 @@ import os
 import socket
 import struct
 import threading
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 __all__ = [
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
-    "WIRE_CODECS",
     "DEFAULT_SECRET_ENV",
     "WireProtocolError",
     "FrameSizeError",
@@ -108,8 +108,6 @@ __all__ = [
     "encode_value",
     "decode_value",
     "function_digest",
-    "encode_array_payload",
-    "decode_array_payload",
     "resolve_secret",
     "send_frame",
     "recv_frame",
@@ -141,16 +139,12 @@ _PLAIN_INT = frozenset({int})
 MAX_FRAME_BYTES = 1 << 32
 
 #: Version announced in the handshake challenge.  v1 was the pickle
-#: protocol; v2 the schema'd, authenticated protocol; v3 adds packed int
-#: runs, which a v2 decoder cannot read.  There is no cross-version
+#: protocol; v2 the schema'd, authenticated protocol; v3 added packed
+#: int runs, which a v2 decoder cannot read; v4 drops the codec lists
+#: from the challenge and auth frames.  There is no cross-version
 #: negotiation — both ends must speak the same version, and a client
 #: meeting another one raises :class:`ProtocolVersionError`.
-PROTOCOL_VERSION = 3
-
-#: Array-payload codecs this end can decode, in preference order.
-#: ``gf2pack`` bit-packs 0/1 ``uint8`` matrices (8x smaller on the
-#: wire); ``raw`` is the C-order byte dump every peer must support.
-WIRE_CODECS = ("gf2pack", "raw")
+PROTOCOL_VERSION = 4
 
 #: Environment variable both ends read the shared secret from when none
 #: is configured explicitly.
@@ -376,21 +370,12 @@ def _ensure_registry(resweep: bool = False) -> None:
         ):
             register_wire_type(cls)
         try:
-            from ..analysis.sweep import _MeasureCall
-
-            register_wire_type(_MeasureCall)
-        except ImportError:  # repro-lint: disable=EXC03 optional subpackage; its frames would fail loudly as unregistered  # pragma: no cover
-            pass
-        try:
             from ..prg.newman import NewmanCompiled, _CompiledTrialRunner
 
             register_wire_type(NewmanCompiled)
             register_wire_type(_CompiledTrialRunner)
         except ImportError:  # repro-lint: disable=EXC03 optional subpackage; its frames would fail loudly as unregistered  # pragma: no cover
             pass
-        from .worker import PublishedInput
-
-        register_wire_type(PublishedInput)
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +385,7 @@ class _Encoder:
     """Accumulates encoded bytes; big payloads ride as separate chunks.
 
     The chunk list is what lets the framing layer write a multi-GiB
-    published matrix to the socket by reference instead of joining
+    fixed input matrix to the socket by reference instead of joining
     ``header + payload`` into one doubled-peak-memory copy.
     """
 
@@ -769,11 +754,11 @@ class _Decoder:
                 f"shape {shape} / dtype {dtype.str}"
             )
         data = self.take(nbytes)
-        # A fresh writable copy: the frame buffer must not pin multi-GiB
-        # views alive, and decoded state (e.g. recorded inputs) may be
-        # mutated downstream.  The bulk publish path has its own
-        # zero-copy lane (decode_array_payload).
-        return np.frombuffer(bytes(data), dtype=dtype).reshape(shape).copy()
+        # One copy, straight out of the frame buffer: the result owns
+        # aligned, writable memory, so it pins no multi-GiB frame alive
+        # and decoded state (e.g. recorded inputs) may be mutated
+        # downstream.
+        return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
     def _seed_sequence(self, depth: int) -> np.random.SeedSequence:
         state = self.value(depth + 1)
@@ -925,65 +910,6 @@ def decode_value(payload: bytes) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Array-payload codecs (published-input compression)
-# ----------------------------------------------------------------------
-def encode_array_payload(
-    array: np.ndarray, codecs: Iterable[str] = WIRE_CODECS
-) -> tuple[str, bytes]:
-    """Encode a published matrix under the best negotiated codec.
-
-    ``gf2pack`` bit-packs GF(2) matrices — ``uint8`` arrays whose values
-    are all 0/1, the repo's dominant payload — to one-eighth of the raw
-    size; anything else ships ``raw`` C-order bytes.
-    """
-    contiguous = np.ascontiguousarray(array)
-    if (
-        "gf2pack" in codecs
-        and contiguous.dtype == np.uint8
-        and contiguous.size > 0
-        and int(contiguous.max()) <= 1
-    ):
-        return "gf2pack", np.packbits(contiguous.reshape(-1)).tobytes()
-    return "raw", contiguous.tobytes()
-
-
-def decode_array_payload(
-    codec: str, data: bytes, shape: tuple[int, ...], dtype_str: str
-) -> np.ndarray:
-    """Decode a published matrix; read-only, zero-copy where possible."""
-    try:
-        dtype = np.dtype(dtype_str)
-    except Exception as exc:
-        raise CorruptFrameError(f"bad dtype {dtype_str!r} on the wire") from exc
-    if dtype.hasobject:
-        raise SchemaViolationError("object dtypes are not wire-decodable")
-    count = int(math.prod(shape))
-    if codec == "raw":
-        if count * dtype.itemsize != len(data):
-            raise CorruptFrameError(
-                f"published payload of {len(data)} bytes does not match "
-                f"shape {shape} / dtype {dtype.str}"
-            )
-        return np.frombuffer(data, dtype=dtype).reshape(shape)
-    if codec == "gf2pack":
-        if dtype != np.uint8:
-            raise SchemaViolationError(
-                f"gf2pack payload must be uint8, not {dtype.str}"
-            )
-        if len(data) != (count + 7) // 8:
-            raise CorruptFrameError(
-                f"gf2pack payload of {len(data)} bytes does not match "
-                f"{count} elements"
-            )
-        array = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8), count=count
-        ).reshape(shape)
-        array.flags.writeable = False
-        return array
-    raise SchemaViolationError(f"unknown wire codec {codec!r}")
-
-
-# ----------------------------------------------------------------------
 # Raw framing (handshake transport; MAC-less)
 # ----------------------------------------------------------------------
 def _send_chunks(sock: socket.socket, chunks: Iterable[bytes]) -> None:
@@ -1099,22 +1025,14 @@ def _check_nonce(value: Any, what: str) -> bytes:
     return value
 
 
-def _check_codecs(value: Any) -> tuple[str, ...]:
-    if not isinstance(value, tuple) or not all(
-        isinstance(codec, str) for codec in value
-    ):
-        raise AuthenticationError("malformed codec list in handshake")
-    return value
-
-
 class WireSession:
-    """An authenticated, sequenced, codec-negotiated frame channel.
+    """An authenticated, sequenced frame channel.
 
     Construct with :meth:`client` / :meth:`server`, which run the
     challenge–response handshake over raw frames:
 
-    1. server → ``("challenge", version, server_nonce, codecs)``
-    2. client → ``("auth", client_nonce, client_proof, codecs)`` where
+    1. server → ``("challenge", version, server_nonce)``
+    2. client → ``("auth", client_nonce, client_proof)`` where
        ``client_proof = HMAC(secret, "client" || nonces)``
     3. server verifies, replies ``("welcome", server_proof)`` with the
        mirrored server proof — authentication is mutual — or
@@ -1128,7 +1046,7 @@ class WireSession:
     means it cannot be replayed (or reordered) within its own session.
     """
 
-    __slots__ = ("sock", "codecs", "_key", "_send_label", "_recv_label",
+    __slots__ = ("sock", "_key", "_send_label", "_recv_label",
                  "_send_seq", "_recv_seq")
 
     def __init__(
@@ -1137,10 +1055,8 @@ class WireSession:
         key: bytes,
         send_label: bytes,
         recv_label: bytes,
-        codecs: tuple[str, ...],
     ) -> None:
         self.sock = sock
-        self.codecs = codecs
         self._key = key
         self._send_label = send_label
         self._recv_label = recv_label
@@ -1150,40 +1066,35 @@ class WireSession:
     # -- handshake ------------------------------------------------------
     @classmethod
     def client(
-        cls,
-        sock: socket.socket,
-        secret: "bytes | str | None" = None,
-        codecs: Iterable[str] = WIRE_CODECS,
+        cls, sock: socket.socket, secret: "bytes | str | None" = None
     ) -> "WireSession":
         """Authenticate the client side of a fresh connection."""
         key = resolve_secret(secret)
-        offered = tuple(codecs)
         challenge = recv_frame(sock, max_bytes=_HANDSHAKE_MAX_BYTES)
         if not (
             isinstance(challenge, tuple)
-            and len(challenge) == 4
+            and len(challenge) >= 2
             and challenge[0] == "challenge"
         ):
             raise AuthenticationError(
                 f"expected a handshake challenge, got {_frame_kind(challenge)!r}"
             )
-        _, version, server_nonce, server_codecs = challenge
+        # The version is read before the arity: a worker on another
+        # version may shape its challenge differently (v3 appended a
+        # codec list) and must still be named as a version mismatch.
+        version = challenge[1]
         if version != PROTOCOL_VERSION:
             raise ProtocolVersionError(
                 f"worker speaks wire protocol v{version}, this client "
                 f"speaks v{PROTOCOL_VERSION}"
             )
-        server_nonce = _check_nonce(server_nonce, "server nonce")
-        server_codecs = _check_codecs(server_codecs)
+        if len(challenge) != 3:
+            raise AuthenticationError("malformed handshake challenge")
+        server_nonce = _check_nonce(challenge[2], "server nonce")
         client_nonce = os.urandom(_NONCE_BYTES)
         send_frame(
             sock,
-            (
-                "auth",
-                client_nonce,
-                _proof(key, b"client", server_nonce, client_nonce),
-                offered,
-            ),
+            ("auth", client_nonce, _proof(key, b"client", server_nonce, client_nonce)),
         )
         reply = recv_frame(sock, max_bytes=_HANDSHAKE_MAX_BYTES)
         if isinstance(reply, tuple) and reply[:1] == ("auth_denied",):
@@ -1203,37 +1114,30 @@ class WireSession:
             raise AuthenticationError(
                 "worker failed mutual authentication (secret mismatch?)"
             )
-        negotiated = tuple(c for c in server_codecs if c in offered) or ("raw",)
         return cls(
             sock,
             _proof(key, b"session", server_nonce, client_nonce),
             send_label=b"C",
             recv_label=b"S",
-            codecs=negotiated,
         )
 
     @classmethod
     def server(
-        cls,
-        sock: socket.socket,
-        secret: "bytes | str | None" = None,
-        codecs: Iterable[str] = WIRE_CODECS,
+        cls, sock: socket.socket, secret: "bytes | str | None" = None
     ) -> "WireSession":
         """Authenticate the server side of a freshly accepted connection."""
         key = resolve_secret(secret)
-        offered = tuple(codecs)
         server_nonce = os.urandom(_NONCE_BYTES)
-        send_frame(sock, ("challenge", PROTOCOL_VERSION, server_nonce, offered))
+        send_frame(sock, ("challenge", PROTOCOL_VERSION, server_nonce))
         reply = recv_frame(sock, max_bytes=_HANDSHAKE_MAX_BYTES)
         if not (
-            isinstance(reply, tuple) and len(reply) == 4 and reply[0] == "auth"
+            isinstance(reply, tuple) and len(reply) == 3 and reply[0] == "auth"
         ):
             raise AuthenticationError(
                 f"expected a handshake auth frame, got {_frame_kind(reply)!r}"
             )
-        _, client_nonce, client_proof, client_codecs = reply
+        _, client_nonce, client_proof = reply
         client_nonce = _check_nonce(client_nonce, "client nonce")
-        client_codecs = _check_codecs(client_codecs)
         expected = _proof(key, b"client", server_nonce, client_nonce)
         if not isinstance(client_proof, bytes) or not hmac.compare_digest(
             client_proof, expected
@@ -1248,13 +1152,11 @@ class WireSession:
         send_frame(
             sock, ("welcome", _proof(key, b"server", client_nonce, server_nonce))
         )
-        negotiated = tuple(c for c in offered if c in client_codecs) or ("raw",)
         return cls(
             sock,
             _proof(key, b"session", server_nonce, client_nonce),
             send_label=b"S",
             recv_label=b"C",
-            codecs=negotiated,
         )
 
     # -- authenticated frames -------------------------------------------

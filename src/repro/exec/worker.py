@@ -15,7 +15,9 @@ refused before it is even decoded.  The frame vocabulary is closed:
   and decodes a fresh callable per map frame — decoding resolves only
   :func:`~repro.exec.wire.register_wire_function` /
   :func:`~repro.exec.wire.register_wire_type` names, so the worker never
-  executes code shipped in a frame, it looks up code it already has;
+  executes code shipped in a frame, it looks up code it already has.
+  An engine trial runner carries its spec, fixed input matrix included,
+  so the matrix reaches each worker once per distinct runner;
 * ``("map", fn_digest, items)`` → ``("ok", [fn(x) for x in items])`` on
   success or ``("err", exception, traceback_text)`` if a task raised —
   the client re-raises task errors, exactly like a local executor
@@ -23,17 +25,6 @@ refused before it is even decoded.  The frame vocabulary is closed:
   ``("need_fn", digest)`` and the client re-registers (how a restarted
   worker transparently refills).  A tracing client appends a span-context
   id as an optional fourth element; workers accept both shapes;
-* ``("publish_inputs", digest, shape, dtype, codec, data)`` →
-  ``("ok", None)`` — cache a fixed input matrix under its content
-  ``digest``; ``codec`` is negotiated per session (``gf2pack`` bit-packs
-  GF(2) matrices to an eighth of the raw bytes).  The cache is shared by
-  every connection of this serve loop and survives across connections
-  and map calls, so a client re-running batches over the same inputs
-  ships the matrix **once per worker**, not once per batch.  A map whose
-  function references a digest this worker does not hold is answered
-  ``("need", digest)`` and the client republishes;
-* ``("release_inputs", digest)`` → ``("ok", None)`` — drop a cached
-  matrix (sent by ``DistributedExecutor.close``);
 * closing the connection ends the session.
 
 Authentication is mandatory; the shared secret comes from
@@ -62,15 +53,12 @@ hosts the same loop on a background thread.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import socket
 import threading
 import time
 import traceback
 from typing import TYPE_CHECKING, Any, Callable
-
-import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -82,7 +70,6 @@ from .wire import (
     SchemaViolationError,
     WireProtocolError,
     WireSession,
-    decode_array_payload,
     decode_value,
     function_digest,
 )
@@ -93,92 +80,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import ssl
 
 __all__ = [
-    "PublishedInput",
     "MAX_FRAME_BYTES",
     "serve",
     "main",
 ]
 
-#: LRU bound on the task callables one serve loop keeps registered.
+#: LRU bound on the task callables one serve loop keeps registered.  An
+#: engine trial runner carries its fixed input matrix, so this also
+#: bounds how many such matrices a worker holds.
 MAX_CACHED_FNS = 64
 
 
-def _content_digest(inputs: np.ndarray) -> str:
-    """Content identity of a fixed input matrix: shape, dtype, and bytes.
-
-    The key under which a fleet caches published inputs — two arrays
-    with the same digest are interchangeable, so repeated batches over
-    the same matrix (the common sweep shape) publish it exactly once per
-    remote worker.  The client hashes at every publication, so a buffer
-    refilled in place between batches gets its new digest and is never
-    served from the copy published for its old contents; the worker
-    hashes what it receives, so a cached matrix always matches its key.
-    """
-    return hashlib.sha256(
-        repr((inputs.shape, np.dtype(inputs.dtype).str)).encode()
-        + np.ascontiguousarray(inputs).tobytes()
-    ).hexdigest()
-
-
-class PublishedInput:
-    """Wire-protocol handle to a fixed input matrix cached on a worker.
-
-    Instead of encoding a large fixed input matrix into every map frame,
-    the client publishes it once per worker (``publish_inputs`` frame,
-    keyed by content ``digest``) and subsequent frames carry only this
-    handle.  The serve loop *binds* the handle to its cached array
-    before executing the chunk — :meth:`attach` (called by the engine's
-    trial runner) then returns the bound array.
-
-    The wire codec ships the slots as they are, and the client's handle
-    is unbound: it travels as digest + metadata, with no array.
-    """
-
-    __slots__ = ("digest", "shape", "dtype_str", "_array")
-
-    def __init__(
-        self,
-        digest: str,
-        shape: tuple[int, ...],
-        dtype_str: str,
-        array: "np.ndarray | None" = None,
-    ):
-        self.digest = digest
-        self.shape = tuple(shape)
-        self.dtype_str = dtype_str
-        self._array = array
-
-    @property
-    def bound(self) -> bool:
-        """True once the worker resolved the digest to its cached matrix."""
-        return self._array is not None
-
-    def bind(self, array: np.ndarray) -> None:
-        """Resolve the handle to the worker's cached matrix."""
-        self._array = array
-
-    def attach(self) -> np.ndarray:
-        """The bound input matrix (the trial runner's accessor)."""
-        if self._array is None:
-            raise LookupError(
-                f"inputs {self.digest[:12]}… were never published to "
-                "this worker (protocol error: expected a "
-                "('need', digest) reply)"
-            )
-        return self._array
-
-
 class _DigestLRU:
-    """One serve loop's digest-keyed LRU cache, shared by its connections.
+    """One serve loop's registered callables, shared by its connections.
 
-    Used twice: for published input matrices and for registered task
-    callables, which stay **encoded** — each map frame decodes a fresh
-    callable, so a ``PublishedInput`` bound for one chunk never leaks
-    into the next.  The bound keeps a worker serving many clients (or
-    one client sweeping over many matrices) from growing without limit.
-    Eviction is safe: a map naming an evicted digest is answered
-    ``("need", digest)`` or ``("need_fn", digest)`` and the client
-    uploads it again.
+    Callables stay **encoded**: each map frame decodes a fresh one, so
+    no state a chunk leaves on it leaks into the next.  The bound keeps a
+    worker serving many clients (or one client sweeping over many specs)
+    from growing without limit.  Eviction is safe: a map naming an
+    evicted digest is answered ``("need_fn", digest)`` and the client
+    registers it again.
     """
 
     def __init__(self, max_entries: int):
@@ -201,19 +122,12 @@ class _DigestLRU:
                 self._entries[digest] = value
             return value
 
-    def release(self, digest: str) -> None:
-        with self._lock:
-            self._entries.pop(digest, None)
-
 
 #: Frame kind → the fault scope its replies are scheduled under.
-#: ``register_fn`` shares the ``publish`` scope: both are idempotent
-#: content-addressed uploads with the same self-healing reply path.
+#: ``register_fn`` is the one upload, scheduled under ``publish``.
 _FRAME_SCOPES = {
     "ping": "ping",
-    "publish_inputs": "publish",
     "register_fn": "publish",
-    "release_inputs": "release",
     "map": "map",
 }
 
@@ -238,7 +152,6 @@ def _task_error_reply(exc: BaseException) -> tuple[Any, ...]:
 
 def _handle_connection(
     conn: socket.socket,
-    input_store: _DigestLRU,
     fn_store: _DigestLRU,
     fault_injector: "FaultInjector | None" = None,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
@@ -252,9 +165,9 @@ def _handle_connection(
     server context) and then authenticated with the
     :class:`~repro.exec.wire.WireSession` handshake; a failed handshake
     is logged, counted (``worker_handshakes_total{outcome=...}``), and
-    closed without serving a single frame.  ``input_store`` /
-    ``fn_store`` are the serve loop's caches of published inputs and
-    registered callables, shared across this worker's connections.
+    closed without serving a single frame.  ``fn_store`` is the serve
+    loop's cache of registered callables, shared across this worker's
+    connections.
     ``fault_injector`` is consulted once per received frame and applies
     the planned-fault vocabulary of :mod:`repro.exec.faults`.
     """
@@ -354,38 +267,6 @@ def _handle_connection(
                 if not _reply(session, reply, fault):
                     return
                 continue
-            if kind == "publish_inputs":
-                try:
-                    if len(message) != 6:
-                        raise SchemaViolationError(
-                            "malformed publish_inputs frame"
-                        )
-                    _, digest, shape, dtype_str, codec, data = message
-                    array = decode_array_payload(
-                        codec, data, tuple(shape), dtype_str
-                    )
-                    # The digest is the content address: verifying it
-                    # here means a cached matrix can never disagree with
-                    # the digest map frames reference it by.
-                    if _content_digest(array) != digest:
-                        raise SchemaViolationError(
-                            f"publish_inputs digest mismatch for "
-                            f"{str(digest)[:12]}…"
-                        )
-                    if fault is None or fault.kind != "lose_publish":
-                        input_store.put(digest, array)
-                    reply = ("ok", None)
-                except Exception as exc:  # noqa: BLE001 - shipped back
-                    reply = _task_error_reply(exc)
-                if not _reply(session, reply, fault):
-                    return
-                continue
-            if kind == "release_inputs":
-                if len(message) == 2 and isinstance(message[1], str):
-                    input_store.release(message[1])
-                if not _reply(session, ("ok", None), fault):
-                    return
-                continue
             if kind != "map":
                 session.send(
                     ("err", ValueError(f"unknown frame kind {kind!r}"), "")
@@ -421,17 +302,6 @@ def _handle_connection(
                 # transport one — the client surfaces it.
                 session.send(_task_error_reply(exc))
                 continue
-            handle = getattr(fn, "shared_input", None)
-            if isinstance(handle, PublishedInput) and not handle.bound:
-                cached = input_store.get(handle.digest)
-                if cached is None:
-                    # Tell the client to publish (e.g. this worker
-                    # restarted and lost its cache) instead of failing
-                    # the chunk.
-                    if not _reply(session, ("need", handle.digest), fault):
-                        return
-                    continue
-                handle.bind(cached)
             try:
                 with tracer.span(
                     "exec_chunk", track="worker", items=len(items), ctx=ctx
@@ -450,7 +320,6 @@ def serve(
     port: int = 0,
     stop_event: threading.Event | None = None,
     ready_callback: Callable[[tuple[str, int]], None] | None = None,
-    max_cached_inputs: int = 32,
     fault_injector: "FaultInjector | None" = None,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
     secret: "bytes | str | None" = None,
@@ -481,19 +350,17 @@ def serve(
     wraps every accepted connection in TLS.  ``registry`` receives the
     worker-side handshake / rejected-frame counters.
 
-    Published fixed inputs and registered task callables live in two
-    digest-keyed LRU caches scoped to this serve call and shared by all
-    its connections: at most ``max_cached_inputs`` distinct matrices and
-    :data:`MAX_CACHED_FNS` encoded callables.  Clients refill an evicted
-    digest through the ``("need", digest)`` / ``("need_fn", digest)``
-    replies.
+    Registered task callables live in one digest-keyed LRU cache scoped
+    to this serve call and shared by all its connections: at most
+    :data:`MAX_CACHED_FNS` encoded callables, each trial runner with its
+    fixed input matrix.  Clients refill an evicted digest through the
+    ``("need_fn", digest)`` reply.
 
     ``tracer`` records a ``worker``-track span per executed chunk,
     tagged with the span-context id the client's map frame carried (if
     any) — for in-process loopback workers this is typically the
     *client's* tracer, so both sides land in one timeline.
     """
-    input_store = _DigestLRU(max_cached_inputs)
     fn_store = _DigestLRU(MAX_CACHED_FNS)
     server = socket.create_server((host, port))
     server.settimeout(0.1)
@@ -520,7 +387,6 @@ def serve(
                 target=_handle_connection,
                 args=(
                     conn,
-                    input_store,
                     fn_store,
                     fault_injector,
                     tracer,
@@ -554,13 +420,6 @@ def main(argv: list[str] | None = None) -> None:
         default=9123,
         help="TCP port to listen on (0 = OS-assigned; the actual port is "
         "printed once listening)",
-    )
-    parser.add_argument(
-        "--max-cached-inputs",
-        type=int,
-        default=32,
-        help="LRU bound on distinct published input matrices kept cached "
-        "(evicted digests are transparently republished by clients)",
     )
     parser.add_argument(
         "--secret-file",
@@ -645,10 +504,9 @@ def main(argv: list[str] | None = None) -> None:
         # (logging goes to stderr and is reconfigurable, this is not).
         print(f"repro.exec worker listening on {bound[0]}:{bound[1]}", flush=True)
         logger.info(
-            "serving on %s:%s (max_cached_inputs=%d, tls=%s)",
+            "serving on %s:%s (tls=%s)",
             bound[0],
             bound[1],
-            args.max_cached_inputs,
             "on" if ssl_context is not None else "off",
         )
 
@@ -656,7 +514,6 @@ def main(argv: list[str] | None = None) -> None:
         args.host,
         args.port,
         ready_callback=announce,
-        max_cached_inputs=args.max_cached_inputs,
         fault_injector=injector,
         secret=secret,
         ssl_context=ssl_context,
@@ -666,9 +523,9 @@ def main(argv: list[str] | None = None) -> None:
 if __name__ == "__main__":  # pragma: no cover - CLI entry point
     try:
         # ``python -m repro.exec.worker`` executes this file as
-        # ``__main__`` while the frames it receives reference
-        # ``repro.exec.worker.PublishedInput`` — two distinct class
-        # objects unless we delegate to the canonical module.
+        # ``__main__``; delegating to the canonical module runs the one
+        # copy the rest of the package imports, and keeps the logger
+        # named ``repro.exec.worker`` rather than ``__main__``.
         from repro.exec.worker import main as _canonical_main
     except ImportError:
         _canonical_main = main

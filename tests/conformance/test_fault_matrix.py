@@ -71,7 +71,6 @@ def fixed_input_spec():
 
 WORKLOADS = {
     "distribution": distribution_spec,
-    # Exercises the publish/refill protocol under faults too.
     "fixed_inputs": fixed_input_spec,
 }
 
@@ -122,7 +121,6 @@ def _chaos_executor(endpoints, **overrides):
         task_timeout=30.0,
         heartbeat_interval=None,
         lane_retries=2,
-        share_inputs_min_bytes=1,
         recorder=CHAOS_RECORDER,
         registry=CHAOS_REGISTRY,
     )
@@ -389,7 +387,6 @@ class TestHungWorkerDetectionWindow:
                 suspect_after=1,
                 dead_after=2,
                 lane_retries=0,
-                share_inputs_min_bytes=1,
             ) as executor:
                 start = time.monotonic()
                 batch = Engine(executor).run_batch(fixed_input_spec(), TRIALS)

@@ -10,23 +10,21 @@ import numpy as np
 import pytest
 
 from repro.core import Engine, RunSpec, SerialExecutor
+from repro.core.engine import _TrialRunner
 from repro.distributions import UniformRows
 from repro.exec import DistributedExecutor, LoopbackWorker
-from repro.exec.distributed import _WireLane
+from repro.exec import worker as worker_module
+from repro.exec.distributed import _WireLane, _WorkerLink
 from repro.exec.faults import FaultEvent, FaultInjector
 from repro.exec.health import DEAD, SUSPECT, FleetDegradedWarning
 from repro.exec.wire import (
-    decode_value,
     encode_value,
+    function_digest,
     recv_frame,
     register_wire_function,
     send_frame,
 )
-from repro.exec.worker import PublishedInput
 from repro.lowerbounds import TopSubmatrixRankProtocol
-
-#: Registry series counting the ``publish_inputs`` frames actually sent.
-PUBLISH_FRAMES = "exec_publish_frames_total"
 
 
 @register_wire_function
@@ -45,6 +43,40 @@ def rank_spec(seed=7):
         distribution=UniformRows(8, 8),
         seed=seed,
     )
+
+
+def count_frames(monkeypatch):
+    """Count client frames by ``(kind, worker address)``, plus the
+    ``("need_fn", address)`` replies.
+
+    Wraps ``_WorkerLink.request``, the one call every client frame goes
+    through, so no executor counter is needed.
+    """
+    counts: Counter = Counter()
+    lock = threading.Lock()
+    request = _WorkerLink.request
+
+    def counting(link, payload):
+        with lock:
+            counts[payload[0], link.address] += 1
+        reply = request(link, payload)
+        if reply[0] == "need_fn":
+            with lock:
+                counts["need_fn", link.address] += 1
+        return reply
+
+    monkeypatch.setattr(_WorkerLink, "request", counting)
+    return counts
+
+
+def registrations(counts):
+    """``register_fn`` frames sent to any worker."""
+    return sum(n for (kind, _), n in counts.items() if kind == "register_fn")
+
+
+def runner_digest(spec):
+    """The digest the engine's trial runner for ``spec`` registers under."""
+    return function_digest(encode_value(_TrialRunner(spec)))
 
 
 def flaky_worker():
@@ -156,6 +188,8 @@ class TestDistributedMap:
             DistributedExecutor(["no-port-here"])
         with pytest.raises(ValueError):
             DistributedExecutor(["::1"])  # bare IPv6 without a port
+        with pytest.raises(TypeError):
+            DistributedExecutor(["host:1"], share_inputs_min_bytes=1)
         assert DistributedExecutor(["[::1]:9123"]).addresses == [("::1", 9123)]
         assert DistributedExecutor([("10.0.0.5", 80)]).addresses == [
             ("10.0.0.5", 80)
@@ -359,7 +393,7 @@ class TestRobustness:
             dead_after=2,
         ) as executor:
             dead, live = executor.addresses
-            lanes = [_WireLane(executor, i, "digest", b"", None) for i in (0, 1)]
+            lanes = [_WireLane(executor, i, "digest", b"") for i in (0, 1)]
             probes: Counter = Counter()
             probed = threading.Condition()
 
@@ -409,11 +443,10 @@ class TestRobustness:
             )
             assert lanes[0].ready() is False
 
-    def test_close_skips_release_on_dead_worker(self):
-        """Regression: close() used to reconnect to a worker the health
-        board had declared dead and wait task_timeout (30 s here) for its
-        release reply.  Now it skips the dead worker, counting the skip
-        under "release", and releases the live one."""
+    def test_close_opens_no_connection_to_a_hung_worker(self, monkeypatch):
+        """close() has no network traffic: with a hung worker in the
+        fleet it opens no connection and returns at once, and the
+        executor forgets which workers hold which runners."""
         injector = FaultInjector([FaultEvent("map", 0, "hang")])
         hung = LoopbackWorker(fault_injector=injector)
         steady = LoopbackWorker()
@@ -426,57 +459,59 @@ class TestRobustness:
                 suspect_after=1,
                 dead_after=2,
                 lane_retries=0,
-                share_inputs_min_bytes=1,
             )
             Engine(executor).run_batch(fixed_input_spec(), 12)
             assert executor.health.is_dead(hung.address)
-            assert hung.address in executor._acked
+            assert executor._fn_acks
+            dials: list = []
+            monkeypatch.setattr(
+                socket, "create_connection", lambda *args, **kw: dials.append(args)
+            )
             start = time.monotonic()
             executor.close()
-            assert time.monotonic() - start < 5.0
-            assert executor.telemetry.counts()[hung.address]["release"] == 1
-            assert "release" not in executor.telemetry.counts().get(
-                steady.address, {}
-            )
+            assert time.monotonic() - start < 1.0
+            assert dials == []
+            assert executor._fn_acks == {}
         finally:
             hung.stop()
             steady.stop()
 
-    def test_worker_death_after_need_reply_keeps_publish_invariant(self):
-        """Satellite: the worker answers ("need", digest), receives the
-        refill, then crashes before returning the chunk.  The retried
-        lane must find the refilled cache — exactly one publish frame
-        ever, including across the next batch."""
+    def test_worker_death_after_need_reply_keeps_publish_invariant(
+        self, monkeypatch
+    ):
+        """The worker answers ("need_fn", digest), receives the runner
+        again, then crashes before returning the chunk.  The retried
+        lane must find the runner registered — exactly one register_fn
+        frame ever, including across the next batch."""
         spec = fixed_input_spec()
         golden = Engine(SerialExecutor()).run_batch(spec, 12)
+        sent = count_frames(monkeypatch)
         injector = FaultInjector([FaultEvent("map", 1, "crash")])
         worker = LoopbackWorker(fault_injector=injector)
         try:
             with DistributedExecutor(
                 [worker.endpoint],
-                share_inputs_min_bytes=1,
                 chunksize=12,
                 heartbeat_interval=None,
             ) as executor:
                 engine = Engine(executor)
                 # Seed a stale ack: the client believes this (fresh,
-                # empty-cached) worker already holds the digest, so the
-                # first map frame draws the ("need", digest) reply.
-                handle = executor.publish_inputs(spec.inputs)
-                executor._acked[worker.address] = {handle.digest}
+                # empty-cached) worker already holds the runner, so the
+                # first map frame draws the ("need_fn", digest) reply.
+                executor._fn_acks[worker.address] = {runner_digest(spec)}
                 batch = engine.run_batch(spec, 12)
                 assert batch.outputs == golden.outputs
                 assert batch.transcript_keys == golden.transcript_keys
-                # Exactly one publish frame: the need-path refill.
-                assert executor.registry.total(PUBLISH_FRAMES) == 1
+                # Exactly one register_fn frame: the need_fn refill.
+                assert sent["need_fn", worker.address] == 1
+                assert registrations(sent) == 1
                 assert executor.telemetry.counts()[worker.address][
                     "transport"
                 ] == 1
-                executor.release_inputs(handle)
-                # The next batch reuses the worker's cache: still one.
+                # The next batch reuses the worker's runner: still one.
                 batch = engine.run_batch(spec, 12)
                 assert batch.outputs == golden.outputs
-                assert executor.registry.total(PUBLISH_FRAMES) == 1
+                assert registrations(sent) == 1
         finally:
             worker.stop()
 
@@ -547,89 +582,74 @@ def fixed_input_spec(seed=3):
     )
 
 
-class TestInputPublication:
-    """Shared fixed inputs over the wire: publish once, reuse per worker."""
+def other_input_spec():
+    rng = np.random.default_rng(9)
+    return RunSpec(
+        protocol=TopSubmatrixRankProtocol(5),
+        inputs=rng.integers(0, 2, size=(16, 16), dtype=np.uint8),
+        seed=2,
+    )
 
-    def test_consecutive_batches_transmit_inputs_once_per_worker(self):
-        """The acceptance-criteria frame-count assertion: >= 2 consecutive
-        batches over the same fixed inputs reuse the published matrix —
-        exactly one publish_inputs frame per worker, ever."""
+
+class TestInputPublication:
+    """Fixed inputs over the wire: the matrix rides the trial runner,
+    which each worker registers once under its content digest."""
+
+    def test_consecutive_batches_transmit_inputs_once_per_worker(
+        self, monkeypatch
+    ):
+        """Three consecutive batches over the same fixed inputs send
+        exactly one register_fn frame per worker, ever."""
         spec = fixed_input_spec()
         golden = Engine(SerialExecutor()).run_batch(spec, 24)
+        sent = count_frames(monkeypatch)
         with LoopbackWorker() as w1, LoopbackWorker() as w2:
             with DistributedExecutor(
-                [w1.endpoint, w2.endpoint], share_inputs_min_bytes=1, chunksize=3
+                [w1.endpoint, w2.endpoint], chunksize=3
             ) as executor:
                 engine = Engine(executor)
                 batches = [engine.run_batch(spec, 24) for _ in range(3)]
-                assert executor.registry.total(PUBLISH_FRAMES) == 2  # one per worker
+            assert sent["register_fn", w1.address] == 1
+            assert sent["register_fn", w2.address] == 1
+            assert registrations(sent) == 2
         for batch in batches:
             assert batch.outputs == golden.outputs
             assert batch.transcript_keys == golden.transcript_keys
 
-    def test_small_inputs_skip_publication(self):
-        spec = fixed_input_spec()
-        with LoopbackWorker() as worker:
-            with DistributedExecutor([worker.endpoint]) as executor:
-                # Default threshold (64 KiB) far exceeds a 256-byte matrix.
-                Engine(executor).run_batch(spec, 8)
-                assert executor.registry.total(PUBLISH_FRAMES) == 0
-
-    def test_restarted_worker_is_refilled_via_need_reply(self):
-        """A worker that lost its cache answers ("need", digest) and the
-        client republishes transparently — no failed batch, one extra
-        publish frame."""
+    def test_restarted_worker_is_refilled_via_need_reply(self, monkeypatch):
+        """A fresh worker behind a stale ack answers ("need_fn", digest)
+        and the client re-registers the runner, matrix included —
+        no failed batch, one extra register_fn frame."""
         spec = fixed_input_spec()
         golden = Engine(SerialExecutor()).run_batch(spec, 12)
+        sent = count_frames(monkeypatch)
         first = LoopbackWorker()
-        executor = DistributedExecutor(
-            [first.endpoint], share_inputs_min_bytes=1, chunksize=4
-        )
+        executor = DistributedExecutor([first.endpoint], chunksize=4)
         try:
             batch = Engine(executor).run_batch(spec, 12)
             assert batch.outputs == golden.outputs
-            assert executor.registry.total(PUBLISH_FRAMES) == 1
+            assert registrations(sent) == 1
             first.stop()
             # A new worker process on a fresh port; rewire the executor's
             # address list to simulate the same host restarting with an
-            # empty input cache while the client still believes it acked.
+            # empty cache while the client still believes it acked.
             second = LoopbackWorker()
             try:
                 executor._addresses = [second.address]
-                executor._acked[second.address] = {
-                    next(iter(executor._inputs_by_digest))
-                }
+                executor._fn_acks[second.address] = {runner_digest(spec)}
                 batch = Engine(executor).run_batch(spec, 12)
                 assert batch.outputs == golden.outputs
-                assert executor.registry.total(PUBLISH_FRAMES) == 2  # the refill
+                assert batch.transcript_keys == golden.transcript_keys
+                assert sent["need_fn", second.address] == 1
+                assert sent["register_fn", second.address] == 1  # the refill
             finally:
                 second.stop()
         finally:
             executor.close()
 
-    def test_close_releases_worker_caches(self):
-        spec = fixed_input_spec()
-        with LoopbackWorker() as worker:
-            executor = DistributedExecutor(
-                [worker.endpoint], share_inputs_min_bytes=1
-            )
-            Engine(executor).run_batch(spec, 8)
-            assert executor.registry.total(PUBLISH_FRAMES) == 1
-            executor.close()
-            assert executor._inputs_by_digest == {}
-            assert executor._acked == {}
-            # After close + release, a fresh map must republish.
-            executor2 = DistributedExecutor(
-                [worker.endpoint], share_inputs_min_bytes=1
-            )
-            Engine(executor2).run_batch(spec, 8)
-            assert executor2.registry.total(PUBLISH_FRAMES) == 1
-            executor2.close()
-
     def test_local_fallback_binds_published_inputs(self):
-        """When the whole fleet is gone, the locally-run tasks must see
-        the published matrix (the handle is rebound from the client's
-        own store)."""
+        """When the whole fleet is gone, the locally-run tasks see the
+        fixed matrix their runner carries."""
         spec = fixed_input_spec()
         golden = Engine(SerialExecutor()).run_batch(spec, 8)
         # Hangs up on every upload, so no chunk ever reaches it.
@@ -640,7 +660,7 @@ class TestInputPublication:
         )
         try:
             with DistributedExecutor(
-                [flaky.endpoint], share_inputs_min_bytes=1, chunksize=2
+                [flaky.endpoint], chunksize=2
             ) as executor:
                 with pytest.warns(RuntimeWarning, match="locally"):
                     batch = Engine(executor).run_batch(spec, 8)
@@ -648,104 +668,39 @@ class TestInputPublication:
             flaky.stop()
         assert batch.outputs == golden.outputs
 
-    def test_client_lru_eviction_forgets_acks_and_republishes(self):
-        """max_cached_inputs bounds the executor's pinned matrices; an
-        evicted digest is republished on next use instead of referencing
-        a forgotten matrix."""
-        spec_a = fixed_input_spec(seed=1)
-        rng = np.random.default_rng(9)
-        spec_b = RunSpec(
-            protocol=TopSubmatrixRankProtocol(5),
-            inputs=rng.integers(0, 2, size=(16, 16), dtype=np.uint8),
-            seed=2,
-        )
+    def test_worker_cache_eviction_heals_via_need_reply(self, monkeypatch):
+        """A worker whose bounded cache evicted a runner answers
+        ("need_fn", digest) and is transparently re-registered."""
+        monkeypatch.setattr(worker_module, "MAX_CACHED_FNS", 1)
+        spec_a, spec_b = fixed_input_spec(seed=1), other_input_spec()
         golden_a = Engine(SerialExecutor()).run_batch(spec_a, 8)
+        sent = count_frames(monkeypatch)
         with LoopbackWorker() as worker:
             with DistributedExecutor(
-                [worker.endpoint],
-                share_inputs_min_bytes=1,
-                chunksize=2,
-                max_cached_inputs=1,
+                [worker.endpoint], chunksize=2
             ) as executor:
                 engine = Engine(executor)
-                engine.run_batch(spec_a, 8)          # publish A
-                engine.run_batch(spec_b, 8)          # publish B, evict A
-                assert len(executor._inputs_by_digest) == 1
-                batch = engine.run_batch(spec_a, 8)  # A republished
-                assert executor.registry.total(PUBLISH_FRAMES) == 3
-        assert batch.outputs == golden_a.outputs
-
-    def test_inflight_digests_are_never_evicted(self):
-        """The LRU bound must not evict a matrix a running batch still
-        references: publish_inputs pins, release_inputs unpins."""
-        with LoopbackWorker() as worker:
-            with DistributedExecutor(
-                [worker.endpoint], share_inputs_min_bytes=1, max_cached_inputs=1
-            ) as executor:
-                handle_a = executor.publish_inputs(np.zeros((8, 8), np.uint8))
-                handle_b = executor.publish_inputs(np.ones((8, 8), np.uint8))
-                # Both pinned: the bound is exceeded rather than broken.
-                assert len(executor._inputs_by_digest) == 2
-                executor.release_inputs(handle_a)
-                handle_c = executor.publish_inputs(
-                    np.full((8, 8), 2, np.uint8)
-                )
-                # A was unpinned -> evicted; pinned B and C survive.
-                assert handle_a.digest not in executor._inputs_by_digest
-                assert handle_b.digest in executor._inputs_by_digest
-                assert handle_c.digest in executor._inputs_by_digest
-                executor.release_inputs(handle_b)
-                executor.release_inputs(handle_c)
-
-    def test_worker_cache_eviction_heals_via_need_reply(self):
-        """A worker that evicted a digest (its own LRU bound) answers
-        ("need", digest) and is transparently refilled."""
-        spec_a = fixed_input_spec(seed=1)
-        rng = np.random.default_rng(9)
-        spec_b = RunSpec(
-            protocol=TopSubmatrixRankProtocol(5),
-            inputs=rng.integers(0, 2, size=(16, 16), dtype=np.uint8),
-            seed=2,
-        )
-        golden_a = Engine(SerialExecutor()).run_batch(spec_a, 8)
-        with LoopbackWorker(max_cached_inputs=1) as worker:
-            with DistributedExecutor(
-                [worker.endpoint], share_inputs_min_bytes=1, chunksize=2
-            ) as executor:
-                engine = Engine(executor)
-                engine.run_batch(spec_a, 8)          # worker caches A
+                engine.run_batch(spec_a, 8)          # worker holds A
                 engine.run_batch(spec_b, 8)          # worker evicts A for B
-                batch = engine.run_batch(spec_a, 8)  # need -> refill
-                # Client believed A was still acked, so the third
-                # publish happened through the need path.
-                assert executor.registry.total(PUBLISH_FRAMES) == 3
+                batch = engine.run_batch(spec_a, 8)  # need_fn -> refill
+            # The client believed A was still acked, so the third
+            # registration happened through the need_fn path.
+            assert sent["need_fn", worker.address] == 1
+            assert registrations(sent) == 3
         assert batch.outputs == golden_a.outputs
 
-    def test_published_input_handle_travels_unbound(self):
-        """The client's handle crosses the wire as digest + metadata, with
-        no array; the worker binds it to its cached matrix."""
-        array = np.arange(6, dtype=np.uint8).reshape(2, 3)
-        handle = PublishedInput("d" * 64, (2, 3), "|u1")
-        assert not handle.bound
-        wire = decode_value(encode_value(handle))
-        assert not wire.bound and wire.digest == handle.digest
-        assert (wire.shape, wire.dtype_str) == ((2, 3), "|u1")
-        with pytest.raises(LookupError):
-            wire.attach()
-        wire.bind(array)
-        np.testing.assert_array_equal(wire.attach(), array)
-
-    def test_buffer_refilled_in_place_is_republished(self):
-        """A fixed-input buffer refilled between batches is published
-        under its new digest; the worker never runs the second batch on
-        the matrix it cached for the first."""
+    def test_buffer_refilled_in_place_is_republished(self, monkeypatch):
+        """A fixed-input buffer refilled between batches makes a new
+        runner digest; the worker never runs the second batch on the
+        matrix it holds for the first."""
         buffer = np.zeros((16, 16), dtype=np.uint8)
         spec = RunSpec(
             protocol=TopSubmatrixRankProtocol(5), inputs=buffer, seed=3
         )
+        sent = count_frames(monkeypatch)
         with LoopbackWorker() as worker:
             with DistributedExecutor(
-                [worker.endpoint], share_inputs_min_bytes=1, chunksize=4
+                [worker.endpoint], chunksize=4
             ) as executor:
                 engine = Engine(executor)
                 engine.run_batch(spec, 8)
@@ -753,13 +708,13 @@ class TestInputPublication:
                 batch = engine.run_batch(spec, 8)
                 golden = Engine(SerialExecutor()).run_batch(spec, 8)
                 assert batch.outputs == golden.outputs
-                assert executor.registry.total(PUBLISH_FRAMES) == 2
+                assert registrations(sent) == 2
 
     def test_real_cli_worker_binds_published_inputs(self):
-        """Regression: `python -m repro.exec.worker` runs worker.py as
-        __main__, so its PublishedInput class must still match the
-        repro.exec.worker.PublishedInput arriving in schema frames
-        (the entry point delegates to the canonical module)."""
+        """`python -m repro.exec.worker` runs worker.py as __main__ (the
+        entry point delegates to the canonical module): a fixed-input
+        batch on that real subprocess worker is bit-identical to
+        serial."""
         import os
         import subprocess
         import sys
@@ -792,13 +747,11 @@ class TestInputPublication:
             endpoint = banner.rsplit(" ", 1)[-1].strip()
             executor = DistributedExecutor(
                 [endpoint],
-                share_inputs_min_bytes=1,
                 chunksize=2,
                 connect_timeout=5.0,
             )
             with executor:
                 batch = Engine(executor).run_batch(spec, 8)
-                assert executor.registry.total(PUBLISH_FRAMES) == 1
             assert batch.outputs == golden.outputs
         finally:
             proc.terminate()

@@ -2,7 +2,7 @@
 
 Covers the framing limits (a frame of exactly ``MAX_FRAME_BYTES``, the
 sender-side size guard, zero-length frames, EOF after a partial length
-header), the value/array codecs, and every rejection path of the
+header), the value codec and its array lane, and every rejection path of the
 authenticated session: MAC mismatch, wrong secret, replayed frames,
 cross-session splicing — plus a TLS loopback run over certificates
 minted with the ``openssl`` CLI.
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import Engine, RunSpec, SerialExecutor
+from repro.core.engine import _TrialRunner
 from repro.distributions import UniformRows
 from repro.exec import wire
 from repro.exec.distributed import DistributedExecutor, LoopbackWorker
@@ -25,7 +26,6 @@ from repro.exec.health import FleetDegradedWarning
 from repro.exec.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    WIRE_CODECS,
     AuthenticationError,
     CorruptFrameError,
     FrameAuthenticationError,
@@ -35,9 +35,7 @@ from repro.exec.wire import (
     UnencodableError,
     WireProtocolError,
     WireSession,
-    decode_array_payload,
     decode_value,
-    encode_array_payload,
     encode_value,
     function_digest,
     recv_frame,
@@ -62,9 +60,7 @@ def _socketpair():
     return left, right
 
 
-def _session_pair(client_secret=None, server_secret=None,
-                  client_codecs=wire.WIRE_CODECS,
-                  server_codecs=wire.WIRE_CODECS):
+def _session_pair(client_secret=None, server_secret=None):
     """Handshake both sides of a socketpair; return outcomes per side.
 
     Each element of the result is either a live :class:`WireSession` or
@@ -75,16 +71,14 @@ def _session_pair(client_secret=None, server_secret=None,
 
     def server():
         try:
-            results["server"] = WireSession.server(
-                right, server_secret, server_codecs
-            )
+            results["server"] = WireSession.server(right, server_secret)
         except Exception as exc:  # captured for assertion, not ignored
             results["server"] = exc
 
     thread = threading.Thread(target=server, daemon=True)
     thread.start()
     try:
-        results["client"] = WireSession.client(left, client_secret, client_codecs)
+        results["client"] = WireSession.client(left, client_secret)
     except Exception as exc:
         results["client"] = exc
     thread.join(timeout=5.0)
@@ -373,15 +367,20 @@ class TestSessionAuth:
             right.close()
 
     def test_tampered_published_input_detected(self):
-        """Flip one byte of a publish frame's data in flight: the MAC
-        catches it before the schema decoder ever sees the bytes."""
+        """Flip one byte of the fixed input matrix a register_fn frame
+        carries in its trial runner: the MAC catches it before the
+        schema decoder ever sees the bytes."""
         client, server, left, right = _session_pair()
         try:
-            data = bytes(range(64))
-            frame = ("publish_inputs", "d" * 64, (8, 8), "uint8", "raw", data)
+            inputs = np.ones((8, 8), dtype=np.uint8)
+            spec = RunSpec(
+                protocol=TopSubmatrixRankProtocol(5), inputs=inputs, seed=1
+            )
+            fn_bytes = encode_value(_TrialRunner(spec))
+            frame = ("register_fn", function_digest(fn_bytes), fn_bytes)
             header, chunks, mac = client.frame_bytes(frame)
             payload = bytearray(b"".join(chunks))
-            payload[-1] ^= 0x01
+            payload[payload.index(inputs.tobytes())] ^= 0x01
             left.sendall(header + bytes(payload) + mac)
             with pytest.raises(FrameAuthenticationError):
                 server.recv()
@@ -430,24 +429,23 @@ class TestSessionAuth:
         finally:
             right.close()
 
-    def test_codec_negotiation_intersects_offers(self):
-        client, server, left, right = _session_pair(
-            client_codecs=("raw",), server_codecs=("gf2pack", "raw")
-        )
-        try:
-            assert client.codecs == ("raw",)
-            assert server.codecs == ("raw",)
-        finally:
-            left.close()
-            right.close()
+    def test_handshake_carries_no_codec_list(self, monkeypatch):
+        """v4: the challenge is (kind, version, nonce) and the auth frame
+        (kind, nonce, proof) — neither side sends a codec list."""
+        sent = {}
+        send = wire.send_frame
 
-    def test_disjoint_codec_offers_fall_back_to_raw(self):
-        client, server, left, right = _session_pair(
-            client_codecs=("gf2pack",), server_codecs=()
-        )
+        def recording(sock, obj):
+            sent[obj[0]] = obj
+            send(sock, obj)
+
+        monkeypatch.setattr(wire, "send_frame", recording)
+        client, server, left, right = _session_pair()
         try:
-            assert client.codecs == ("raw",)
-            assert server.codecs == ("raw",)
+            assert isinstance(client, WireSession)
+            assert isinstance(server, WireSession)
+            assert sent["challenge"][:2] == ("challenge", PROTOCOL_VERSION)
+            assert len(sent["challenge"]) == len(sent["auth"]) == 3
         finally:
             left.close()
             right.close()
@@ -465,11 +463,14 @@ class TestSessionAuth:
             right.close()
 
 
-class _StaleWorker:
-    """A listener answering every connection with an old-version challenge."""
+#: The challenge a v3 worker sent: it still carried a codec list.
+V3_CHALLENGE = ("challenge", 3, bytes(16), ("gf2pack", "raw"))
 
-    def __init__(self, version):
-        self.version = version
+
+class _StaleWorker:
+    """A listener answering every connection with the v3 challenge."""
+
+    def __init__(self):
         self.connections = 0
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.05)
@@ -487,7 +488,7 @@ class _StaleWorker:
             self.connections += 1
             with conn:
                 conn.settimeout(5.0)
-                send_frame(conn, ("challenge", self.version, bytes(16), WIRE_CODECS))
+                send_frame(conn, V3_CHALLENGE)
                 try:
                     conn.recv(1)  # until the client hangs up
                 except OSError:  # the client reset the connection: also done
@@ -503,9 +504,7 @@ class TestVersionMismatch:
     def test_client_names_both_versions(self):
         left, right = _socketpair()
         try:
-            send_frame(
-                right, ("challenge", PROTOCOL_VERSION - 1, bytes(16), WIRE_CODECS)
-            )
+            send_frame(right, V3_CHALLENGE)
             with pytest.raises(ProtocolVersionError) as err:
                 WireSession.client(left)
             assert f"v{PROTOCOL_VERSION - 1}" in str(err.value)
@@ -516,11 +515,25 @@ class TestVersionMismatch:
             left.close()
             right.close()
 
+    def test_current_version_of_the_wrong_shape_is_not_a_version_error(self):
+        """A challenge naming this version but carrying a v3-style codec
+        list is malformed: an authentication failure, not a version one."""
+        left, right = _socketpair()
+        try:
+            send_frame(
+                right, ("challenge", PROTOCOL_VERSION, bytes(16), ("raw",))
+            )
+            with pytest.raises(AuthenticationError):
+                WireSession.client(left)
+        finally:
+            left.close()
+            right.close()
+
     def test_stale_worker_is_reported_once_without_retry(self):
         """A worker on the previous version is named at once — one
         connect, its own telemetry category and handshake outcome — not
         retried with backoff like a torn handshake."""
-        stale = _StaleWorker(PROTOCOL_VERSION - 1)
+        stale = _StaleWorker()
         try:
             with DistributedExecutor(
                 [stale.address], connect_retries=3, heartbeat_interval=None
@@ -536,52 +549,57 @@ class TestVersionMismatch:
             stale.close()
 
 
+def _array_value(dtype_str, shape, data):
+    """A hand-built array value: ``A || dtype || ndim || extents || bytes``."""
+    text = dtype_str.encode()
+    return (
+        b"A" + _LENGTH.pack(len(text)) + text + bytes([len(shape)])
+        + b"".join(_LENGTH.pack(extent) for extent in shape)
+        + _LENGTH.pack(len(data)) + data
+    )
+
+
 class TestArrayPayloadCodec:
-    def test_gf2pack_is_one_eighth_of_raw(self):
-        rng = np.random.default_rng(7)
-        array = rng.integers(0, 2, size=(64, 64), dtype=np.uint8)
-        codec, data = encode_array_payload(array)
-        assert codec == "gf2pack"
-        assert len(data) == array.size // 8
-        out = decode_array_payload(codec, data, array.shape, "uint8")
-        assert np.array_equal(out, array)
-        assert not out.flags.writeable
+    """The value codec's array lane: dtype, shape and raw C-order bytes,
+    decoded into one copy that owns its memory."""
 
     def test_non_binary_uint8_ships_raw(self):
         array = np.arange(16, dtype=np.uint8).reshape(4, 4)
-        codec, data = encode_array_payload(array)
-        assert codec == "raw"
-        assert np.array_equal(
-            decode_array_payload(codec, data, array.shape, "uint8"), array
-        )
+        payload = encode_value(array)
+        assert payload == _array_value("|u1", (4, 4), array.tobytes())
+        out = decode_value(payload)
+        assert np.array_equal(out, array)
+        assert out.flags.writeable and out.flags.owndata
 
     def test_float_array_round_trips_raw(self):
         array = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-        codec, data = encode_array_payload(array)
-        assert codec == "raw"
-        out = decode_array_payload(codec, data, array.shape, str(array.dtype))
+        payload = encode_value(array)
+        # The float64 bytes start at an odd offset of the frame buffer.
+        assert (len(payload) - array.nbytes) % array.itemsize != 0
+        out = decode_value(payload)
+        assert out.dtype == array.dtype
         assert np.array_equal(out, array)
+        assert out.flags.aligned and out.flags.writeable and out.flags.owndata
 
-    def test_codec_list_without_gf2pack_forces_raw(self):
-        array = np.zeros((8, 8), dtype=np.uint8)
-        codec, _ = encode_array_payload(array, ("raw",))
-        assert codec == "raw"
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(CorruptFrameError):
-            decode_array_payload("zstd", b"", (0,), "uint8")
+    def test_zero_size_shape_round_trips(self):
+        array = np.zeros((0, 5), dtype=np.float64)
+        out = decode_value(encode_value(array))
+        assert out.shape == (0, 5) and out.dtype == array.dtype
+        assert out.flags.writeable and out.flags.owndata
 
     def test_bad_dtype_rejected(self):
         with pytest.raises(CorruptFrameError):
-            decode_array_payload("raw", b"", (0,), "not-a-dtype")
+            decode_value(_array_value("not-a-dtype", (0,), b""))
 
     def test_object_dtype_rejected(self):
+        with pytest.raises(UnencodableError):
+            encode_value(np.array([object()]))
         with pytest.raises(CorruptFrameError):
-            decode_array_payload("raw", b"", (0,), "object")
+            decode_value(_array_value("|O", (0,), b""))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(CorruptFrameError):
-            decode_array_payload("raw", b"\x00" * 7, (2, 4), "uint8")
+            decode_value(_array_value("|u1", (2, 4), b"\x00" * 7))
 
 
 class TestResolveSecret:

@@ -44,7 +44,6 @@ def traced_fleet_payload(tmp_path):
             [w.endpoint for w in workers],
             chunksize=2,
             heartbeat_interval=0.05,
-            share_inputs_min_bytes=1,
             tracer=tracer,
         ) as executor:
             batch = Engine(executor, tracer=tracer).run_batch(spec(), TRIALS)

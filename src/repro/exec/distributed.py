@@ -14,8 +14,12 @@ Every connection is an authenticated
 connect (optionally under TLS), then schema-encoded frames — **never
 pickle** — each carrying a MAC over the session key and a sequence
 number, so a tampered or replayed frame raises a typed error instead of
-being computed on.  Task callables do not travel either: the executor
-registers the encoded callable once per worker under its content digest
+being computed on.  Sessions outlive map calls: the executor keeps each
+worker's idle sessions and a map's lane checks one out, so a warm
+executor dials and handshakes only when it has no idle session to that
+worker (its first map, a lane lost mid-map, a worker that hung up while
+idle).  Task callables do not travel either: the executor registers the
+encoded callable once per worker under its content digest
 (``register_fn``) and map frames reference the digest; a worker that
 restarted answers ``("need_fn", digest)`` and is transparently
 re-registered.  An engine trial runner carries its spec, so a fixed
@@ -23,7 +27,7 @@ input matrix rides that one upload: it reaches each worker once per
 distinct runner, never once per chunk.
 
 Dispatch runs the shared :func:`~repro.exec.stealing.dispatch` loop
-with one wire lane per worker — one feeder thread per connection, each
+with one wire lane per worker — one feeder thread per session, each
 keeping one chunk in flight and stealing queued chunks from slower hosts
 once its own share is done, so a heterogeneous fleet finishes when the
 work runs out rather than when the slowest host does.  A worker that
@@ -60,11 +64,11 @@ bound to ``127.0.0.1``.
 
 from __future__ import annotations
 
+import select
 import socket
 import threading
-import time
 import warnings
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, cast
 
 from ..core.engine import Executor
 from ..obs.metrics import MetricsRegistry
@@ -91,7 +95,7 @@ from .wire import (
     function_digest,
     register_wire_function,
 )
-from .worker import serve
+from .worker import MAX_CACHED_FNS, serve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import ssl
@@ -139,7 +143,7 @@ def _parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
 
 
 class _WorkerLink:
-    """One authenticated client connection, lazily (re)connected per map call.
+    """One authenticated client connection, lazily (re)connected.
 
     Connecting means: TCP connect, optional TLS wrap, then the
     :class:`~repro.exec.wire.WireSession` challenge–response handshake —
@@ -181,6 +185,33 @@ class _WorkerLink:
         self.registry = registry
         self.sock: socket.socket | None = None
         self.session: WireSession | None = None
+        #: True from sending a frame until its reply is read whole, so a
+        #: request that raised leaves the session out of frame sync.
+        self._in_request = False
+
+    @property
+    def idle(self) -> bool:
+        """Connected, with every request answered: fit to carry another map."""
+        return self.session is not None and not self._in_request
+
+    def reusable(self) -> bool:
+        """Whether this idle session can still carry frames.
+
+        An idle worker sends nothing, so anything readable on the socket
+        (EOF, a reset, stray bytes) means the worker hung up or the
+        session lost sync.  A TLS socket may also hold decrypted bytes
+        that ``select`` cannot see.
+        """
+        sock = self.sock
+        if sock is None:
+            return False
+        try:
+            readable, _, _ = select.select([sock], [], [], 0)
+            if self.ssl_context is not None and cast("ssl.SSLSocket", sock).pending():
+                return False
+        except (OSError, ValueError):  # a closed socket, or fd >= FD_SETSIZE
+            return False
+        return not readable
 
     def _record(self, category: str) -> None:
         if self.telemetry is not None:
@@ -195,8 +226,9 @@ class _WorkerLink:
     def ensure_connected(self) -> bool:
         if self.session is not None:
             return True
-        attempts = self.connect_retries + 1
-        for attempt in range(attempts):
+        for attempt in range(self.connect_retries + 1):
+            if attempt and self.retry_policy is not None:
+                self.retry_policy.wait(attempt - 1, self.lane)
             sock: socket.socket | None = None
             try:
                 sock = socket.create_connection(
@@ -232,15 +264,11 @@ class _WorkerLink:
                 self._count_handshake("error")
                 if sock is not None:
                     sock.close()
-                if attempt + 1 < attempts and self.retry_policy is not None:
-                    time.sleep(self.retry_policy.delay(attempt, lane=self.lane))
                 continue
             except OSError:
                 if sock is not None:
                     sock.close()
                 self._record("connect")
-                if attempt + 1 < attempts and self.retry_policy is not None:
-                    time.sleep(self.retry_policy.delay(attempt, lane=self.lane))
                 continue
             self.sock = sock
             self.session = session
@@ -267,8 +295,9 @@ class _WorkerLink:
             # The heartbeat monitor dropped this link concurrently (the
             # worker was declared dead mid-request).
             raise ConnectionError(f"link to {self.address} was dropped")
+        self._in_request = True
         try:
-            return session.request(payload)
+            reply = session.request(payload)
         except ConnectionError:
             raise  # already typed (includes the WireProtocolError family)
         except TimeoutError as exc:
@@ -278,10 +307,13 @@ class _WorkerLink:
             ) from exc
         except (OSError, EOFError) as exc:
             raise ConnectionError(str(exc)) from exc
+        self._in_request = False
+        return reply
 
     def drop(self) -> None:
         sock, self.sock = self.sock, None
         self.session = None
+        self._in_request = False
         if sock is not None:
             # shutdown() before close(): closing an fd does not wake a
             # thread blocked in recv() on it, shutdown() does — this is
@@ -300,7 +332,7 @@ class _WorkerLink:
 
 
 class _WireLane:
-    """One worker connection as a :func:`~repro.exec.stealing.dispatch` lane.
+    """One worker session as a :func:`~repro.exec.stealing.dispatch` lane.
 
     It holds the wire failure policy: a transport or protocol failure
     loses the lane (:class:`~repro.exec.stealing.LaneLost`), and
@@ -317,20 +349,10 @@ class _WireLane:
         fn_bytes: bytes,
     ):
         self.executor = executor
-        # A private connection per map call, so overlapping batches never
-        # interleave frames; workers serve one handler thread per connection.
-        self.link = _WorkerLink(
-            executor._addresses[index],
-            executor.connect_timeout,
-            executor.task_timeout,
-            lane=index,
-            telemetry=executor.telemetry,
-            retry_policy=executor._retry_policy,
-            connect_retries=executor.connect_retries,
-            secret=executor.secret,
-            ssl_context=executor.ssl_context,
-            registry=executor.registry,
-        )
+        # A session of its own for this map call, so overlapping batches
+        # never interleave frames; workers serve one handler thread per
+        # connection.
+        self.link = executor._checkout(index)
         self.fn_digest = fn_digest
         self.fn_bytes = fn_bytes
         #: Times this lane was lost in its map call.
@@ -345,9 +367,7 @@ class _WireLane:
                 self.link.address
             ):
                 return False
-            time.sleep(
-                executor._retry_policy.delay(self.losses - 1, lane=self.link.lane)
-            )
+            executor._retry_policy.wait(self.losses - 1, self.link.lane)
             with self._lock:
                 self._lost = False
         if self.link.ensure_connected():
@@ -386,7 +406,7 @@ class _WireLane:
             if reply[0] != "need_fn":
                 break
             with executor._ack_lock:
-                executor._fn_acks.get(self.link.address, set()).discard(reply[1])
+                executor._fn_acks.get(self.link.address, {}).pop(reply[1], None)
             if reply[1] != self.fn_digest:
                 raise ConnectionError(f"worker demanded unknown digest {reply[1]!r}")
             executor._register(self.link, self.fn_digest, self.fn_bytes)
@@ -446,11 +466,15 @@ class DistributedExecutor(Executor):
     ----------
     addresses:
         Worker endpoints, as ``"host:port"`` strings or ``(host, port)``
-        tuples.  Each map call opens its own connections (so overlapping
-        ``submit_batch`` batches run concurrently against the fleet —
-        workers serve one handler thread per connection) and a worker
-        that was unreachable or failed mid-call is simply retried by the
-        next call.
+        tuples.  Each map call holds one session per worker, checked
+        out of the executor's idle sessions or dialed when none is idle,
+        and returns it when the call ends, unless its lane was lost or
+        its last frame went unanswered.  Overlapping ``submit_batch``
+        batches each hold their own sessions and run concurrently
+        against the fleet (workers serve one handler thread per
+        connection); a worker that was unreachable or failed mid-call is
+        simply dialed again by the next call.  A session lasts until
+        :meth:`close` or until its worker process exits.
     secret:
         Shared authentication secret for the per-connection HMAC
         handshake and per-frame MACs (:func:`~repro.exec.wire
@@ -608,10 +632,17 @@ class DistributedExecutor(Executor):
             seed=retry_seed, base=backoff_base, cap=backoff_cap
         )
         #: Which workers hold which registered callables (address →
-        #: function digests), healed through ``("need_fn", digest)``
-        #: replies.
-        self._fn_acks: dict[tuple[str, int], set[str]] = {}
+        #: function digests, least recently used first), healed through
+        #: ``("need_fn", digest)`` replies.  Each worker's acks follow
+        #: the worker's own LRU rule, capped at ``MAX_CACHED_FNS``.
+        self._fn_acks: dict[tuple[str, int], dict[str, None]] = {}
         self._ack_lock = threading.Lock()
+        #: Idle authenticated sessions per worker address, each waiting
+        #: for the next map's lane.
+        self._idle: dict[tuple[str, int], list[_WorkerLink]] = {}
+        #: Guards ``_idle`` alone: a leaf, never held while dialing,
+        #: dropping a link or taking another lock.
+        self._idle_lock = threading.Lock()
         #: One send-lock per worker address: concurrent map calls must
         #: not each ship the same callable to the same worker (the
         #: second sender waits, then sees the ack and skips).
@@ -620,6 +651,50 @@ class DistributedExecutor(Executor):
     @property
     def addresses(self) -> list[tuple[str, int]]:
         return list(self._addresses)
+
+    # -- sessions -------------------------------------------------------
+    def _checkout(self, index: int) -> _WorkerLink:
+        """An idle session to worker ``index``, or a new unconnected link.
+
+        A pooled session on which anything is readable is dropped, and
+        the lane dials afresh exactly as on a first map: nothing is
+        counted, since an idle worker that exited is not a failure.
+        """
+        address = self._addresses[index]
+        while True:
+            with self._idle_lock:
+                idle = self._idle.get(address)
+                link = idle.pop() if idle else None
+            if link is None:
+                return _WorkerLink(
+                    address,
+                    self.connect_timeout,
+                    self.task_timeout,
+                    lane=index,
+                    telemetry=self.telemetry,
+                    retry_policy=self._retry_policy,
+                    connect_retries=self.connect_retries,
+                    secret=self.secret,
+                    ssl_context=self.ssl_context,
+                    registry=self.registry,
+                )
+            if link.reusable():
+                return link
+            link.drop()
+
+    def _release(self, lanes: list[_WireLane], reuse: bool) -> None:
+        """Pool each lane's session if ``reuse`` and it is fit; drop the rest.
+
+        Fit means the lane was not lost and its last request was
+        answered, so the session is in frame sync.
+        """
+        for lane in lanes:
+            link = lane.link
+            if reuse and link.idle and not lane._lost:
+                with self._idle_lock:
+                    self._idle.setdefault(link.address, []).append(link)
+            else:
+                link.drop()
 
     # -- liveness -------------------------------------------------------
     def _probe_link(self, address: tuple[str, int], lane: int = 0) -> _WorkerLink:
@@ -719,24 +794,42 @@ class DistributedExecutor(Executor):
         race finds the ack and sends nothing — exactly one frame per
         (worker, digest).
 
+        The acks mirror the worker's cache: a use refreshes an ack and a
+        new one evicts the least recently used beyond ``MAX_CACHED_FNS``,
+        as the worker's own LRU does.  So one client keeps no ack for a
+        runner its worker has evicted, and re-registers it up front
+        instead of drawing a ``need_fn`` round trip.
+
         Raises :class:`ConnectionError` on transport failure or a
         non-``ok`` reply; the caller treats that like any other link
         failure (the link sits out the map call).
         """
         address = link.address
+        if self._acked(address, digest):
+            return
         with self._ack_lock:
-            if digest in self._fn_acks.setdefault(address, set()):
-                return
             send_lock = self._send_locks.setdefault(address, threading.Lock())
         with send_lock:
-            with self._ack_lock:
-                if digest in self._fn_acks.setdefault(address, set()):
-                    return  # another map call registered while we waited
+            if self._acked(address, digest):
+                return  # another map call registered while we waited
             reply = link.request(("register_fn", digest, fn_bytes))
             if reply[0] != "ok":
                 raise ConnectionError(f"register_fn rejected: {reply[0]!r}")
             with self._ack_lock:
-                self._fn_acks.setdefault(address, set()).add(digest)
+                acks = self._fn_acks.setdefault(address, {})
+                acks[digest] = None
+                while len(acks) > MAX_CACHED_FNS:
+                    del acks[next(iter(acks))]
+
+    def _acked(self, address: tuple[str, int], digest: str) -> bool:
+        """Whether ``address`` acked ``digest``; a hit becomes most recent."""
+        with self._ack_lock:
+            acks = self._fn_acks.setdefault(address, {})
+            if digest not in acks:
+                return False
+            del acks[digest]
+            acks[digest] = None
+            return True
 
     # -- Executor contract ----------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
@@ -779,8 +872,9 @@ class DistributedExecutor(Executor):
                 stop.set()
                 if monitor.is_alive():
                     monitor.join(timeout=1.0)
-                for lane in lanes:
-                    lane.link.drop()
+                # A monitor that outlived its join could still lose a
+                # lane, dropping a session another map has checked out.
+                self._release(lanes, reuse=not monitor.is_alive())
             if not leftovers:
                 return results
             # Every worker is gone (or none was reachable to begin with).
@@ -807,13 +901,18 @@ class DistributedExecutor(Executor):
         return results
 
     def close(self) -> None:
-        """Forget which workers hold which callables; no network traffic.
+        """Shut the idle sessions and forget which workers hold which callables.
 
-        Connections are per map call and already closed, so what
-        outlives one is only the workers' registered callables, which
-        each worker bounds itself.  The executor stays usable: its next
-        map registers afresh.
+        It dials nothing and sends no frame, so a hung or dead worker
+        cannot stall it.  A session checked out by a map still running
+        returns to the pool when that map ends.  The executor stays
+        usable: its next map dials and registers afresh.
         """
+        with self._idle_lock:
+            idle, self._idle = self._idle, {}
+        for links in idle.values():
+            for link in links:
+                link.drop()
         with self._ack_lock:
             self._fn_acks.clear()
 
@@ -891,6 +990,14 @@ class LoopbackWorker:
     def stop(self) -> None:
         """Shut the serve loop down and join its thread."""
         self._stop.set()
+        # A connection wakes the loop's accept() at once, rather than at
+        # its next 0.1 s poll of the stop event.
+        try:
+            with socket.socket() as wake:
+                wake.settimeout(1.0)
+                wake.connect(self.address)
+        except OSError:  # repro-lint: disable=EXC03 the 0.1 s poll still sees the stop
+            pass
         self._thread.join(timeout=5.0)
 
     def __enter__(self) -> "LoopbackWorker":

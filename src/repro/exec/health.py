@@ -12,7 +12,7 @@ independent of sockets and therefore live here, testable in isolation:
   discovered only when its socket finally dies;
 * :class:`ErrorTelemetry` — thread-safe per-worker error counters.  The
   executor records every swallowed-but-handled failure (connect refusal,
-  transport error, chunk timeout, heartbeat miss, release failure) here,
+  transport error, chunk timeout, heartbeat miss, close failure) here,
   so "how broken is my fleet" is a counter read, never a log grep — and
   nothing is silently discarded;
 * :class:`RetryPolicy` — bounded exponential backoff whose jitter is
@@ -43,8 +43,9 @@ lost, and monitors can alert on the counter.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -335,6 +336,10 @@ class RetryPolicy:
     its usual job: different lanes (and different seeds) de-synchronise,
     so a fleet-wide blip does not produce a reconnection stampede.
 
+    :meth:`wait` is the one place a retry sleeps.  It sleeps through
+    ``sleep`` (``time.sleep`` by default), which a test replaces with a
+    recorder, the way :class:`~repro.obs.trace.Tracer` takes its clock.
+
     >>> policy = RetryPolicy(seed=7, base=0.05, cap=1.0)
     >>> policy.delay(0, lane=0) == RetryPolicy(seed=7).delay(0, lane=0)
     True
@@ -342,9 +347,19 @@ class RetryPolicy:
     True
     >>> policy.delay(5, lane=0) <= 1.0
     True
+    >>> slept = []
+    >>> RetryPolicy(seed=7, sleep=slept.append).wait(0, lane=0)
+    >>> slept == [policy.delay(0, lane=0)]
+    True
     """
 
-    def __init__(self, seed: int = 0, base: float = 0.05, cap: float = 1.0):
+    def __init__(
+        self,
+        seed: int = 0,
+        base: float = 0.05,
+        cap: float = 1.0,
+        sleep: Callable[[float], None] = time.sleep,
+    ):
         if base <= 0:
             raise ValueError("backoff base must be positive")
         if cap < base:
@@ -352,6 +367,7 @@ class RetryPolicy:
         self.seed = seed
         self.base = base
         self.cap = cap
+        self.sleep = sleep
 
     def delay(self, attempt: int, lane: int = 0) -> float:
         """Seconds to wait before retry number ``attempt`` (0-based)."""
@@ -361,3 +377,7 @@ class RetryPolicy:
         rng = expand_seed(np.random.SeedSequence(self.seed, spawn_key=(lane, attempt)))
         jitter = 0.5 + 0.5 * float(rng.uniform())
         return exponential * jitter
+
+    def wait(self, attempt: int, lane: int = 0) -> None:
+        """Sleep :meth:`delay` seconds before retry number ``attempt``."""
+        self.sleep(self.delay(attempt, lane))

@@ -151,7 +151,7 @@ def _task_error_reply(exc: BaseException) -> tuple[Any, ...]:
 
 
 def _handle_connection(
-    conn: socket.socket,
+    served: list[socket.socket],
     fn_store: _DigestLRU,
     fault_injector: "FaultInjector | None" = None,
     tracer: "Tracer | NullTracer" = NULL_TRACER,
@@ -161,8 +161,11 @@ def _handle_connection(
 ) -> None:
     """Serve one client until it disconnects.
 
-    The connection is TLS-wrapped first (when the serve loop has a
-    server context) and then authenticated with the
+    ``served`` holds the accepted connection.  It is TLS-wrapped first
+    (when the serve loop has a server context), and the wrapped socket
+    replaces it in ``served``, because wrapping detaches the accepted
+    one and :func:`serve` must shut down the socket actually served.
+    The connection is then authenticated with the
     :class:`~repro.exec.wire.WireSession` handshake; a failed handshake
     is logged, counted (``worker_handshakes_total{outcome=...}``), and
     closed without serving a single frame.  ``fn_store`` is the serve
@@ -171,10 +174,11 @@ def _handle_connection(
     ``fault_injector`` is consulted once per received frame and applies
     the planned-fault vocabulary of :mod:`repro.exec.faults`.
     """
+    conn = served[0]
     try:
         try:
             if ssl_context is not None:
-                conn = ssl_context.wrap_socket(conn, server_side=True)
+                conn = served[0] = ssl_context.wrap_socket(conn, server_side=True)
             session = WireSession.server(conn, secret)
         except WireProtocolError as exc:
             if registry is not None:
@@ -193,11 +197,6 @@ def _handle_connection(
         if registry is not None:
             registry.counter("worker_handshakes_total", outcome="ok").inc()
         while True:
-            if fault_injector is not None and fault_injector.hung:
-                # A wedged process answers nothing on any connection —
-                # including this one, mid-session.
-                fault_injector.wait_while_hung()
-                return
             try:
                 message = session.recv()
             except (FrameAuthenticationError, CorruptFrameError) as exc:
@@ -216,6 +215,12 @@ def _handle_connection(
                 logger.warning("rejected inbound frame: %s", exc)
                 return
             except ConnectionError:
+                return
+            if fault_injector is not None and fault_injector.hung:
+                # A wedged process answers nothing on any connection —
+                # including this one, mid-session, or idle since an
+                # earlier map.
+                fault_injector.wait_while_hung()
                 return
             if not (
                 isinstance(message, tuple)
@@ -331,7 +336,13 @@ def serve(
     ``port=0`` binds an OS-assigned port; ``ready_callback`` receives the
     actual ``(host, port)`` once listening — how in-process loopback
     workers discover their address.  Each connection gets a serving
-    thread that runs its chunks inline.  ``fault_injector`` arms the
+    thread that runs its chunks inline, for as long as the client keeps
+    the session open: a client keeps idle sessions between map calls,
+    so on stop the loop shuts down every live connection's socket (the
+    TLS-wrapped one under TLS) to wake handlers blocked reading it
+    before joining them.  A connection accepted once ``stop_event`` is
+    set is closed unserved, so a stopper may connect to wake the loop
+    rather than wait for its 0.1 s poll.  ``fault_injector`` arms the
     loop with a deterministic :class:`~repro.exec.faults.FaultPlan`
     schedule: it is consulted on every accepted connection (any
     ``accept``-scope fault closes the connection immediately — the
@@ -364,18 +375,23 @@ def serve(
     fn_store = _DigestLRU(MAX_CACHED_FNS)
     server = socket.create_server((host, port))
     server.settimeout(0.1)
-    threads: list[threading.Thread] = []
+    # Each live handler with the one-socket list it serves on.
+    handlers: list[tuple[threading.Thread, list[socket.socket]]] = []
     try:
         if ready_callback is not None:
             ready_callback(server.getsockname()[:2])
         while stop_event is None or not stop_event.is_set():
-            # A long-lived worker sees many short connections; drop the
+            # A long-lived worker sees many connections; drop the
             # handles of finished handlers so the list stays bounded.
-            threads = [thread for thread in threads if thread.is_alive()]
+            handlers = [handler for handler in handlers if handler[0].is_alive()]
             try:
                 conn, _addr = server.accept()
             except socket.timeout:
                 continue
+            if stop_event is not None and stop_event.is_set():
+                # The stopper's wake-up connection, or a client too late.
+                conn.close()
+                break
             if fault_injector is not None:
                 accept_fault = fault_injector.next_fault("accept")
                 if accept_fault is not None:
@@ -383,10 +399,11 @@ def serve(
                     # the client this connection ("refuse" in plans).
                     conn.close()
                     continue
+            served = [conn]
             thread = threading.Thread(
                 target=_handle_connection,
                 args=(
-                    conn,
+                    served,
                     fn_store,
                     fault_injector,
                     tracer,
@@ -397,14 +414,20 @@ def serve(
                 daemon=True,
             )
             thread.start()
-            threads.append(thread)
+            handlers.append((thread, served))
     finally:
         server.close()
         if fault_injector is not None:
             # Release connections blocked in the sticky hung state so
             # their handler threads can exit.
             fault_injector.stop()
-        for thread in threads:
+        for _thread, served in handlers:
+            # shutdown() wakes a handler blocked in recv(); close() would not.
+            try:
+                served[0].shutdown(socket.SHUT_RDWR)
+            except OSError as exc:
+                logger.debug("connection already closed at stop: %s", exc)
+        for thread, _served in handlers:
             thread.join(timeout=1.0)
 
 

@@ -1,6 +1,7 @@
 """Tests for the distributed executor, worker serve loop, and loopback rig."""
 
 import socket
+import sys
 import threading
 import time
 from collections import Counter
@@ -135,7 +136,7 @@ class TestDistributedMap:
         assert batch.cost_totals() == golden.cost_totals()
 
     def test_concurrent_maps_do_not_interleave(self):
-        """Per-call connections: overlapping maps stay isolated."""
+        """Each map holds its own sessions: overlapping maps stay isolated."""
         import concurrent.futures as cf
 
         with LoopbackWorker() as w1, LoopbackWorker() as w2:
@@ -197,6 +198,226 @@ class TestDistributedMap:
         with LoopbackWorker() as worker:
             with DistributedExecutor([worker.endpoint]) as executor:
                 assert executor.map(_square, []) == []
+
+
+def handshakes(executor):
+    """Client handshakes that opened a session."""
+    return executor.registry.total("exec_handshakes_total", outcome="ok")
+
+
+def idle_sessions(executor):
+    """Idle pooled sessions per worker address."""
+    return {address: len(links) for address, links in executor._idle.items()}
+
+
+def serve_on(address):
+    """A worker serve loop bound to ``address``: a restarted worker
+    process on the same host and port.  Returns its stop event and
+    thread."""
+    stop, ready = threading.Event(), threading.Event()
+    thread = threading.Thread(
+        target=worker_module.serve,
+        kwargs=dict(
+            host=address[0],
+            port=address[1],
+            stop_event=stop,
+            ready_callback=lambda _bound: ready.set(),
+        ),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(5)
+    return stop, thread
+
+
+class TestSessionPool:
+    """A map checks a worker's idle session out of the executor and
+    returns it when it ends, so a warm executor handshakes once per
+    worker."""
+
+    def test_consecutive_batches_handshake_once_per_worker(self):
+        goldens = [
+            Engine(SerialExecutor()).run_batch(rank_spec(seed), 8)
+            for seed in range(10)
+        ]
+        with LoopbackWorker() as w1, LoopbackWorker() as w2:
+            with DistributedExecutor([w1.endpoint, w2.endpoint]) as executor:
+                engine = Engine(executor)
+                for seed, golden in enumerate(goldens):
+                    batch = engine.run_batch(rank_spec(seed), 8)
+                    assert batch.outputs == golden.outputs
+                    assert batch.transcript_keys == golden.transcript_keys
+                    assert batch.cost_totals() == golden.cost_totals()
+                assert handshakes(executor) == 2
+                assert executor.registry.total("exec_errors_total") == 0
+
+    def test_overlapping_batches_hold_their_own_sessions(self, monkeypatch):
+        """Both batches' lanes run at once (a barrier holds each lane's
+        first chunk until all four arrive), so each batch must hold its
+        own session per worker; afterwards both wait in the pool."""
+        barrier = threading.Barrier(4, timeout=10)
+        held: set = set()
+        run = _WireLane.run
+
+        def gated(lane, chunk, span):
+            if lane not in held:
+                held.add(lane)
+                barrier.wait()
+            return run(lane, chunk, span)
+
+        monkeypatch.setattr(_WireLane, "run", gated)
+        goldens = [Engine(SerialExecutor()).run_batch(rank_spec(s), 16) for s in (1, 2)]
+        with LoopbackWorker() as w1, LoopbackWorker() as w2:
+            with DistributedExecutor(
+                [w1.endpoint, w2.endpoint], heartbeat_interval=None
+            ) as executor:
+                with Engine(executor) as engine:
+                    futures = [engine.submit_batch(rank_spec(s), 16) for s in (1, 2)]
+                    batches = [future.result(timeout=30) for future in futures]
+                links = {id(lane.link) for lane in held}
+                assert len(held) == len(links) == 4
+                assert handshakes(executor) == 4
+                assert idle_sessions(executor) == {w1.address: 2, w2.address: 2}
+        for golden, batch in zip(goldens, batches):
+            assert batch.outputs == golden.outputs
+
+    def test_pool_survives_concurrent_maps(self):
+        """Eight threads (more than cores) run maps at once under a short
+        switch interval.  A session checked out twice would interleave
+        frames and fail their MACs; one lost from the pool would leave
+        fewer idle sessions than handshakes."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LoopbackWorker() as w1, LoopbackWorker() as w2:
+                with DistributedExecutor(
+                    [w1.endpoint, w2.endpoint],
+                    chunksize=2,
+                    task_timeout=5.0,
+                    heartbeat_interval=None,
+                ) as executor:
+
+                    def client(base):
+                        for offset in range(5):
+                            start = base + 20 * offset
+                            assert executor.map(_square, range(start, start + 8)) == [
+                                x * x for x in range(start, start + 8)
+                            ]
+
+                    threads = [
+                        threading.Thread(target=client, args=(1000 * t,))
+                        for t in range(8)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(30)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert executor.registry.total("exec_errors_total") == 0
+                    pooled = [link for links in executor._idle.values() for link in links]
+                    assert len({id(link) for link in pooled}) == len(pooled)
+                    assert len(pooled) == handshakes(executor)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_restarted_between_maps_is_redialed_quietly(self):
+        """A worker that exited while its session sat idle: the session
+        reads EOF at checkout, so the lane dials the restarted worker as
+        a first map would — no error, no lane death, no fallback."""
+        golden = Engine(SerialExecutor()).run_batch(rank_spec(), 8)
+        worker = LoopbackWorker()
+        executor = DistributedExecutor(
+            [worker.endpoint], local_fallback=False, heartbeat_interval=None
+        )
+        try:
+            assert Engine(executor).run_batch(rank_spec(), 8).outputs == golden.outputs
+            worker.stop()
+            stop, thread = serve_on(worker.address)
+            try:
+                batch = Engine(executor).run_batch(rank_spec(), 8)
+            finally:
+                stop.set()
+                thread.join(5)
+            assert batch.outputs == golden.outputs
+            assert handshakes(executor) == 2
+            assert executor.registry.total("exec_errors_total") == 0
+            assert not any(
+                event["kind"] == "lane_death" for event in executor.recorder.events()
+            )
+        finally:
+            executor.close()
+
+    def test_lost_lane_is_not_pooled(self):
+        """A lane lost to a crash drops its session: the next map dials
+        that worker once more and stays bit-identical."""
+        golden = Engine(SerialExecutor()).run_batch(rank_spec(), 16)
+        crashing = LoopbackWorker(
+            fault_injector=FaultInjector([FaultEvent("map", 0, "crash")])
+        )
+        steady = LoopbackWorker()
+        try:
+            with DistributedExecutor(
+                [crashing.endpoint, steady.endpoint],
+                heartbeat_interval=None,
+                lane_retries=0,
+            ) as executor:
+                engine = Engine(executor)
+                assert engine.run_batch(rank_spec(), 16).outputs == golden.outputs
+                assert handshakes(executor) == 2
+                assert idle_sessions(executor) == {steady.address: 1}
+                assert engine.run_batch(rank_spec(), 16).outputs == golden.outputs
+                assert handshakes(executor) == 3
+        finally:
+            crashing.stop()
+            steady.stop()
+
+    def test_sessions_stay_in_sync_after_a_task_error(self):
+        """A task error is a whole reply: the sessions go back to the
+        pool and the next map on them is bit-identical, with no error."""
+        golden = Engine(SerialExecutor()).run_batch(rank_spec(), 12)
+        with LoopbackWorker() as w1, LoopbackWorker() as w2:
+            with DistributedExecutor(
+                [w1.endpoint, w2.endpoint], heartbeat_interval=None
+            ) as executor:
+                with pytest.raises(ValueError, match="remote task"):
+                    executor.map(_boom, range(8))
+                batch = Engine(executor).run_batch(rank_spec(), 12)
+                assert batch.outputs == golden.outputs
+                assert batch.transcript_keys == golden.transcript_keys
+                assert handshakes(executor) == 2
+                assert executor.registry.total("exec_errors_total") == 0
+
+    def test_close_shuts_idle_sessions_and_dials_nothing(self, monkeypatch):
+        """close() shuts the pooled sessions without dialing, and the
+        executor stays usable."""
+        with LoopbackWorker() as w1, LoopbackWorker() as w2:
+            executor = DistributedExecutor([w1.endpoint, w2.endpoint])
+            assert executor.map(_square, range(8)) == [x * x for x in range(8)]
+            pooled = [link for links in executor._idle.values() for link in links]
+            assert len(pooled) == 2
+            with monkeypatch.context() as patch:
+                dials: list = []
+                patch.setattr(
+                    socket, "create_connection", lambda *args, **kw: dials.append(args)
+                )
+                executor.close()
+            assert dials == []
+            assert executor._idle == {}
+            assert all(link.sock is None for link in pooled)
+            assert executor.map(_square, range(8)) == [x * x for x in range(8)]
+            assert handshakes(executor) == 4
+            executor.close()
+
+    def test_stop_is_prompt_with_an_idle_session(self):
+        """A handler blocked reading an idle session must not hold up
+        the worker's stop (serve shuts the socket down first)."""
+        worker = LoopbackWorker()
+        with DistributedExecutor([worker.endpoint]) as executor:
+            assert executor.map(_square, [3]) == [9]
+            assert idle_sessions(executor) == {worker.address: 1}
+            start = time.monotonic()
+            worker.stop()
+            assert time.monotonic() - start < 0.5
 
 
 class TestFailover:
@@ -264,6 +485,32 @@ class TestFailover:
         ) as executor:
             with pytest.raises(ConnectionError):
                 executor.map(_square, [1, 2, 3])
+
+    def test_connect_backoff_sleeps_through_the_retry_policy(self):
+        """Every backoff goes through RetryPolicy.wait: an unreachable
+        worker under connect_retries=2 sleeps exactly the policy's first
+        two delays for its lane, and a recording sleeper spends no wall
+        time on them (real sleeps would take at least 1.5 s here)."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            dead_endpoint = "127.0.0.1:%d" % probe.getsockname()[1]
+        slept: list = []
+        with DistributedExecutor(
+            [dead_endpoint],
+            connect_timeout=0.5,
+            connect_retries=2,
+            backoff_base=1.0,
+            backoff_cap=2.0,
+            heartbeat_interval=None,
+            local_fallback=False,
+        ) as executor:
+            policy = executor._retry_policy
+            policy.sleep = slept.append
+            start = time.monotonic()
+            with pytest.raises(ConnectionError):
+                executor.map(_square, [1, 2, 3])
+            assert time.monotonic() - start < 1.0
+        assert slept == [policy.delay(0, lane=0), policy.delay(1, lane=0)]
 
     def test_engine_batch_survives_flaky_worker(self):
         golden = Engine(SerialExecutor()).run_batch(rank_spec(), 20)
@@ -498,7 +745,7 @@ class TestRobustness:
                 # Seed a stale ack: the client believes this (fresh,
                 # empty-cached) worker already holds the runner, so the
                 # first map frame draws the ("need_fn", digest) reply.
-                executor._fn_acks[worker.address] = {runner_digest(spec)}
+                executor._fn_acks[worker.address] = {runner_digest(spec): None}
                 batch = engine.run_batch(spec, 12)
                 assert batch.outputs == golden.outputs
                 assert batch.transcript_keys == golden.transcript_keys
@@ -636,7 +883,7 @@ class TestInputPublication:
             second = LoopbackWorker()
             try:
                 executor._addresses = [second.address]
-                executor._fn_acks[second.address] = {runner_digest(spec)}
+                executor._fn_acks[second.address] = {runner_digest(spec): None}
                 batch = Engine(executor).run_batch(spec, 12)
                 assert batch.outputs == golden.outputs
                 assert batch.transcript_keys == golden.transcript_keys
@@ -688,6 +935,26 @@ class TestInputPublication:
             assert sent["need_fn", worker.address] == 1
             assert registrations(sent) == 3
         assert batch.outputs == golden_a.outputs
+
+    def test_ack_table_follows_the_workers_lru(self, monkeypatch):
+        """100 distinct runners leave at most MAX_CACHED_FNS acks for the
+        worker, as its own LRU keeps: re-running the first spec, which
+        both sides evicted, registers it up front with no need_fn."""
+        with LoopbackWorker() as worker:
+            with DistributedExecutor(
+                [worker.endpoint], heartbeat_interval=None
+            ) as executor:
+                engine = Engine(executor)
+                for seed in range(100):
+                    engine.run_batch(rank_spec(seed), 2)
+                acks = executor._fn_acks[worker.address]
+                assert len(acks) <= worker_module.MAX_CACHED_FNS
+                sent = count_frames(monkeypatch)
+                batch = engine.run_batch(rank_spec(0), 2)
+                assert sent["register_fn", worker.address] == 1
+                assert sent["need_fn", worker.address] == 0
+        golden = Engine(SerialExecutor()).run_batch(rank_spec(0), 2)
+        assert batch.outputs == golden.outputs
 
     def test_buffer_refilled_in_place_is_republished(self, monkeypatch):
         """A fixed-input buffer refilled between batches makes a new

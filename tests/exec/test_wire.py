@@ -13,6 +13,7 @@ import socket
 import ssl
 import subprocess
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -660,6 +661,29 @@ class TestTLSLoopback:
             ) as executor:
                 assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
                 assert executor.registry.total("exec_handshakes_total") == 1
+
+    def test_stop_is_prompt_with_an_idle_tls_session(self, cert_pair):
+        """The worker shuts down the TLS-wrapped socket of an idle
+        session (wrapping detached the accepted one), so a client that
+        keeps the session open does not hold up stop()."""
+        cert, key = cert_pair
+        server_ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        server_ctx.load_cert_chain(str(cert), str(key))
+        client_ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+        client_ctx.load_verify_locations(str(cert))
+        worker = LoopbackWorker(secret=b"tls-suite-secret", ssl_context=server_ctx)
+        with DistributedExecutor(
+            [worker.endpoint],
+            secret=b"tls-suite-secret",
+            ssl_context=client_ctx,
+            local_fallback=False,
+        ) as executor:
+            assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
+            assert executor.map(_double, [4]) == [8]
+            assert executor.registry.total("exec_handshakes_total") == 1
+            start = time.monotonic()
+            worker.stop()
+            assert time.monotonic() - start < 0.5
 
     def test_wrong_secret_over_tls_is_auth_failure(self, cert_pair):
         """TLS succeeding is not enough: the worker still demands the

@@ -132,6 +132,7 @@ def main() -> None:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
     print("secure fleet smoke: OK")
 
 

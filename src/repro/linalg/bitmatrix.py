@@ -155,7 +155,7 @@ class BitMatrix:
         arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D array, got shape {arr.shape}")
-        bits = (arr != 0).astype(np.uint8)
+        bits = arr != 0
         rows, cols = bits.shape
         return cls(rows, cols, _pack_bits(bits))
 

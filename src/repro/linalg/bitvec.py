@@ -40,18 +40,13 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 
     ``bits`` may have any leading batch dimensions; the result replaces the
     last axis of length ``n`` with one of length ``ceil(n / 64)``.  Nonzero
-    entries are treated as ones (``np.packbits`` semantics).
+    entries are treated as ones (``np.packbits`` semantics), so a boolean
+    ``arr != 0`` packs as is; the bytes land in one zeroed buffer already
+    padded to whole words.
     """
-    bits = np.ascontiguousarray(bits)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = _n_words(bits.shape[-1]) * 8 - packed.shape[-1]
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)],
-            axis=-1,
-        )
-    if packed.shape[-1] == 0:
-        return np.zeros(packed.shape[:-1] + (0,), dtype=np.uint64)
+    n_bytes = -(-bits.shape[-1] // 8)
+    packed = np.zeros(bits.shape[:-1] + (_n_words(bits.shape[-1]) * 8,), np.uint8)
+    packed[..., :n_bytes] = np.packbits(bits, axis=-1, bitorder="little")
     return packed.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -157,7 +152,7 @@ class BitVector:
         arr = np.asarray(arr)
         if arr.ndim != 1:
             raise ValueError(f"expected a 1-D array, got shape {arr.shape}")
-        bits = (arr != 0).astype(np.uint8)
+        bits = arr != 0
         return cls(bits.shape[0], _pack_bits(bits))
 
     @classmethod

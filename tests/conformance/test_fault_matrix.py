@@ -325,6 +325,7 @@ class TestSubprocessWorkerCells:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestWorkerPoolCells:

@@ -1023,3 +1023,4 @@ class TestInputPublication:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()

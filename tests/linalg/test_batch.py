@@ -15,7 +15,9 @@ def random_bits(rng, *shape):
 
 
 #: Shapes chosen to cross word boundaries in every direction, plus the
-#: empty/degenerate corners.
+#: empty/degenerate corners, batches spanning one, two and three 64-matrix
+#: lanes of the bit-sliced rank (the last one ragged), and single-word rows
+#: on both sides of its ``rows × cols`` bound.
 BATCH_SHAPES = [
     (4, 5, 5),
     (8, 7, 70),
@@ -27,7 +29,17 @@ BATCH_SHAPES = [
     (5, 7, 0),
     (6, 3, 200),
     (2, 130, 30),
+    (130, 9, 17),
+    (64, 32, 17),
+    (70, 64, 64),
+    (40, 128, 64),
+    (12, 129, 64),
 ]
+
+
+def scalar_ranks(arr):
+    """``BitMatrix.rank`` (XOR basis, no batch path) of every matrix."""
+    return [BitMatrix.from_array(a).rank() for a in arr]
 
 
 class TestBitVectorBatch:
@@ -85,8 +97,38 @@ class TestBitMatrixBatchKernels:
     def test_rank_matches_scalar(self, rng, batch, rows, cols):
         arr = random_bits(rng, batch, rows, cols)
         mb = BitMatrixBatch.from_arrays(arr)
-        expected = [BitMatrix.from_array(a).rank() for a in arr]
-        assert np.array_equal(mb.rank(), expected)
+        assert np.array_equal(mb.rank(), scalar_ranks(arr))
+
+    @pytest.mark.parametrize(
+        "batch,rows,cols,path",
+        [
+            (2048, 32, 17, "_rank_bitsliced"),
+            (70, 64, 64, "_rank_bitsliced"),
+            (40, 128, 64, "_rank_bitsliced"),
+            (12, 129, 64, "_rank_m4r"),
+            (3, 64, 65, "_rank_m4r"),
+        ],
+    )
+    def test_rank_picks_its_elimination_by_shape(
+        self, monkeypatch, batch, rows, cols, path
+    ):
+        # Single-word rows up to 128×64 cells are bit-sliced; one more row
+        # or a second word takes the method-of-four-Russians elimination.
+        taken = []
+
+        def spy(name):
+            method = getattr(BitMatrixBatch, name)
+
+            def record(self, prefix):
+                taken.append(name)
+                return method(self, prefix)
+
+            return record
+
+        for name in ("_rank_bitsliced", "_rank_m4r"):
+            monkeypatch.setattr(BitMatrixBatch, name, spy(name))
+        BitMatrixBatch.zeros(batch, rows, cols).rank()
+        assert taken == [path]
 
     @pytest.mark.parametrize("batch,rows,cols", BATCH_SHAPES)
     def test_transpose_matches_scalar(self, rng, batch, rows, cols):
@@ -121,6 +163,18 @@ class TestBitMatrixBatchKernels:
         for i in range(batch):
             scalar = BitMatrix.from_array(arr[i]).matmul(BitMatrix.from_array(other[i]))
             assert np.array_equal(got[i], scalar.to_array())
+
+    def test_from_arrays_packs_a_strided_slice(self, rng):
+        # The seed-length attack packs the leading columns of a wider stack.
+        stack = random_bits(rng, 6, 5, 48) * np.uint8(3)
+        arr = stack[:, :, :17]
+        mb = BitMatrixBatch.from_arrays(arr)
+        assert np.array_equal(mb.to_arrays(), arr != 0)
+        assert np.array_equal(
+            mb.words, BitMatrixBatch.from_arrays(np.ascontiguousarray(arr)).words
+        )
+        for i in range(6):
+            assert mb[i] == BitMatrix.from_array(arr[i])
 
     def test_rank_structured_batches(self, rng):
         # duplicate rows, zero matrices and low-rank products in one batch
@@ -158,10 +212,10 @@ class TestBitMatrixBatchKernels:
 
 
 def assert_prefix_rank_matches(arr, k):
-    """One elimination with ``prefix=k`` against two separate ranks."""
+    """One elimination with ``prefix=k`` against two scalar ranks."""
     prefix_rank, rank = BitMatrixBatch.from_arrays(arr).rank(prefix=k)
-    assert np.array_equal(prefix_rank, BitMatrixBatch.from_arrays(arr[:, :, :k]).rank())
-    assert np.array_equal(rank, BitMatrixBatch.from_arrays(arr).rank())
+    assert np.array_equal(prefix_rank, scalar_ranks(arr[:, :, :k]))
+    assert np.array_equal(rank, scalar_ranks(arr))
 
 
 class TestPrefixRank:
@@ -178,6 +232,26 @@ class TestPrefixRank:
         arr[:, :, :4] = np.eye(4, dtype=np.uint8)
         for k in (3, 4, 13, 20, 40):
             assert_prefix_rank_matches(arr, k)
+
+    def test_early_exit_on_multi_word_rows(self, rng):
+        # The same settled-rows exit on the method-of-four-Russians side.
+        arr = random_bits(rng, 5, 4, 100)
+        arr[:, :, :4] = np.eye(4, dtype=np.uint8)
+        for k in (3, 4, 13, 20, 64, 100):
+            assert_prefix_rank_matches(arr, k)
+
+    def test_seed_length_attack_shape(self, rng):
+        # ``[X | y]`` blocks of 32 processors at seed length 16: y = X·m on
+        # the first half (consistent, rank unchanged), uniform on the rest.
+        seeds = random_bits(rng, 2048, 32, 16)
+        tails = random_bits(rng, 2048, 32, 1)
+        m = random_bits(rng, 1024, 16, 1)
+        tails[:1024] = (seeds[:1024].astype(np.int64) @ m) % 2
+        arr = np.concatenate([seeds, tails], axis=2)
+        assert_prefix_rank_matches(arr, 16)
+        prefix_rank, rank = BitMatrixBatch.from_arrays(arr).rank(prefix=16)
+        assert (prefix_rank[:1024] == rank[:1024]).all()
+        assert (prefix_rank[1024:] != rank[1024:]).any()
 
     def test_rejects_out_of_range_prefix(self):
         batch = BitMatrixBatch.zeros(2, 3, 5)
@@ -210,7 +284,7 @@ class TestBatchedSampling:
 
 
 @given(
-    batch=st.integers(1, 6),
+    batch=st.integers(1, 150),
     rows=st.integers(1, 20),
     cols=st.integers(1, 150),
     seed=st.integers(0, 2**31),
@@ -220,11 +294,11 @@ def test_rank_property(batch, rows, cols, seed):
     rng = np.random.default_rng(seed)
     arr = rng.integers(0, 2, size=(batch, rows, cols), dtype=np.uint8)
     mb = BitMatrixBatch.from_arrays(arr)
-    assert np.array_equal(mb.rank(), [BitMatrix.from_array(a).rank() for a in arr])
+    assert np.array_equal(mb.rank(), scalar_ranks(arr))
 
 
 @given(
-    batch=st.integers(1, 6),
+    batch=st.integers(1, 150),
     rows=st.integers(1, 20),
     cols=st.integers(1, 150),
     k=st.integers(0, 150),

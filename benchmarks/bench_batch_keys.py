@@ -12,8 +12,9 @@ dynamically-terminating keys are ragged.
 
 A ``seeding`` record times how the vectorized path gets its inputs: at
 4096 trials of ``UniformRows(32, 48)``, per-trial ``spawn`` +
-``default_rng`` + ``sample`` against ``spawn_generators`` +
-``sample_each`` (one seeding pass and raw PCG64 fair-bit draws).
+``default_rng`` + ``sample`` against ``sample_each`` on one
+``TrialStreams`` chunk (one seeding pass and raw PCG64 fair-bit draws,
+no generator built per trial).
 
 Running this file as a script (or ``pytest benchmarks/bench_batch_keys.py``)
 verifies the two paths are bit-identical (keys, outputs, costs; the
@@ -31,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from _util import median_ns, print_table, write_bench_json
 
 from repro.core import Engine, RunSpec
-from repro.core.randomness import spawn_generators
+from repro.core.randomness import TrialStreams
 from repro.distributions import UniformRows
 from repro.distributions.undirected import UndirectedRandomGraph
 from repro.lowerbounds import TopSubmatrixRankProtocol
@@ -111,8 +112,8 @@ def _per_trial_inputs(seed: int) -> np.ndarray:
 
 
 def _batched_inputs(seed: int) -> np.ndarray:
-    rngs = spawn_generators(np.random.SeedSequence(seed), SEEDING_TRIALS)
-    return SEEDING_DIST.sample_each(rngs)
+    streams = TrialStreams(np.random.SeedSequence(seed), SEEDING_TRIALS)
+    return SEEDING_DIST.sample_each(streams)
 
 
 def collect_seeding_record() -> dict:

@@ -22,7 +22,9 @@ is the seed-length attack's shape (2048 blocks of 32×17, prefix 16), which
 method-of-four-Russians elimination run on the same words.  The
 ``rank_m4r_side`` record times both eliminations on the first single-word
 shape past the bit-sliced bound (recorded, not gated), so the artifact
-shows where that bound sits.
+shows where that bound sits.  The ``transpose`` record times
+``BitMatrixBatch.transpose`` on the seed-length attack's shape (recorded,
+not gated).
 """
 
 import sys
@@ -161,6 +163,10 @@ def collect_linalg_records() -> list[dict]:
     prefix_ns = median_ns(full.rank, PREFIX_K, repeats=9)
     prefix_m4r_ns = median_ns(full._rank_m4r, PREFIX_K, repeats=9)
 
+    # The batched word-level transpose of the same blocks.
+    assert np.array_equal(full.transpose().to_arrays(), revealed.transpose(0, 2, 1))
+    transpose_ns = median_ns(full.transpose, repeats=9)
+
     # Past the bound rank() takes M4R; time the bit-sliced path there too.
     past = BitMatrixBatch.random(PREFIX_BATCH, M4R_SIDE_ROWS, M4R_SIDE_COLS, rng)
     assert np.array_equal(past.rank(), past._rank_bitsliced(None))
@@ -199,6 +205,14 @@ def collect_linalg_records() -> list[dict]:
             "ns_per_op": prefix_ns,
             "m4r_ns_per_op": prefix_m4r_ns,
             "speedup": prefix_m4r_ns / prefix_ns,
+        },
+        {
+            "kernel": "transpose",
+            "n": PREFIX_ROWS,
+            "cols": PREFIX_K + 1,
+            "batch": PREFIX_BATCH,
+            "ns_per_op": transpose_ns,
+            "ns_per_matrix": transpose_ns / PREFIX_BATCH,
         },
         {
             "kernel": "rank_m4r_side",

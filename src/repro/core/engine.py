@@ -80,7 +80,7 @@ from ..obs.trace import NULL_TRACER, NullTracer, Tracer
 from .errors import SchedulingError
 from .network import CostReport
 from .protocol import Protocol
-from .randomness import CoinSource, spawn_generators
+from .randomness import CoinSource, TrialStreams
 from .scheduler import RoundScheduler, Scheduler, TurnScheduler
 from .transcript import Transcript
 
@@ -853,11 +853,13 @@ class Engine:
         """The batched-kernel fast path; ``None`` means "use the scalar path".
 
         Inputs are drawn from the same spawned seed children as the scalar
-        path (bit-identical): each chunk's generators are built in one
-        :func:`~repro.core.randomness.spawn_generators` pass (which
-        advances a ``SeedSequence`` seed's counter as ``spawn`` would) and
-        go to the distribution's ``sample_each`` in one call, and the
-        input stack to one ``batch_decisions`` call, which returns
+        path (bit-identical): each chunk is seeded in one
+        :class:`~repro.core.randomness.TrialStreams` pass (which advances
+        a ``SeedSequence`` seed's counter as ``spawn`` would) and goes to
+        the distribution's ``sample_each`` in one call; a coin protocol
+        then draws its coin seeds from the chunk's ``generators()``, which
+        stand where the input draw left each trial's stream.  The input
+        stack goes to one ``batch_decisions`` call, which returns
         decisions and transcript keys together.  A fixed input matrix
         under an input-deterministic protocol is evaluated once and its row
         broadcast to every trial.  Results stay columns, one
@@ -964,17 +966,16 @@ class Engine:
         root = spec.seed_sequence()
         chunks = []
         for start in range(0, trials, self.VECTORIZED_CHUNK_TRIALS):
-            # The chunk's seed children, built in one pass; this also
+            # The chunk's seed children, seeded in one pass; this also
             # advances a SeedSequence seed's counter as spawn(trials) does.
-            rngs = spawn_generators(
-                root, min(self.VECTORIZED_CHUNK_TRIALS, trials - start)
-            )
+            count = min(self.VECTORIZED_CHUNK_TRIALS, trials - start)
+            streams = TrialStreams(root, count)
             if spec.distribution is None:
                 # Coin protocol on fixed inputs: trials differ only in
                 # their private coins; share one read-only input view.
-                inputs = np.broadcast_to(spec.inputs, (len(rngs),) + spec.inputs.shape)
+                inputs = np.broadcast_to(spec.inputs, (count,) + spec.inputs.shape)
             else:
-                inputs = spec.distribution.sample_each(rngs)
+                inputs = spec.distribution.sample_each(streams)
             coin_seeds = None
             if coin_bits:
                 # Exactly the per-processor seed draw make_contexts
@@ -984,7 +985,7 @@ class Engine:
                 coin_seeds = np.stack(
                     [
                         rng.integers(0, 2**63, size=inputs.shape[1], dtype=np.int64)
-                        for rng in rngs
+                        for rng in streams.generators()
                     ]
                 )
             chunks.append(columns(start, inputs, *evaluate(inputs, coin_seeds)))

@@ -7,12 +7,13 @@ processor owns a :class:`PrivateCoins` source and the system may expose a
 :class:`PublicCoins` source; both count the bits handed out and can enforce
 a hard budget.
 
-It also holds the engine's batched seeding: :func:`spawn_generators`
-builds a chunk of trial generators in one vectorized pass, and
-:func:`fair_bits` draws fair coins from many generators at once.  Both
-are exact replicas of numpy's own per-trial calls, which stay the
-oracle.  ``numpy.random`` is only touched inside functions, so importing
-the library does not load it.
+It also holds the engine's batched seeding: a :class:`TrialStreams`
+seeds a chunk of trials in one vectorized pass, draws the chunk's fair
+coins without building a generator per trial, and builds the trials'
+generators only when asked.  It replicates numpy's own per-trial
+``spawn`` + ``default_rng`` calls exactly; those stay the oracle.
+``numpy.random`` is only touched inside functions, so importing the
+library does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -38,8 +39,7 @@ __all__ = [
     "ReplayCoins",
     "expand_seed",
     "fresh_generator",
-    "spawn_generators",
-    "fair_bits",
+    "TrialStreams",
 ]
 
 
@@ -149,23 +149,25 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def spawn_generators(root: "SeedSequence", count: int) -> "list[Generator]":
-    """``[default_rng(c) for c in root.spawn(count)]``, in one vectorized pass.
+def _child_seed_words(root: "SeedSequence", count: int) -> np.ndarray:
+    """The ``(count, 4)`` uint64 words ``PCG64`` seeds itself from for
+    children ``start … start + count - 1`` of ``root``, where ``start`` is
+    ``root.n_children_spawned``; the counter advances by ``count`` as
+    ``spawn`` advances it.
 
-    The generators of children ``start … start + count - 1``, where
-    ``start`` is ``root.n_children_spawned``, and the counter advances by
-    ``count`` as ``spawn`` advances it, so consecutive calls walk the
-    same children as one larger ``spawn``.  Every child hashes the same
-    entropy and spawn-key words before its own index word, so those are
-    mixed once as Python ints; the index word and each child's
-    ``generate_state(4, uint64)`` are then uint32 array operations over
-    the whole chunk, and each ``PCG64`` is built from its precomputed
-    words.  A ``SeedSequence`` subclass spawns through its own methods.
+    Every child hashes the same entropy and spawn-key words before its
+    own index word, so those are mixed once as Python ints; the index
+    word and each child's ``generate_state(4, uint64)`` are then uint32
+    array operations over the whole chunk.  A ``SeedSequence`` subclass
+    spawns through its own methods and its children's
+    ``generate_state(4, uint64)`` become the words.
     """
-    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random import SeedSequence
 
     if type(root) is not SeedSequence:
-        return [Generator(PCG64(child)) for child in root.spawn(count)]
+        children = root.spawn(count)
+        states = [child.generate_state(4, np.uint64) for child in children]
+        return np.array(states, dtype=np.uint64).reshape(count, 4)
     size = root.pool_size
     with _COUNTER_LOCK:
         start = root.n_children_spawned
@@ -213,58 +215,109 @@ def spawn_generators(root: "SeedSequence", count: int) -> "list[Generator]":
     state = (lanes[[word % size for word in range(8)]] ^ xor) * mul
     state ^= state >> np.uint32(16)
     words = np.ascontiguousarray(state.T, dtype="<u4")
-    seeds = words.view("<u8").astype(np.uint64, copy=False)
-    seed_words = _seed_words_type()
-    return [Generator(PCG64(seed_words(row))) for row in seeds]
+    return words.view("<u8").astype(np.uint64, copy=False)
 
 
-def fair_bits(
-    rngs: "Sequence[Generator]", *shapes: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Per generator, ``integers(0, 2, size=shape, dtype=uint8)`` for
-    each ``shape`` in order, stacked as ``(len(rngs),) + shape`` arrays.
+class TrialStreams:
+    """The random streams of one chunk of trials, held as seed words.
 
-    Every generator ends where those calls leave it.  The uint8 coin of
-    ``integers`` is the top bit of one byte of the generator's uint32
-    stream (Lemire's method never rejects with range 2), each call
-    starting on a fresh word, and ``PCG64`` hands out each 64-bit output
-    low half first.  So a ``PCG64`` with no buffered half draws all its
-    words with one ``random_raw`` call, draw ``i`` starts at byte
-    ``4 * sum(ceil(size_j / 4))`` over the earlier draws, and one ``>> 7``
-    over the chunk turns bytes into bits; an odd word count leaves the
-    unused high half buffered, as ``integers`` does.  Other bit
-    generators, and a ``PCG64`` already holding a buffered half, draw
-    through ``integers`` (exact, not faster).  The arrays are views of
-    one buffer.
+    Stream ``t`` is the one ``default_rng(c)`` gives for the ``t``-th of
+    ``root.spawn(count)``'s children ``c``, and ``root``'s child counter
+    advances by ``count`` as ``spawn`` advances it, so consecutive chunks
+    walk the same children as one larger ``spawn``.  Only the chunk's
+    ``(count, 4)`` uint64 ``PCG64`` seed words are kept; nothing is built
+    per trial until a draw needs it.
+
+    Two ways to draw, in this order:
+
+    * :meth:`fair_bits` — the chunk's fair coins, as the first draw of
+      every stream;
+    * :meth:`generators` — one ``Generator`` per stream, built on first
+      call and left where the draws so far leave it.
     """
-    from numpy.random import PCG64
 
-    sizes = [math.prod(shape) for shape in shapes]
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + 4 * -(-size // 4))
-    words = offsets[-1] // 4
-    raws = -(-words // 2)
-    stream = np.empty((len(rngs), raws), dtype="<u8")
-    data = stream.view(np.uint8)
-    for row, rng in enumerate(rngs):
-        bitgen = rng.bit_generator
-        if type(bitgen) is PCG64 and not bitgen.state["has_uint32"]:
-            stream[row] = bitgen.random_raw(raws)
-            if words % 2:
-                state = bitgen.state
-                state["has_uint32"] = 1
-                state["uinteger"] = int(stream[row, -1]) >> 32
-                bitgen.state = state
-        else:
-            for size, offset in zip(sizes, offsets):
-                bits = rng.integers(0, 2, size=size, dtype=np.uint8)
-                data[row, offset : offset + size] = bits << 7
-    data >>= 7
-    return [
-        data[:, offset : offset + size].reshape((len(rngs),) + tuple(shape))
-        for shape, size, offset in zip(shapes, sizes, offsets)
-    ]
+    __slots__ = ("_words", "_raws", "_halves", "_drawn", "_generators")
+
+    def __init__(self, root: "SeedSequence", count: int):
+        self._words = _child_seed_words(root, count)
+        # The 64-bit outputs fair_bits took from each stream, and each
+        # stream's buffered high half when it took an odd word count.
+        self._raws = 0
+        self._halves: np.ndarray | None = None
+        self._drawn = False
+        self._generators: "list[Generator] | None" = None
+
+    def fair_bits(self, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+        """Per stream, ``integers(0, 2, size=shape, dtype=uint8)`` for each
+        ``shape`` in order, stacked as ``(count,) + shape`` arrays.
+
+        The uint8 coin of ``integers`` is the top bit of one byte of the
+        generator's uint32 stream (Lemire's method never rejects with
+        range 2), each call starting on a fresh word, and ``PCG64``
+        hands out each 64-bit output low half first.  So each stream's
+        words come from one ``random_raw`` call on a ``PCG64`` built from
+        its seed words and dropped at once, draw ``i`` starts at byte
+        ``4 * sum(ceil(size_j / 4))`` over the earlier draws, and one
+        ``>> 7`` over the chunk turns bytes into bits.  An odd word count
+        leaves each stream's unused high half buffered, as ``integers``
+        does; :meth:`generators` restores it.  The arrays are views of
+        one buffer.  Only the first draw of a chunk can be served this
+        way, so a second call, or a call after :meth:`generators`,
+        raises ``RuntimeError``.
+        """
+        from numpy.random import PCG64
+
+        if self._drawn or self._generators is not None:
+            raise RuntimeError("fair_bits must be the first and only draw of its chunk")
+        self._drawn = True
+        sizes = [math.prod(shape) for shape in shapes]
+        offsets = [0]
+        for size in sizes:
+            offsets.append(offsets[-1] + 4 * -(-size // 4))
+        words = offsets[-1] // 4
+        raws = -(-words // 2)
+        count = len(self._words)
+        stream = np.empty((count, raws), dtype="<u8")
+        seed_words = _seed_words_type()
+        for row, seed in enumerate(self._words):
+            stream[row] = PCG64(seed_words(seed)).random_raw(raws)
+        self._raws = raws
+        if words % 2:
+            # Taken before the in-place shift below rewrites the words.
+            self._halves = stream[:, -1] >> np.uint64(32)
+        data = stream.view(np.uint8)
+        data >>= 7
+        return [
+            data[:, offset : offset + size].reshape((count,) + tuple(shape))
+            for shape, size, offset in zip(shapes, sizes, offsets)
+        ]
+
+    def generators(self) -> "list[Generator]":
+        """One ``Generator`` per stream, built on the first call; later
+        calls return the same list.
+
+        Each generator stands where the chunk's draws so far leave its
+        stream: its ``PCG64`` is advanced past what :meth:`fair_bits`
+        took, and a buffered high half is restored through the state
+        setter, because ``advance`` clears it.
+        """
+        if self._generators is None:
+            from numpy.random import PCG64, Generator
+
+            seed_words = _seed_words_type()
+            generators = []
+            for row, seed in enumerate(self._words):
+                bit_generator = PCG64(seed_words(seed))
+                if self._raws:
+                    bit_generator.advance(self._raws)
+                if self._halves is not None:
+                    state = bit_generator.state
+                    state["has_uint32"] = 1
+                    state["uinteger"] = int(self._halves[row])
+                    bit_generator.state = state
+                generators.append(Generator(bit_generator))
+            self._generators = generators
+        return self._generators
 
 
 class CoinSource:

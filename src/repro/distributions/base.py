@@ -18,9 +18,12 @@ the paper:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..core.randomness import TrialStreams
 
 __all__ = [
     "InputDistribution",
@@ -59,16 +62,20 @@ class InputDistribution:
         """Draw one input matrix (``uint8`` of shape ``(n, row_length)``)."""
         raise NotImplementedError
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """One matrix per generator, stacked as ``(len(rngs), n, row_length)``.
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        """One matrix per trial stream of the chunk, stacked as
+        ``(count, n, row_length)``.
 
-        Row ``t`` is exactly ``sample(rngs[t])`` and every generator ends
-        in the state that call leaves it in, so a subclass may batch the
-        arithmetic but must keep each generator's draws and their order.
-        Subclasses whose ``sample`` draws only fair bits get them for the
-        whole chunk from :func:`~repro.core.randomness.fair_bits`.
+        Row ``t`` is exactly ``sample(streams.generators()[t])`` and every
+        stream ends in the state that call leaves its generator in, so a
+        subclass may batch the arithmetic but must keep each stream's
+        draws and their order.  Subclasses whose ``sample`` draws only
+        fair bits take them for the whole chunk from one
+        :meth:`~repro.core.randomness.TrialStreams.fair_bits` call, which
+        builds no generator; this default stacks ``sample`` over
+        :meth:`~repro.core.randomness.TrialStreams.generators`.
         """
-        return np.stack([self.sample(rng) for rng in rngs])
+        return np.stack([self.sample(rng) for rng in streams.generators()])
 
     @property
     def name(self) -> str:

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..core.randomness import fair_bits
 from .base import (
     MixtureDistribution,
     RowIndependentDistribution,
     all_bitstrings,
 )
+
+if TYPE_CHECKING:
+    from ..core.randomness import TrialStreams
 
 __all__ = ["PlantedCliqueAt", "PlantedClique"]
 
@@ -65,8 +67,8 @@ class PlantedCliqueAt(RowIndependentDistribution):
                     mat[i, j] = 1
         return mat
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        mats = fair_bits(rngs, (self.n, self.n))[0]
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        mats = streams.fair_bits((self.n, self.n))[0]
         members = np.array(sorted(self.clique), dtype=np.intp)
         mats[:, members[:, None], members] = 1
         diagonal = np.arange(self.n)

@@ -15,16 +15,18 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..core.randomness import fair_bits
 from .base import (
     MixtureDistribution,
     RowIndependentDistribution,
     all_bitstrings,
 )
+
+if TYPE_CHECKING:
+    from ..core.randomness import TrialStreams
 
 __all__ = [
     "SharedVectorRows",
@@ -87,8 +89,8 @@ class SharedVectorRows(RowIndependentDistribution):
         parities = (xs @ self.secret) & 1
         return np.hstack([xs, parities[:, None].astype(np.uint8)])
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        xs = fair_bits(rngs, (self.n, self.k))[0]
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        xs = streams.fair_bits((self.n, self.k))[0]
         return _with_tails(xs, self.secret[:, None])
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +121,8 @@ class ToyPRGOutput(MixtureDistribution):
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_component(rng).sample(rng)
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        secrets, xs = fair_bits(rngs, (self.k,), (self.n, self.k))
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        secrets, xs = streams.fair_bits((self.k,), (self.n, self.k))
         return _with_tails(xs, secrets[:, :, None])
 
     def components(self) -> Iterator[tuple[float, SharedVectorRows]]:
@@ -167,8 +169,8 @@ class SharedMatrixRows(RowIndependentDistribution):
         tails = (xs @ self.secret) & 1
         return np.hstack([xs, tails.astype(np.uint8)])
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        xs = fair_bits(rngs, (self.n, self.k))[0]
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        xs = streams.fair_bits((self.n, self.k))[0]
         return _with_tails(xs, self.secret)
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +212,11 @@ class PRGOutput(MixtureDistribution):
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.sample_component(rng).sample(rng)
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        """Per generator, ``M`` then ``X`` as :meth:`sample` draws them
-        (through :func:`~repro.core.randomness.fair_bits`); then every
-        trial's ``X M`` tail in blocked ``float32`` products."""
-        secrets, xs = fair_bits(rngs, (self.k, self.m - self.k), (self.n, self.k))
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        """Per trial stream, ``M`` then ``X`` as :meth:`sample` draws them
+        (through :meth:`~repro.core.randomness.TrialStreams.fair_bits`);
+        then every trial's ``X M`` tail in blocked ``float32`` products."""
+        secrets, xs = streams.fair_bits((self.k, self.m - self.k), (self.n, self.k))
         return _with_tails(xs, secrets)
 
     def components(self) -> Iterator[tuple[float, SharedMatrixRows]]:

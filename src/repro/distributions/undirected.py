@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..core.randomness import fair_bits
 from .base import InputDistribution
+
+if TYPE_CHECKING:
+    from ..core.randomness import TrialStreams
 
 __all__ = ["UndirectedRandomGraph", "UndirectedPlantedClique"]
 
@@ -56,8 +58,8 @@ class UndirectedRandomGraph(InputDistribution):
         )
         return upper | upper.T
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        upper = np.triu(fair_bits(rngs, (self.n, self.n))[0], 1)
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        upper = np.triu(streams.fair_bits((self.n, self.n))[0], 1)
         return upper | upper.transpose(0, 2, 1)
 
     def n_edge_bits(self) -> int:

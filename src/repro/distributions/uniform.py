@@ -10,12 +10,14 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.randomness import fair_bits
 from .base import RowIndependentDistribution, all_bitstrings
+
+if TYPE_CHECKING:
+    from ..core.randomness import TrialStreams
 
 __all__ = ["UniformRows", "RandomDigraph"]
 
@@ -32,8 +34,8 @@ class UniformRows(RowIndependentDistribution):
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, 2, size=(self.n, self.row_length), dtype=np.uint8)
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        return fair_bits(rngs, (self.n, self.row_length))[0]
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        return streams.fair_bits((self.n, self.row_length))[0]
 
     def row_support(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         support = all_bitstrings(self.row_length)
@@ -57,8 +59,8 @@ class RandomDigraph(RowIndependentDistribution):
         np.fill_diagonal(mat, 0)
         return mat
 
-    def sample_each(self, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        mats = fair_bits(rngs, (self.n, self.n))[0]
+    def sample_each(self, streams: TrialStreams) -> np.ndarray:
+        mats = streams.fair_bits((self.n, self.n))[0]
         diagonal = np.arange(self.n)
         mats[:, diagonal, diagonal] = 0
         return mats

@@ -508,7 +508,9 @@ class BitMatrixBatch:
         batch, n_rows, n_words = self.words.shape
         pivot = np.zeros(batch, dtype=np.int64)
         prefix_rank = None
-        work = np.ascontiguousarray(self.words.transpose(2, 0, 1))
+        # Always a copy: with one word per row the words-first layout is
+        # already contiguous, and the elimination rewrites it in place.
+        work = self.words.transpose(2, 0, 1).copy()
         work_bytes = work.view(np.uint8)  # (words, batch, rows * 8)
         batch_idx = np.arange(batch)
         unsettled = np.full((batch, n_rows), np.uint8(0xFF), dtype=np.uint8)

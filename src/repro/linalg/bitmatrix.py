@@ -66,16 +66,17 @@ def _transpose64_blocks(blocks: np.ndarray) -> np.ndarray:
     LSB-first column convention), vectorized over all leading axes: six
     rounds of shift/mask/xor, independent of how many blocks there are.
     """
-    out = np.ascontiguousarray(blocks).copy()
-    lanes = np.arange(64)
+    out = np.array(blocks, order="C")
+    lead = out.shape[:-1]
     for j in (32, 16, 8, 4, 2, 1):
         mask = _TRANSPOSE_MASKS[j]
-        k = np.nonzero((lanes & j) == 0)[0]
-        a = out[..., k]
-        b = out[..., k + j]
+        # Lanes i and i + j (bit j of i clear) are the two halves of a
+        # (64 / 2j, 2, j) view of out, so each round updates out in place.
+        pairs = out.reshape(lead + (64 // (2 * j), 2, j))
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
         swap = ((a >> np.uint64(j)) ^ b) & mask
-        out[..., k] = a ^ (swap << np.uint64(j))
-        out[..., k + j] = b ^ swap
+        a ^= swap << np.uint64(j)
+        b ^= swap
     return out
 
 

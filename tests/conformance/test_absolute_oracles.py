@@ -13,7 +13,11 @@ answers the repo computes without simulating:
   both schedulers against ``exact_transcript_pmf`` (a chi-square test);
 * the transcript law of :class:`GlobalParityProtocol` on the toy PRG,
   scalar and vectorized, against ``mixture_transcript_pmf`` of its
-  one-round ``ProtocolSpec`` twin (a chi-square test).
+  one-round ``ProtocolSpec`` twin (a chi-square test);
+* the number of processors the planted-clique subsample protocol
+  activates, scalar and vectorized, against the binomial law its 24-bit
+  activation coin implies (a chi-square test), which pins the private
+  coin seeds of both paths to a law and not only to each other.
 
 Each cell is pre-registered: a pinned seed, a fixed trial count and the
 significance level ``ALPHA`` below, so it is deterministic and never
@@ -21,17 +25,22 @@ flaky.  Only ``math`` is used for the tests' distributions.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.cliques.subsample import (
+    PlantedCliqueSubsampleProtocol,
+    activation_probability,
+)
 from repro.core import Engine, RunSpec
 from repro.distinguish.exact import (
     ProtocolSpec,
     exact_transcript_pmf,
     mixture_transcript_pmf,
 )
-from repro.distributions import ToyPRGOutput, UniformRows
+from repro.distributions import RandomDigraph, ToyPRGOutput, UniformRows
 from repro.linalg.rank_distribution import full_rank_probability
 from repro.lowerbounds import TopSubmatrixRankProtocol
 from repro.protocols import GlobalParityProtocol
@@ -294,3 +303,41 @@ def test_parity_law_matches_mixture_pmf(seed, vectorized):
     # the same sample, so a parity that ignored the secret fails the cell.
     uniform = exact_transcript_pmf(spec, UniformRows(PARITY_N, PARITY_K + 1))
     assert chi_square_p(counts, uniform, LAW_TRIALS) < ALPHA
+
+
+# ----------------------------------------------------------------------
+# Subsample activation coins against their binomial law
+# ----------------------------------------------------------------------
+COIN_N, COIN_K, COIN_FACTOR, COIN_TRIALS, COIN_SEED = 16, 12, 0.5, 400, 7301
+
+
+def _binomial_pmf(n: int, q: float) -> dict[int, float]:
+    return {i: math.comb(n, i) * q**i * (1.0 - q) ** (n - i) for i in range(n + 1)}
+
+
+@pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
+def test_activation_count_is_binomial(vectorized):
+    """Round 0 of the subsample protocol is every processor's activation
+    bit: ``draw < p · 2^24`` on a uniform 24-bit draw from its private
+    coins, so each bit is 1 with ``q = ⌈p · 2^24⌉ / 2^24`` and a trial's
+    first ``n`` key turns hold a Binomial(n, q) count of 1s."""
+    p = activation_probability(COIN_N, COIN_K, COIN_FACTOR)
+    q = math.ceil(p * 2**24) / 2**24
+    batch = Engine().run_batch(
+        RunSpec(
+            protocol=PlantedCliqueSubsampleProtocol(
+                COIN_K, activation_factor=COIN_FACTOR
+            ),
+            distribution=RandomDigraph(COIN_N),
+            seed=COIN_SEED,
+            vectorized=vectorized,
+        ),
+        COIN_TRIALS,
+    )
+    counts = Counter(sum(key[:COIN_N]) for key in batch.transcript_keys)
+    p_value = chi_square_p(counts, _binomial_pmf(COIN_N, q), COIN_TRIALS)
+    assert p_value > ALPHA, f"chi-square p = {p_value:.3g}"
+    # Power: an activation probability 0.05 off either way is rejected on
+    # the same sample.
+    for wrong in (q - 0.05, q + 0.05):
+        assert chi_square_p(counts, _binomial_pmf(COIN_N, wrong), COIN_TRIALS) < ALPHA

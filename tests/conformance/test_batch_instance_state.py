@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
+from repro.core.randomness import TrialStreams
 from repro.distributions import UniformRows
 from repro.distributions.undirected import UndirectedRandomGraph
 from repro.exec.wire import encode_value
@@ -44,7 +45,7 @@ CASES = {
 
 
 def sample_stack(dist, seed):
-    return dist.sample_each([np.random.default_rng((seed, t)) for t in range(TRIALS)])
+    return dist.sample_each(TrialStreams(np.random.SeedSequence(seed), TRIALS))
 
 
 def batch_call(protocol, stack, coin_seeds):

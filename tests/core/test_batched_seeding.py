@@ -1,15 +1,15 @@
-"""The vectorized path's seeding kernel and fair-bit helper, against numpy.
+"""The vectorized path's seeding and fair-bit chunk, against numpy.
 
-``spawn_generators(root, count)`` must build exactly the generators of
-``[default_rng(c) for c in root.spawn(count)]`` and advance the root the
-same way; ``fair_bits`` must give exactly the bits of per-generator
-``integers(0, 2, size=shape, dtype=uint8)`` calls and leave every
-generator where they leave it.  numpy's own calls are the oracle.
+``TrialStreams(root, count).generators()`` must build exactly the
+generators of ``[default_rng(c) for c in root.spawn(count)]`` and advance
+the root the same way; ``TrialStreams.fair_bits`` must give exactly the
+bits of per-generator ``integers(0, 2, size=shape, dtype=uint8)`` calls,
+and the chunk's ``generators()`` must then stand where those calls leave
+each generator.  numpy's own calls are the oracle.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import subprocess
 import sys
@@ -22,7 +22,7 @@ import pytest
 import repro
 from repro.cliques.subsample import PlantedCliqueSubsampleProtocol
 from repro.core import Engine, RunSpec
-from repro.core.randomness import fair_bits, spawn_generators
+from repro.core.randomness import TrialStreams
 from repro.distributions import PRGOutput, RandomDigraph
 from repro.prg.attacks import SupportMembershipAttack
 
@@ -49,6 +49,11 @@ def twin_roots(entropy, **kwargs):
     return root, np.random.SeedSequence(root.entropy, **kwargs)
 
 
+def chunk_generators(root, count):
+    """The generators of one ``count``-trial chunk of ``root``'s children."""
+    return TrialStreams(root, count).generators()
+
+
 # ----------------------------------------------------------------------
 # Seeding
 # ----------------------------------------------------------------------
@@ -61,7 +66,7 @@ def twin_roots(entropy, **kwargs):
 )
 def test_spawn_generators_matches_numpy(entropy, spawn_key, start, count):
     ours, numpys = twin_roots(entropy, spawn_key=spawn_key, n_children_spawned=start)
-    got = spawn_generators(ours, count)
+    got = chunk_generators(ours, count)
     want = [np.random.default_rng(child) for child in numpys.spawn(count)]
     assert ours.n_children_spawned == numpys.n_children_spawned == start + count
     assert_same_generators(got, want)
@@ -79,14 +84,14 @@ def test_spawn_generators_matches_numpy(entropy, spawn_key, start, count):
 def test_spawn_generators_matches_numpy_on_other_entropy_forms(entropy, kwargs):
     ours, numpys = twin_roots(entropy, **kwargs)
     assert_same_generators(
-        spawn_generators(ours, 5),
+        chunk_generators(ours, 5),
         [np.random.default_rng(child) for child in numpys.spawn(5)],
     )
 
 
 def test_consecutive_calls_walk_the_children_of_one_spawn():
     ours, numpys = twin_roots(404)
-    got = spawn_generators(ours, 3) + spawn_generators(ours, 0) + spawn_generators(ours, 4)
+    got = chunk_generators(ours, 3) + chunk_generators(ours, 0) + chunk_generators(ours, 4)
     assert ours.n_children_spawned == 7
     assert_same_generators(got, [np.random.default_rng(c) for c in numpys.spawn(7)])
 
@@ -101,7 +106,7 @@ def test_concurrent_calls_on_one_root_draw_disjoint_children():
 
     def worker(out):
         for _ in range(calls):
-            out.extend(spawn_generators(ours, count))
+            out.extend(chunk_generators(ours, count))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -126,7 +131,7 @@ def test_seed_sequence_subclass_spawns_through_its_own_methods():
         def generate_state(self, n_words, dtype=np.uint32):
             return super().generate_state(n_words, dtype) ^ np.asarray(1, dtype=dtype)
 
-    got = spawn_generators(Salted(8), 3)
+    got = chunk_generators(Salted(8), 3)
     want = [np.random.default_rng(child) for child in Salted(8).spawn(3)]
     assert_same_generators(got, want)
 
@@ -135,9 +140,9 @@ def test_the_child_counter_stays_32_bit():
     # numpy stores n_children_spawned as a uint32.
     root = np.random.SeedSequence(1, n_children_spawned=2**32 - 2)
     with pytest.raises(ValueError, match="2\\*\\*32 - 1"):
-        spawn_generators(root, 2)
+        TrialStreams(root, 2)
     assert root.n_children_spawned == 2**32 - 2
-    (last,) = spawn_generators(root, 1)
+    (last,) = chunk_generators(root, 1)
     assert root.n_children_spawned == 2**32 - 1
     child = np.random.SeedSequence(1, spawn_key=(2**32 - 2,))
     assert_same_generators([last], [np.random.default_rng(child)])
@@ -150,59 +155,53 @@ def spawned(count, seed=4):
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
 
 
-def assert_fair_bits_match(rngs, shapes):
-    """``fair_bits`` ≡ one ``integers`` call per shape per generator, in
-    order; ``rngs`` may list one generator several times."""
-    reference = copy.deepcopy(rngs)  # keeps repeated entries shared
-    got = fair_bits(rngs, *shapes)
+def assert_fair_bits_match(count, shapes, seed=4):
+    """``fair_bits`` of a ``count``-trial chunk ≡ one ``integers`` call
+    per shape per child generator, in order, and the chunk's
+    ``generators()`` then stand where those calls leave each generator."""
+    streams = TrialStreams(np.random.SeedSequence(seed), count)
+    reference = spawned(count, seed)
+    got = streams.fair_bits(*shapes)
+    assert [bits.shape for bits in got] == [(count,) + tuple(s) for s in shapes]
     for t, rng in enumerate(reference):
         for bits, shape in zip(got, shapes):
             want = rng.integers(0, 2, size=shape, dtype=np.uint8)
             assert bits.dtype == np.uint8
             assert np.array_equal(bits[t], want)
-    for a, b in zip(rngs, reference):
-        assert a.integers(0, 2**63) == b.integers(0, 2**63)
-        assert a.integers(0, 2, dtype=np.uint8) == b.integers(0, 2, dtype=np.uint8)
-    return got
+    assert_same_generators(streams.generators(), reference)
 
 
 @pytest.mark.parametrize("size", range(1, 71))
 def test_fair_bits_matches_integers_for_every_size(size):
-    rngs, reference = spawned(3), spawned(3)
-    got = assert_fair_bits_match(rngs, [(size,), (2, 3), (size,)])
-    assert [bits.shape for bits in got] == [(3, size), (3, 2, 3), (3, size)]
-    # The generators' PCG64 states also match outright.
-    for rng in reference:
-        for shape in [(size,), (2, 3), (size,)]:
-            rng.integers(0, 2, size=shape, dtype=np.uint8)
-    rngs = spawned(3)
-    fair_bits(rngs, (size,), (2, 3), (size,))
-    assert [pcg_state(rng) for rng in rngs] == [pcg_state(rng) for rng in reference]
+    # ceil(size/4) + 2 + ceil((size+1)/4) words: odd when 4 divides size,
+    # so the buffered high halves are checked too.
+    assert_fair_bits_match(3, [(size,), (2, 3), (size + 1,)])
 
 
 def test_fair_bits_of_no_generators_and_empty_draws():
-    assert [bits.shape for bits in fair_bits([], (4, 5), (0,))] == [(0, 4, 5), (0, 0)]
-    rngs = spawned(2)
-    assert_fair_bits_match(rngs, [(0,), (3, 0)])
+    assert_fair_bits_match(0, [(4, 5), (0,)])
+    assert_fair_bits_match(2, [(0,), (3, 0)])
 
 
-def test_fair_bits_with_a_buffered_half():
-    rng = np.random.default_rng(5)
-    rng.integers(0, 2**32 - 1)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    assert_fair_bits_match([rng] + spawned(2), [(5,), (7, 3)])
+def test_a_second_fair_bits_raises():
+    streams = TrialStreams(np.random.SeedSequence(3), 2)
+    streams.fair_bits((5,))
+    with pytest.raises(RuntimeError, match="first and only draw"):
+        streams.fair_bits((5,))
 
 
-@pytest.mark.parametrize("shape", [(3,), (4,), (5, 3), (16,)])
-def test_fair_bits_with_one_generator_repeated(shape):
-    assert_fair_bits_match([np.random.default_rng(6)] * 5, [shape])
+def test_fair_bits_after_generators_raises():
+    streams = TrialStreams(np.random.SeedSequence(3), 2)
+    streams.generators()
+    with pytest.raises(RuntimeError, match="first and only draw"):
+        streams.fair_bits((5,))
 
 
-@pytest.mark.parametrize("bit_generator", ["MT19937", "Philox", "SFC64"])
-def test_fair_bits_with_other_bit_generators(bit_generator):
-    cls = getattr(np.random, bit_generator)
-    rngs = [np.random.Generator(cls(seed)) for seed in range(3)] + spawned(2)
-    assert_fair_bits_match(rngs, [(9,), (2, 2)])
+def test_generators_returns_the_same_objects_twice():
+    streams = TrialStreams(np.random.SeedSequence(3), 4)
+    streams.fair_bits((7,))
+    first = streams.generators()
+    assert streams.generators() is first
 
 
 # ----------------------------------------------------------------------

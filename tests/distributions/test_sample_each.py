@@ -1,16 +1,18 @@
 """``InputDistribution.sample_each`` ≡ one ``sample`` call per generator.
 
 The engine's vectorized fast path draws a whole chunk of trial inputs
-through ``sample_each``; the scalar path calls ``sample`` once per trial.
-The two must give the same matrices bit for bit and leave every
-generator in the same state, or the coin seeds drawn next from the same
-generator would diverge.  The per-trial ``sample`` is the oracle.
+through ``sample_each`` on a ``TrialStreams`` chunk; the scalar path
+calls ``sample`` once per trial on ``default_rng`` of a spawned child.
+The two must give the same matrices bit for bit and leave every stream
+in the same state, or the coin seeds drawn next from the chunk's
+``generators()`` would diverge.  The per-trial ``sample`` is the oracle.
 """
 
 import numpy as np
 import pytest
 
 import repro
+from repro.core.randomness import TrialStreams
 from repro.distributions import (
     InputDistribution,
     PlantedClique,
@@ -53,17 +55,25 @@ def generators(seed, count):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def pcg_state(rng):
+    state = rng.bit_generator.state
+    buffered = state["uinteger"] if state["has_uint32"] else None
+    return (state["state"]["state"], state["state"]["inc"], state["has_uint32"], buffered)
+
+
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
 @pytest.mark.parametrize("count", [1, 9])
 def test_matches_per_generator_sample(name, count):
     dist = DISTRIBUTIONS[name]
-    batched, reference = generators(7, count), generators(7, count)
-    got = dist.sample_each(batched)
+    streams, reference = TrialStreams(np.random.SeedSequence(7), count), generators(7, count)
+    got = dist.sample_each(streams)
     want = np.stack([dist.sample(rng) for rng in reference])
     assert got.dtype == want.dtype
     assert got.shape == want.shape == (count, dist.n, dist.row_length)
     assert np.array_equal(got, want)
-    # Every generator is left where sample() leaves it.
+    # Every stream is left where sample() leaves its generator.
+    batched = streams.generators()
+    assert [pcg_state(rng) for rng in batched] == [pcg_state(rng) for rng in reference]
     for a, b in zip(batched, reference):
         assert a.integers(0, 2**63) == b.integers(0, 2**63)
 

@@ -1,10 +1,9 @@
 """Tests for the uniform input distributions."""
 
-import copy
-
 import numpy as np
 import pytest
 
+from repro.core.randomness import TrialStreams
 from repro.distributions import RandomDigraph, UniformRows
 
 
@@ -21,14 +20,16 @@ class TestUniformRows:
         assert probs.sum() == pytest.approx(1.0)
         assert len({tuple(r) for r in support}) == 8
 
-    def test_sample_many(self, rng):
-        # One shared generator, listed once per draw, makes the same
-        # draws as calling sample() six times in a row.
+    def test_sample_many(self):
+        # A six-trial chunk makes the draws of six sample() calls, one
+        # on each spawned child's default_rng.
         dist = UniformRows(3, 4)
-        twin = copy.deepcopy(rng)
-        batch = dist.sample_each([rng] * 6)
+        batch = dist.sample_each(TrialStreams(np.random.SeedSequence(11), 6))
+        children = np.random.SeedSequence(11).spawn(6)
         assert batch.shape == (6, 3, 4)
-        assert np.array_equal(batch, np.stack([dist.sample(twin) for _ in range(6)]))
+        assert np.array_equal(
+            batch, np.stack([dist.sample(np.random.default_rng(c)) for c in children])
+        )
 
     def test_mean_density(self, rng):
         sample = UniformRows(50, 50).sample(rng)

@@ -130,6 +130,20 @@ class TestBitMatrixBatchKernels:
         BitMatrixBatch.zeros(batch, rows, cols).rank()
         assert taken == [path]
 
+    @pytest.mark.parametrize(
+        "batch,rows,cols", [(12, 129, 64), (3, 64, 65), (70, 64, 64)]
+    )
+    @pytest.mark.parametrize("prefix", [None, 16])
+    def test_rank_leaves_the_batch_unchanged(self, rng, batch, rows, cols, prefix):
+        # Single-word M4R, multi-word M4R and bit-sliced shapes: ranking
+        # reads the words and never row-reduces the caller's batch.
+        arr = random_bits(rng, batch, rows, cols)
+        mb = BitMatrixBatch.from_arrays(arr)
+        first = mb.rank(prefix)
+        assert np.array_equal(mb.to_arrays(), arr)
+        again = mb.rank(prefix)
+        assert np.array_equal(np.asarray(first), np.asarray(again))
+
     @pytest.mark.parametrize("batch,rows,cols", BATCH_SHAPES)
     def test_transpose_matches_scalar(self, rng, batch, rows, cols):
         arr = random_bits(rng, batch, rows, cols)
